@@ -78,6 +78,11 @@ runLiquidAgainstReference(const ChaosReference &ref, const Program &prog,
     } catch (const PanicError &e) {
         report.mismatches.push_back(
             std::string("run did not complete: ") + e.what());
+    } catch (const FatalError &e) {
+        // The reference run completed, so a stray memory access here
+        // is the faulted run's divergence, not a user error.
+        report.mismatches.push_back(
+            std::string("run did not complete: ") + e.what());
     }
     report.cycles = sys.cycles();
     for (const auto &[stat, value] : sys.core().stats()) {

@@ -3,11 +3,37 @@
  * Tiny statistics registry, modelled loosely on gem5's stats package.
  * Components own named counters; a StatGroup can be dumped as text or
  * queried by tests and the benchmark harnesses.
+ *
+ * Cold paths bump a counter by name: stats.inc("flushes"). Hot paths
+ * bind it once instead, as a StatGroup::Counter member of the owning
+ * component, and bump it through the handle:
+ *
+ *   StatGroup stats_{"cache"};
+ *   StatGroup::Counter hits_{"hits"};
+ *   ...
+ *   stats_.inc(hits_);   // one pointer bump after the first call
+ *
+ * The first bump looks the name up (creating the counter at zero) and
+ * caches the map slot in the handle; later bumps add through that
+ * pointer with no string building and no map search. Counters indexed
+ * by an enum ("faults.<kind>", "abort.<reason>") use a
+ * StatGroup::Family, which builds each member's name on its first
+ * event only. Either way a counter still appears in counters() and
+ * dump() only once it has been touched, exactly as with the by-name
+ * call.
+ *
+ * A handle caches a pointer to a std::map node. Nodes never move and
+ * StatGroup never erases them (reset() zeroes in place), and moving a
+ * StatGroup transfers its nodes, so a component that moves its group
+ * together with its handles keeps every handle valid. A handle must
+ * always be passed to the same group.
  */
 
 #ifndef LIQUID_COMMON_STATS_HH
 #define LIQUID_COMMON_STATS_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -29,6 +55,40 @@ namespace liquid
 class StatGroup
 {
   public:
+    /** A counter bound by name; resolved on its first bump. */
+    class Counter
+    {
+      public:
+        explicit Counter(const char *name) : name_(name) {}
+
+      private:
+        friend class StatGroup;
+        const char *name_;
+        std::uint64_t *slot_ = nullptr;
+    };
+
+    /**
+     * Counters "<prefix><nameOf(k)>" for every value k of an enum with
+     * N values, each resolved on its first bump.
+     */
+    template <typename Enum, std::size_t N>
+    class Family
+    {
+      public:
+        using NameOf = const char *(*)(Enum);
+
+        Family(const char *prefix, NameOf name_of)
+            : prefix_(prefix), nameOf_(name_of)
+        {
+        }
+
+      private:
+        friend class StatGroup;
+        const char *prefix_;
+        NameOf nameOf_;
+        std::array<std::uint64_t *, N> slots_{};
+    };
+
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
     StatGroup(const StatGroup &) = delete;
@@ -41,6 +101,26 @@ class StatGroup
     inc(const std::string &stat, std::uint64_t delta = 1)
     {
         counters_[stat] += delta;
+    }
+
+    /** Add @p delta to the bound counter @p c (creates it at zero). */
+    void
+    inc(Counter &c, std::uint64_t delta = 1)
+    {
+        if (!c.slot_) [[unlikely]]
+            c.slot_ = &resolve("", c.name_);
+        *c.slot_ += delta;
+    }
+
+    /** Add @p delta to member @p k of family @p f. */
+    template <typename Enum, std::size_t N>
+    void
+    inc(Family<Enum, N> &f, Enum k, std::uint64_t delta = 1)
+    {
+        std::uint64_t *&slot = f.slots_[static_cast<std::size_t>(k)];
+        if (!slot) [[unlikely]]
+            slot = &resolve(f.prefix_, f.nameOf_(k));
+        *slot += delta;
     }
 
     /** Overwrite counter @p stat. */
@@ -58,7 +138,7 @@ class StatGroup
         return it == counters_.end() ? 0 : it->second;
     }
 
-    /** Reset every counter to zero. */
+    /** Reset every counter to zero (names and bound handles stay). */
     void
     reset()
     {
@@ -99,6 +179,16 @@ class StatGroup
     }
 
   private:
+    /**
+     * The counter "<prefix><stat>", created at zero if absent. Kept out
+     * of line so the handle bumps above stay small enough to inline.
+     */
+    [[gnu::noinline]] std::uint64_t &
+    resolve(const char *prefix, const char *stat)
+    {
+        return counters_[std::string(prefix) + stat];
+    }
+
     std::string name_;
     std::map<std::string, std::uint64_t> counters_;
 };

@@ -96,7 +96,7 @@ Core::step()
             return true;
         }
         inst = &ucode_->insts[upc_];
-        stats_.inc("ucodeInsts");
+        stats_.inc(ctr_.ucodeInsts);
     } else {
         LIQUID_ASSERT(pc_ >= 0 &&
                       static_cast<std::size_t>(pc_) < prog_.code().size(),
@@ -110,7 +110,7 @@ Core::step()
 
     ++instsRetired_;
     cycles_ += 1 + inst->info().extraLatency;
-    stats_.inc("insts");
+    stats_.inc(ctr_.insts);
 
     if (trace_) {
         *trace_ << std::setw(10) << cycles_ << (ucode_ ? "  u" : "   ")
@@ -125,11 +125,11 @@ Core::step()
 void
 Core::raiseFault(const FaultEvent &event)
 {
-    stats_.inc(std::string("faults.") + faultKindName(event.kind));
+    stats_.inc(ctr_.faults, event.kind);
 
     switch (event.kind) {
       case FaultKind::Interrupt:
-        stats_.inc("interrupts");
+        stats_.inc(ctr_.interrupts);
         if (ucode_ && config_.sabotageAbandonUcodeOnInterrupt) {
             // Deliberately broken model (chaos sabotage test only):
             // drop the remaining microcode lanes on the floor.
@@ -150,7 +150,7 @@ Core::raiseFault(const FaultEvent &event)
         if (faultHandler_)
             faultHandler_(event, cycles_);
         else
-            stats_.inc("faults.unhandled");
+            stats_.inc(ctr_.unhandledFaults);
         return;
 
       case FaultKind::NumKinds:
@@ -201,7 +201,7 @@ Core::chargeScalarMem(const Inst &inst, Addr ea)
 {
     if (!dcache_.access(ea, inst.isStore())) {
         cycles_ += config_.missPenalty;
-        stats_.inc("dcacheMissCycles", config_.missPenalty);
+        stats_.inc(ctr_.dcacheMissCycles, config_.missPenalty);
     }
 }
 
@@ -217,7 +217,7 @@ Core::chargeVectorMem(Addr ea, unsigned bytes, bool is_write)
     const unsigned misses = dcache_.accessRange(ea, bytes, is_write);
     cycles_ += static_cast<Cycles>(misses) * config_.missPenalty;
     if (misses) {
-        stats_.inc("dcacheMissCycles",
+        stats_.inc(ctr_.dcacheMissCycles,
                    static_cast<Cycles>(misses) * config_.missPenalty);
     }
 }
@@ -242,7 +242,7 @@ Core::execute(const Inst &inst)
     // was a load whose destination we consume.
     if (pendingLoadDst_.isValid() && readsReg(inst, pendingLoadDst_)) {
         cycles_ += 1;
-        stats_.inc("loadUseStalls");
+        stats_.inc(ctr_.loadUseStalls);
     }
     pendingLoadDst_ = RegId::invalid();
 
@@ -257,14 +257,14 @@ Core::execute(const Inst &inst)
     };
 
     if (info.isVector) {
-        stats_.inc("vectorInsts");
+        stats_.inc(ctr_.vectorInsts);
         if (executed)
             executeVector(inst);
         advance();
         retire(ri);
         return;
     }
-    stats_.inc("scalarInsts");
+    stats_.inc(ctr_.scalarInsts);
 
     switch (inst.op) {
       case Opcode::Nop:
@@ -297,11 +297,11 @@ Core::execute(const Inst &inst)
       }
 
       case Opcode::B: {
-        stats_.inc("branches");
+        stats_.inc(ctr_.branches);
         if (executed) {
             LIQUID_ASSERT(inst.target >= 0, "unresolved branch");
             ri.branchTaken = true;
-            stats_.inc("takenBranches");
+            stats_.inc(ctr_.takenBranches);
             cycles_ += config_.takenBranchPenalty;
             if (ucode_)
                 upc_ = static_cast<unsigned>(inst.target);
@@ -316,7 +316,7 @@ Core::execute(const Inst &inst)
       case Opcode::Bl: {
         LIQUID_ASSERT(!ucode_, "bl inside microcode");
         LIQUID_ASSERT(inst.target >= 0, "unresolved bl");
-        stats_.inc("calls");
+        stats_.inc(ctr_.calls);
         const Addr entry = Program::instAddr(inst.target);
         auto &log = callLog_[entry];
         if (log.size() < 8)
@@ -332,7 +332,7 @@ Core::execute(const Inst &inst)
                 // accelerator (width fallback for short loops).
                 LIQUID_ASSERT(entry_uc->simdWidth <= config_.simdWidth,
                               "microcode wider than accelerator");
-                stats_.inc("ucodeDispatches");
+                stats_.inc(ctr_.ucodeDispatches);
                 ucode_ = *entry_uc;
                 upc_ = 0;
                 ucodeReturn_ = pc_ + 1;

@@ -220,6 +220,27 @@ class Core
     Cache dcache_;
     StatGroup stats_;
 
+    /** Counters of stats_, bound on first use. */
+    struct Counters
+    {
+        StatGroup::Counter insts{"insts"};
+        StatGroup::Counter scalarInsts{"scalarInsts"};
+        StatGroup::Counter vectorInsts{"vectorInsts"};
+        StatGroup::Counter ucodeInsts{"ucodeInsts"};
+        StatGroup::Counter loadUseStalls{"loadUseStalls"};
+        StatGroup::Counter dcacheMissCycles{"dcacheMissCycles"};
+        StatGroup::Counter branches{"branches"};
+        StatGroup::Counter takenBranches{"takenBranches"};
+        StatGroup::Counter calls{"calls"};
+        StatGroup::Counter ucodeDispatches{"ucodeDispatches"};
+        StatGroup::Counter interrupts{"interrupts"};
+        StatGroup::Counter unhandledFaults{"faults.unhandled"};
+        /** "faults.<kind>", one per fired event. */
+        StatGroup::Family<FaultKind,
+                          static_cast<std::size_t>(FaultKind::NumKinds)>
+            faults{"faults.", faultKindName};
+    } ctr_;
+
     RetireSink *sink_ = nullptr;
     UcodeLookup ucodeLookup_;
     FaultHandler faultHandler_;

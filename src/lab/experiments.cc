@@ -537,7 +537,7 @@ renderChaos(std::ostream &os, const ResultSet &results)
             retranslations += r->outcome.retranslations;
             for (const auto &[stat, value] : r->outcome.counters) {
                 if (stat.rfind("core.faults.", 0) == 0)
-                    kindFired[stat.substr(12)] += value;
+                    kindFired[std::string(stat.substr(12))] += value;
             }
         }
         os << '\n';

@@ -9,12 +9,16 @@ namespace liquid::lab
 namespace
 {
 
-/** Flatten one StatGroup into the outcome's counter map. */
+/** Flatten StatGroups into the outcome's counter map. */
 void
-snapshot(const StatGroup &group, RunOutcome &out)
+snapshot(const std::vector<const StatGroup *> &groups, RunOutcome &out)
 {
-    for (const auto &[stat, value] : group)
-        out.counters[group.name() + '.' + stat] = value;
+    std::vector<std::pair<std::string, std::uint64_t>> entries;
+    for (const StatGroup *group : groups) {
+        for (const auto &[stat, value] : *group)
+            entries.emplace_back(group->name() + '.' + stat, value);
+    }
+    out.counters.assign(std::move(entries));
 }
 
 RunOutcome
@@ -23,17 +27,18 @@ harvest(System &sys)
     RunOutcome out;
     out.cycles = sys.cycles();
     out.ucodeDispatches = sys.core().stats().get("ucodeDispatches");
-    snapshot(sys.core().stats(), out);
-    snapshot(sys.core().icache().stats(), out);
-    snapshot(sys.core().dcache().stats(), out);
+    std::vector<const StatGroup *> groups = {
+        &sys.core().stats(), &sys.core().icache().stats(),
+        &sys.core().dcache().stats()};
     if (sys.config().mode == ExecMode::Liquid) {
         out.translations = sys.translator().stats().get("translations");
         out.aborts = sys.translator().stats().get("aborts");
         out.retranslations =
             sys.translator().stats().get("retranslations");
-        snapshot(sys.translator().stats(), out);
-        snapshot(sys.ucodeCache().stats(), out);
+        groups.push_back(&sys.translator().stats());
+        groups.push_back(&sys.ucodeCache().stats());
     }
+    snapshot(groups, out);
     out.callLog = sys.core().takeCallLog();
     return out;
 }
@@ -83,7 +88,7 @@ runFunctional(const Job &job, const Workload::Build &build)
 
     RunOutcome out;
     out.hasCycles = false;
-    snapshot(interp.stats(), out);
+    snapshot({&interp.stats()}, out);
     return out;
 }
 

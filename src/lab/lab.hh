@@ -6,14 +6,17 @@
  * shared by the lab runner, the ported bench binaries and the
  * bench_util.hh wrappers.
  *
- * Thread-safety: one runJob()/runOnce() call touches only state it
+ * Thread-safety: one runJob()/runOnce() call simulates only state it
  * creates itself — the Program, MainMemory, caches, translator and
- * every StatGroup live inside the per-call System, there are no
- * mutable globals anywhere in src/ (logging reports errors by
- * throwing, the RNG is an explicitly seeded value type, and StatGroup
- * is move-only so a group cannot alias across Systems). Concurrent
- * calls from the Runner's worker threads are therefore safe, and
- * results are bit-identical regardless of thread count or schedule.
+ * every StatGroup live inside the per-call System (logging reports
+ * errors by throwing, the RNG is an explicitly seeded value type, and
+ * StatGroup is move-only so a group cannot alias across Systems). The
+ * only mutable global in src/ is the intern table of sorted counter
+ * name lists behind CounterMap (lab/counter_map.hh): it is append-only
+ * and mutex-guarded, and an interned list never changes or moves.
+ * Concurrent calls from the Runner's worker threads are therefore
+ * safe, and results are bit-identical regardless of thread count or
+ * schedule.
  */
 
 #ifndef LIQUID_LAB_LAB_HH
@@ -22,6 +25,7 @@
 #include <map>
 #include <string>
 
+#include "lab/counter_map.hh"
 #include "lab/spec.hh"
 #include "workloads/workload.hh"
 
@@ -57,7 +61,7 @@ struct RunOutcome
     std::uint64_t retranslations = 0;
 
     /** Full StatGroup snapshot, flattened as "<group>.<stat>". */
-    std::map<std::string, std::uint64_t> counters;
+    CounterMap counters;
 
     /** Cycle of each bl per target (paper Table 6), moved out of the
      *  Core rather than copied. */

@@ -2,7 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <thread>
+
+#include <unistd.h>
 
 #include "common/logging.hh"
 
@@ -129,9 +133,19 @@ ResultCache::load(const std::string &hash) const
         return std::nullopt;
     std::ostringstream text;
     text << in.rdbuf();
-    const JobResult r =
-        JobResult::fromJson(json::parse(text.str()).at("result"));
-    return r.outcome;
+    // A torn, hand-edited or misfiled entry is a miss, never an error:
+    // the job simulates again and store() replaces the entry.
+    try {
+        const json::Value v = json::parse(text.str());
+        if (v.at("hash").asString() != hash) {
+            discarded_.fetch_add(1, std::memory_order_relaxed);
+            return std::nullopt;
+        }
+        return JobResult::fromJson(v.at("result")).outcome;
+    } catch (const std::exception &) {
+        discarded_.fetch_add(1, std::memory_order_relaxed);
+        return std::nullopt;
+    }
 }
 
 void
@@ -148,9 +162,14 @@ ResultCache::store(const std::string &hash, const Job &job,
     v.set("result", r.toJson());
 
     // Write-then-rename so a crashed run never leaves a torn entry
-    // that a later run would half-parse.
+    // that a later run would half-parse. The temp name is unique to
+    // this process and thread: concurrent writers of the same entry
+    // (two runs sharing a cache) must not interleave into one file.
     const std::string final = path(hash);
-    const std::string tmp = final + ".tmp";
+    const std::string tmp =
+        final + ".tmp." + std::to_string(::getpid()) + '.' +
+        std::to_string(
+            std::hash<std::thread::id>{}(std::this_thread::get_id()));
     {
         std::ofstream os(tmp, std::ios::binary);
         if (!os)

@@ -15,6 +15,8 @@
 #ifndef LIQUID_LAB_RESULT_CACHE_HH
 #define LIQUID_LAB_RESULT_CACHE_HH
 
+#include <atomic>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -40,8 +42,19 @@ class ResultCache
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
 
-    /** Look up a previously stored outcome. */
+    /**
+     * Look up a previously stored outcome. An entry that does not
+     * parse, or whose stored hash is not @p hash, is a miss and is
+     * counted in discarded().
+     */
     std::optional<RunOutcome> load(const std::string &hash) const;
+
+    /** Entries load() found but could not use. */
+    std::uint64_t
+    discarded() const
+    {
+        return discarded_.load(std::memory_order_relaxed);
+    }
 
     /** Persist an outcome under its content hash. */
     void store(const std::string &hash, const Job &job,
@@ -51,6 +64,7 @@ class ResultCache
     std::string path(const std::string &hash) const;
 
     std::string dir_;
+    mutable std::atomic<std::uint64_t> discarded_{0};
 };
 
 } // namespace liquid::lab

@@ -59,7 +59,7 @@ JobResult::toJson() const
 
     json::Value counters = json::Value::object();
     for (const auto &[stat, value] : outcome.counters)
-        counters.set(stat, value);
+        counters.set(std::string(stat), value);
     v.set("counters", std::move(counters));
 
     if (outcome.hasCycles) {
@@ -160,8 +160,10 @@ JobResult::fromJson(const json::Value &v)
                 std::move(log);
         }
     }
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
     for (const auto &[stat, value] : v.at("counters").members())
-        r.outcome.counters[stat] = value.asUint();
+        counters.emplace_back(stat, value.asUint());
+    r.outcome.counters.assign(std::move(counters));
     return r;
 }
 

@@ -167,8 +167,7 @@ Runner::run(const std::vector<Job> &jobs, const ResultCache *cache,
     }
 
     ResultSet set;
-    for (auto &slot : slots)
-        set.add(std::move(slot));
+    set.results() = std::move(slots);
     set.sortByKey();
     return set;
 }

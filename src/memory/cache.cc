@@ -22,9 +22,9 @@ bool
 Cache::access(Addr addr, bool is_write)
 {
     ++useCounter_;
-    stats_.inc("accesses");
+    stats_.inc(ctr_.accesses);
     if (is_write)
-        stats_.inc("writes");
+        stats_.inc(ctr_.writes);
 
     const Addr line_addr = addr / config_.lineSize;
     const unsigned set = line_addr & (numSets_ - 1);
@@ -35,13 +35,13 @@ Cache::access(Addr addr, bool is_write)
         if (ways[w].valid && ways[w].tag == tag) {
             ways[w].lastUse = useCounter_;
             ways[w].dirty = ways[w].dirty || is_write;
-            stats_.inc("hits");
+            stats_.inc(ctr_.hits);
             return true;
         }
     }
 
     // Miss: fill into LRU (or first invalid) way.
-    stats_.inc("misses");
+    stats_.inc(ctr_.misses);
     Line *victim = &ways[0];
     for (unsigned w = 0; w < config_.assoc; ++w) {
         if (!ways[w].valid) {
@@ -52,9 +52,9 @@ Cache::access(Addr addr, bool is_write)
             victim = &ways[w];
     }
     if (victim->valid) {
-        stats_.inc("evictions");
+        stats_.inc(ctr_.evictions);
         if (victim->dirty)
-            stats_.inc("writebacks");
+            stats_.inc(ctr_.writebacks);
     }
     victim->valid = true;
     victim->dirty = is_write;

@@ -69,6 +69,17 @@ class Cache
     std::vector<Line> lines_;  ///< numSets_ * assoc, set-major
     std::uint64_t useCounter_ = 0;
     StatGroup stats_;
+
+    /** Counters bumped by every access, bound on first use. */
+    struct Counters
+    {
+        StatGroup::Counter accesses{"accesses"};
+        StatGroup::Counter writes{"writes"};
+        StatGroup::Counter hits{"hits"};
+        StatGroup::Counter misses{"misses"};
+        StatGroup::Counter evictions{"evictions"};
+        StatGroup::Counter writebacks{"writebacks"};
+    } ctr_;
 };
 
 } // namespace liquid

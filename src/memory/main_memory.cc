@@ -32,7 +32,7 @@ void
 MainMemory::check(Addr addr, unsigned size) const
 {
     if (static_cast<std::size_t>(addr) + size > bytes_.size()) {
-        panic("memory access out of bounds: addr=0x", std::hex, addr,
+        fatal("memory access out of bounds: addr=0x", std::hex, addr,
               " size=", std::dec, size, " memsize=", bytes_.size());
     }
 }

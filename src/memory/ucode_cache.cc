@@ -23,35 +23,35 @@ UcodeCache::insert(UcodeEntry entry)
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (it->entryAddr == entry.entryAddr) {
             entries_.erase(it);
-            stats_.inc("replacements");
+            stats_.inc(ctr_.replacements);
             break;
         }
     }
 
     if (entries_.size() >= config_.entries) {
         entries_.pop_back();  // LRU lives at the tail
-        stats_.inc("evictions");
+        stats_.inc(ctr_.evictions);
     }
     entries_.push_front(std::move(entry));
-    stats_.inc("inserts");
+    stats_.inc(ctr_.inserts);
 }
 
 const UcodeEntry *
 UcodeCache::lookup(Addr entry_addr, Cycles now)
 {
-    stats_.inc("lookups");
+    stats_.inc(ctr_.lookups);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (it->entryAddr != entry_addr)
             continue;
         if (it->readyAt > now) {
-            stats_.inc("notReadyMisses");
+            stats_.inc(ctr_.notReadyMisses);
             return nullptr;
         }
-        stats_.inc("hits");
+        stats_.inc(ctr_.hits);
         entries_.splice(entries_.begin(), entries_, it);
         return &entries_.front();
     }
-    stats_.inc("misses");
+    stats_.inc(ctr_.misses);
     return nullptr;
 }
 

@@ -110,6 +110,18 @@ class UcodeCache
     /** MRU-first list of entries. */
     std::list<UcodeEntry> entries_;
     StatGroup stats_;
+
+    /** Counters bumped by lookup() and insert(), bound on first use. */
+    struct Counters
+    {
+        StatGroup::Counter lookups{"lookups"};
+        StatGroup::Counter hits{"hits"};
+        StatGroup::Counter misses{"misses"};
+        StatGroup::Counter notReadyMisses{"notReadyMisses"};
+        StatGroup::Counter inserts{"inserts"};
+        StatGroup::Counter replacements{"replacements"};
+        StatGroup::Counter evictions{"evictions"};
+    } ctr_;
 };
 
 } // namespace liquid

@@ -441,21 +441,24 @@ toLabResults(const LoadReport &report, const SweepReport *sweep)
     auto statRow = [&](const std::string &workload,
                        const ClassStats &cs) {
         lab::JobResult r = makeRow(workload);
-        std::map<std::string, std::uint64_t> &c = r.outcome.counters;
-        c["serve.count"] = cs.submitted;
-        c["serve.ok"] = cs.ok;
-        c["serve.cancelled"] = cs.cancelled;
-        c["serve.rejected"] = cs.rejected;
-        c["serve.failed"] = cs.failed;
-        c["serve.executed"] = cs.executed;
-        c["serve.hotHits"] = cs.hotHits;
-        c["serve.coalesced"] = cs.coalesced;
+        std::vector<std::pair<std::string, std::uint64_t>> c = {
+            {"serve.count", cs.submitted},
+            {"serve.ok", cs.ok},
+            {"serve.cancelled", cs.cancelled},
+            {"serve.rejected", cs.rejected},
+            {"serve.failed", cs.failed},
+            {"serve.executed", cs.executed},
+            {"serve.hotHits", cs.hotHits},
+            {"serve.coalesced", cs.coalesced},
+        };
         if (cs.latency.count() > 0) {
-            c["serve.p50us"] = cs.latency.quantile(0.50);
-            c["serve.p95us"] = cs.latency.quantile(0.95);
-            c["serve.p99us"] = cs.latency.quantile(0.99);
-            c["serve.maxUs"] = cs.latency.max();
+            c.insert(c.end(),
+                     {{"serve.p50us", cs.latency.quantile(0.50)},
+                      {"serve.p95us", cs.latency.quantile(0.95)},
+                      {"serve.p99us", cs.latency.quantile(0.99)},
+                      {"serve.maxUs", cs.latency.max()}});
         }
+        r.outcome.counters.assign(std::move(c));
         return r;
     };
 
@@ -465,13 +468,15 @@ toLabResults(const LoadReport &report, const SweepReport *sweep)
         set.add(statRow(name, stats));
     if (sweep) {
         lab::JobResult r = makeRow("sweep");
-        std::map<std::string, std::uint64_t> &c = r.outcome.counters;
-        c["serve.points"] =
-            static_cast<std::uint64_t>(sweep->points.size());
-        c["serve.p99TargetUs"] = sweep->p99TargetUs;
-        c["serve.qpsAtTargetX100"] = static_cast<std::uint64_t>(
-            std::llround(sweep->qpsAtTarget * 100.0));
-        c["serve.usPerOpAtTarget"] = sweep->usPerOpAtTarget;
+        r.outcome.counters.assign({
+            {"serve.points",
+             static_cast<std::uint64_t>(sweep->points.size())},
+            {"serve.p99TargetUs", sweep->p99TargetUs},
+            {"serve.qpsAtTargetX100",
+             static_cast<std::uint64_t>(
+                 std::llround(sweep->qpsAtTarget * 100.0))},
+            {"serve.usPerOpAtTarget", sweep->usPerOpAtTarget},
+        });
         set.add(r);
     }
     set.sortByKey();

@@ -91,8 +91,8 @@ void
 Translator::abort(AbortReason reason)
 {
     lastAbort_ = reason;
-    stats_.inc("aborts");
-    stats_.inc(std::string("abort.") + abortReasonName(reason));
+    stats_.inc(ctr_.aborts);
+    stats_.inc(ctr_.abort, reason);
     if (regionEntry_ != invalidAddr)
         pendingRetranslate_[regionEntry_] = reason;
     // Runtime-class aborts (interrupt, cache loss, SMC) are transient
@@ -106,7 +106,7 @@ Translator::abort(AbortReason reason)
         if (config_.widthFallback && abortIsWidthDependent(reason) &&
             captureWidth_ > 2) {
             retryWidth_[regionEntry_] = captureWidth_ / 2;
-            stats_.inc("widthFallbacks");
+            stats_.inc(ctr_.widthFallbacks);
         } else if (config_.blacklistOnAbort) {
             blacklist_.insert(regionEntry_);
         }
@@ -151,7 +151,7 @@ Translator::onCall(Addr callee_entry, bool hinted, unsigned width_hint,
         resetCapture();
         return;
     }
-    stats_.inc("capturesStarted");
+    stats_.inc(ctr_.capturesStarted);
 }
 
 void
@@ -168,8 +168,8 @@ Translator::onInterrupt(Cycles now)
 void
 Translator::noteTranslationLost(Addr entry, AbortReason reason)
 {
-    stats_.inc("translationsLost");
-    stats_.inc(std::string("lost.") + abortReasonName(reason));
+    stats_.inc(ctr_.translationsLost);
+    stats_.inc(ctr_.lost, reason);
     pendingRetranslate_[entry] = reason;
 }
 
@@ -223,7 +223,7 @@ Translator::onRetire(const RetireInfo &info, Cycles now)
     if (mode_ == Mode::Idle)
         return;
     ++observedInsts_;
-    stats_.inc("instsObserved");
+    stats_.inc(ctr_.instsObserved);
 
     try {
         if (info.index < 0)
@@ -344,7 +344,7 @@ Translator::handleIdiom(const RetireInfo &info)
             def.op = Opcode::Vqsub;
         else
             raiseAbort(AbortReason::IdiomBadProducer);
-        stats_.inc("idiomsRecognized");
+        stats_.inc(ctr_.idiomsRecognized);
         idiom_ = IdiomState{};
         return true;
       }
@@ -899,7 +899,7 @@ Translator::finalizeLoop()
          i < ucode_.size(); ++i)
         ucode_[i].loopVerified = true;
 
-    stats_.inc("loopsVerified");
+    stats_.inc(ctr_.loopsVerified);
 }
 
 // ---------------------------------------------------------------------------
@@ -924,7 +924,7 @@ Translator::commit(Cycles now)
             slot.squashed || (config_.collapseEnabled &&
                               slot.collapseCandidate && !slot.keep);
         if (drop) {
-            stats_.inc("instsCollapsed");
+            stats_.inc(ctr_.instsCollapsed);
             continue;
         }
         if (slot.needsLoop && !slot.loopVerified)
@@ -976,16 +976,15 @@ Translator::commit(Cycles now)
         now, regionStart_ + config_.latencyPerInst * observedInsts_);
     cache_.insert(std::move(entry));
 
-    stats_.inc("translations");
-    stats_.inc("instsTranslated", observedInsts_);
+    stats_.inc(ctr_.translations);
+    stats_.inc(ctr_.instsTranslated, observedInsts_);
 
     // A commit that follows a recorded loss or abort of the same region
     // is a re-translation; count it keyed by what caused the redo.
     auto pending = pendingRetranslate_.find(regionEntry_);
     if (pending != pendingRetranslate_.end()) {
-        stats_.inc("retranslations");
-        stats_.inc(std::string("retranslate.") +
-                   abortReasonName(pending->second));
+        stats_.inc(ctr_.retranslations);
+        stats_.inc(ctr_.retranslate, pending->second);
         pendingRetranslate_.erase(pending);
     }
     resetCapture();

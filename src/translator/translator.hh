@@ -242,6 +242,28 @@ class Translator : public RetireSink
     UcodeCache &cache_;
     StatGroup stats_;
 
+    using ReasonFamily = StatGroup::Family<
+        AbortReason, static_cast<std::size_t>(AbortReason::NumReasons)>;
+
+    /** Counters of stats_, bound on first use. */
+    struct Counters
+    {
+        StatGroup::Counter instsObserved{"instsObserved"};
+        StatGroup::Counter capturesStarted{"capturesStarted"};
+        StatGroup::Counter idiomsRecognized{"idiomsRecognized"};
+        StatGroup::Counter loopsVerified{"loopsVerified"};
+        StatGroup::Counter instsCollapsed{"instsCollapsed"};
+        StatGroup::Counter translations{"translations"};
+        StatGroup::Counter instsTranslated{"instsTranslated"};
+        StatGroup::Counter retranslations{"retranslations"};
+        StatGroup::Counter aborts{"aborts"};
+        StatGroup::Counter widthFallbacks{"widthFallbacks"};
+        StatGroup::Counter translationsLost{"translationsLost"};
+        ReasonFamily abort{"abort.", abortReasonName};
+        ReasonFamily lost{"lost.", abortReasonName};
+        ReasonFamily retranslate{"retranslate.", abortReasonName};
+    } ctr_;
+
     Mode mode_ = Mode::Idle;
     Addr regionEntry_ = invalidAddr;
     Cycles regionStart_ = 0;

@@ -207,6 +207,22 @@ TEST(Core, VectorWithoutAcceleratorIsFatal)
     EXPECT_THROW(r.core.run(), FatalError);
 }
 
+TEST(Core, OutOfBoundsAccessIsFatal)
+{
+    // A stray address in a user program is a user error (FatalError),
+    // not a simulator bug (PanicError).
+    TestRun r(
+      R"(
+        .words buf 1 2 3 4
+        main:
+            mov r0, #30000
+            mul r0, r0, r0
+            ldw r1, [buf + r0]
+            halt
+    )");
+    EXPECT_THROW(r.core.run(), FatalError);
+}
+
 TEST(CoreTiming, CacheMissesCost)
 {
     // Two runs differing only in data footprint: streaming through

@@ -2,17 +2,22 @@
  * @file
  * Lab orchestration subsystem tests: matrix expansion, parallel
  * determinism (byte-identical JSON at 1 vs 8 workers), the on-disk
- * result cache (second run performs zero simulations), the regression
- * gate, and the StatGroup single-owner contract.
+ * result cache (second run performs zero simulations, damaged entries
+ * are misses), the regression gate, the StatGroup single-owner
+ * contract and the flat CounterMap snapshot.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <type_traits>
 
 #include "common/stats.hh"
+#include "lab/counter_map.hh"
 #include "lab/diff.hh"
 #include "lab/experiments.hh"
 #include "lab/result_cache.hh"
@@ -182,6 +187,50 @@ TEST(LabRunner, ResultCacheSecondRunSimulatesNothing)
 
     // Cached results serialize identically to fresh ones.
     EXPECT_EQ(first.writeString(), second.writeString());
+}
+
+TEST(LabRunner, DamagedCacheEntryIsACountedMiss)
+{
+    Job job;
+    job.experiment = "x";
+    job.workload = "fir";
+    job.mode = ExecMode::Liquid;
+    job.width = 4;
+    job.repsOverride = 2;
+    const std::vector<Job> jobs{job};
+    TempDir dir("liquid-lab-test-damaged");
+    const ResultCache cache(dir.path.string());
+    const std::string fresh = Runner(1).run(jobs, &cache).writeString();
+
+    const std::string hash =
+        contentHash(job, buildJob(job), job.config());
+    const std::filesystem::path entry = dir.path / (hash + ".json");
+    ASSERT_TRUE(std::filesystem::exists(entry));
+    const auto size = std::filesystem::file_size(entry);
+
+    // A torn write: the entry stops halfway through.
+    std::filesystem::resize_file(entry, size / 2);
+    EXPECT_FALSE(cache.load(hash).has_value());
+    EXPECT_EQ(cache.discarded(), 1u);
+
+    // The runner simulates again and rewrites the entry.
+    RunnerStats again;
+    EXPECT_EQ(Runner(1).run(jobs, &cache, &again).writeString(), fresh);
+    EXPECT_EQ(again.simulations, 1u);
+    EXPECT_EQ(again.cacheHits, 0u);
+    EXPECT_EQ(cache.discarded(), 2u);
+    EXPECT_EQ(std::filesystem::file_size(entry), size);
+    EXPECT_TRUE(cache.load(hash).has_value());
+
+    // A well-formed entry filed under the wrong hash is a miss too.
+    const std::string other(hash.size(), '0');
+    std::filesystem::copy_file(entry, dir.path / (other + ".json"));
+    EXPECT_FALSE(cache.load(other).has_value());
+    EXPECT_EQ(cache.discarded(), 3u);
+
+    // No writer leaves a temp file behind.
+    for (const auto &f : std::filesystem::directory_iterator(dir.path))
+        EXPECT_EQ(f.path().extension(), ".json") << f.path();
 }
 
 TEST(LabRunner, CacheKeySeparatesConfigurations)
@@ -408,6 +457,135 @@ TEST(LabChaos, LegacyInterruptPeriodOverrideStillParses)
     // Re-serializing writes the modern spelling and the modern key.
     EXPECT_NE(back.writeString().find("\"faults\": \"p700\""),
               std::string::npos);
+}
+
+TEST(LabCounterMap, JsonRoundTripIsByteIdenticalPerTier)
+{
+    Job cycle;
+    cycle.experiment = "cm";
+    cycle.workload = "fir";
+    cycle.mode = ExecMode::Liquid;
+    cycle.width = 4;
+    cycle.repsOverride = 2;
+    Job functional = cycle;
+    functional.mode = ExecMode::ScalarBaseline;
+    functional.width = 0;
+    functional.tier = fast::ExecTier::Functional;
+
+    for (const Job &job : {cycle, functional}) {
+        SCOPED_TRACE(job.key());
+        JobResult r;
+        r.job = job;
+        r.outcome = runJob(job);
+        ASSERT_FALSE(r.outcome.counters.empty());
+        const std::string text = r.toJson().toString();
+        const JobResult back = JobResult::fromJson(json::parse(text));
+        EXPECT_EQ(back.toJson().toString(), text);
+        EXPECT_EQ(back.outcome.counters, r.outcome.counters);
+        EXPECT_EQ(back.digest(), r.digest());
+    }
+}
+
+TEST(LabCounterMap, IteratesInStdMapOrder)
+{
+    const std::vector<std::string> names = {
+        "icache.hits", "core.insts", "core.faults.int", "a", "A",
+        "core.faults", "core.faultsX", "core-x", "\xc3\xa9", "~", "aa",
+        "a.b", "dcache.accesses", "translator.abort.tripCount", "b"};
+    CounterMap flat;
+    std::map<std::string, std::uint64_t> tree;
+    std::uint64_t v = 1;
+    for (const auto &name : names) {
+        flat[name] = v;
+        tree[name] = v;
+        ++v;
+    }
+    flat["a"] += 100;
+    tree["a"] += 100;
+
+    ASSERT_EQ(flat.size(), tree.size());
+    auto it = tree.begin();
+    for (const auto &[name, value] : flat) {
+        EXPECT_EQ(name, it->first);
+        EXPECT_EQ(value, it->second);
+        ++it;
+    }
+}
+
+TEST(LabCounterMap, MissingNamesAreAbsent)
+{
+    CounterMap m;
+    EXPECT_EQ(m.find("core.insts"), m.end());
+    EXPECT_EQ(m.count("core.insts"), 0u);
+    EXPECT_THROW((void)m.at("core.insts"), std::out_of_range);
+
+    m["core.insts"] = 5;
+    EXPECT_EQ(m.count("core.insts"), 1u);
+    EXPECT_EQ(m.at("core.insts"), 5u);
+    EXPECT_EQ(m.find("core.inst"), m.end());
+    EXPECT_EQ(m.find("core.instsX"), m.end());
+    EXPECT_EQ(m.count(""), 0u);
+    EXPECT_THROW((void)m.at("core"), std::out_of_range);
+}
+
+TEST(LabCounterMap, ConcurrentInterningYieldsOneViewPerName)
+{
+    static constexpr unsigned threads = 8;
+    static constexpr unsigned lists = 50;
+    static constexpr unsigned names = 4;
+    auto nameOf = [](unsigned list, unsigned n) {
+        return "lab_test.intern." + std::to_string(list) + "." +
+               std::to_string(n);
+    };
+    // seen[t][list][n]: storage of name n in thread t's snapshot.
+    std::vector<std::vector<std::vector<const char *>>> seen(
+        threads, std::vector<std::vector<const char *>>(
+                     lists, std::vector<const char *>(names)));
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&seen, &nameOf, t] {
+            // Each thread walks the lists, and each list's names, in
+            // its own order.
+            for (unsigned i = 0; i < lists; ++i) {
+                const unsigned list = (i * 7 + t * 31) % lists;
+                std::vector<std::pair<std::string, std::uint64_t>> in;
+                for (unsigned k = 0; k < names; ++k) {
+                    const unsigned n = (k + t) % names;
+                    in.emplace_back(nameOf(list, n), n);
+                }
+                CounterMap m;
+                m.assign(std::move(in));
+                unsigned n = 0;
+                for (const auto &[name, value] : m) {
+                    EXPECT_EQ(name, nameOf(list, n));
+                    EXPECT_EQ(value, n);
+                    seen[t][list][n++] = name.data();
+                }
+                EXPECT_EQ(n, names);
+            }
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    std::set<const char *> distinct;
+    for (unsigned list = 0; list < lists; ++list) {
+        // Stable: the same names again yield the same storage.
+        std::vector<std::pair<std::string, std::uint64_t>> in;
+        for (unsigned n = 0; n < names; ++n)
+            in.emplace_back(nameOf(list, n), 0);
+        CounterMap again;
+        again.assign(std::move(in));
+        unsigned n = 0;
+        for (const auto &entry : again) {
+            for (unsigned t = 0; t < threads; ++t)
+                EXPECT_EQ(seen[t][list][n], seen[0][list][n]) << list;
+            EXPECT_EQ(entry.first.data(), seen[0][list][n]) << list;
+            distinct.insert(seen[0][list][n]);
+            ++n;
+        }
+    }
+    EXPECT_EQ(distinct.size(), lists * names);
 }
 
 TEST(LabStats, MergeAccumulatesCounters)

@@ -31,11 +31,12 @@ TEST(MainMemory, ByteHalfWordAccess)
     EXPECT_EQ(mem.readElem(0x32, 2, true), 0xFFFF8000u);
 }
 
-TEST(MainMemory, OutOfBoundsPanics)
+TEST(MainMemory, OutOfBoundsIsFatal)
 {
+    // A program's stray address is a user error, not a simulator bug.
     MainMemory mem(64);
-    EXPECT_THROW(mem.readWord(62), PanicError);
-    EXPECT_THROW(mem.writeByte(64, 0), PanicError);
+    EXPECT_THROW(mem.readWord(62), FatalError);
+    EXPECT_THROW(mem.writeByte(64, 0), FatalError);
     EXPECT_NO_THROW(mem.readWord(60));
 }
 

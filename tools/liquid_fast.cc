@@ -13,9 +13,10 @@
  *                                          # bugs must be CAUGHT
  *   liquid-fast --switch                   # portable dispatch loop
  *   liquid-fast --bench --out BENCH_fast.json
- *                                          # retired-instructions/sec,
- *                                          # functional vs cycle, with
- *                                          # a >= --min-speedup gate
+ *                                          # retired-instructions/sec
+ *                                          # per tier, each gated by a
+ *                                          # loose floor; the ratio is
+ *                                          # reported, not gated
  *
  * Per-retire lockstep covers ScalarBaseline and NativeSimd execution;
  * Liquid mode interleaves translated microcode into the retire stream
@@ -54,6 +55,9 @@ namespace
 constexpr const char *fastSchema = "liquid-fast-v1";
 /** Tool revision carried in the JSON header for drift detection. */
 constexpr const char *fastToolVersion = "1.0";
+/** Bench floors, retired instructions/sec: loose, one per tier. */
+constexpr double minCycleRate = 2e6;
+constexpr double minFunctionalRate = 2e7;
 
 struct Options
 {
@@ -67,7 +71,6 @@ struct Options
     std::string faults;                  ///< schedule key for both tiers
     bool sabotage = false;
     bool bench = false;
-    double minSpeedup = 10.0;
     std::string out = "BENCH_fast.json";
     std::string dumpDir;
     bool json = false;
@@ -90,8 +93,6 @@ usage()
         "                    require the lockstep compare to catch it\n"
         "  --bench           measure retired-instructions/sec on both\n"
         "                    tiers and write a results file\n"
-        "  --min-speedup X   bench gate: functional must be at least\n"
-        "                    X times the cycle tier (default 10)\n"
         "  --out FILE        bench output path (default BENCH_fast.json)\n"
         "  --dump-dir DIR    write one divergence dump file per failing\n"
         "                    lockstep run\n"
@@ -176,11 +177,6 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.sabotage = true;
         } else if (arg == "--bench") {
             opts.bench = true;
-        } else if (arg == "--min-speedup") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.minSpeedup = std::strtod(v, nullptr);
         } else if (arg == "--out") {
             const char *v = next();
             if (!v)
@@ -479,8 +475,9 @@ timeTier(double minSeconds, Body body)
 /**
  * Bench: run the "fast" lab campaign for the committed parity results,
  * then measure retired-instructions/sec on both tiers across the suite
- * and attach the throughput block. The functional tier must clear
- * --min-speedup over the cycle model.
+ * and attach the throughput block. Each tier must clear its own loose
+ * floor; the functional/cycle ratio is reported only, so a faster
+ * cycle tier can never fail the gate.
  */
 int
 runBench(const Options &opts)
@@ -553,18 +550,26 @@ runBench(const Options &opts)
     os << v.toString();
 
     std::cout << "cycle tier:      " << static_cast<std::uint64_t>(
-                     cycleRate) << " retired insts/sec\n"
+                     cycleRate) << " retired insts/sec (floor "
+              << static_cast<std::uint64_t>(minCycleRate) << ")\n"
               << "functional tier: " << static_cast<std::uint64_t>(
-                     functionalRate) << " retired insts/sec\n"
-              << "speedup:         " << speedup << "x (gate: >= "
-              << opts.minSpeedup << "x)\n"
+                     functionalRate) << " retired insts/sec (floor "
+              << static_cast<std::uint64_t>(minFunctionalRate)
+              << ")\n"
+              << "speedup:         " << speedup
+              << "x functional over cycle (reported, not gated)\n"
               << "results + throughput -> " << opts.out << '\n';
-    if (speedup < opts.minSpeedup) {
-        std::cout << "FAIL: functional tier below the throughput "
-                     "gate\n";
-        return 1;
+    bool ok = true;
+    if (cycleRate < minCycleRate) {
+        std::cout << "FAIL: cycle tier below its throughput floor\n";
+        ok = false;
     }
-    return 0;
+    if (functionalRate < minFunctionalRate) {
+        std::cout << "FAIL: functional tier below its throughput "
+                     "floor\n";
+        ok = false;
+    }
+    return ok ? 0 : 1;
 }
 
 } // namespace
