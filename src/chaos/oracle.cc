@@ -79,8 +79,9 @@ runLiquidAgainstReference(const ChaosReference &ref, const Program &prog,
         report.mismatches.push_back(
             std::string("run did not complete: ") + e.what());
     } catch (const FatalError &e) {
-        // The reference run completed, so a stray memory access here
-        // is the faulted run's divergence, not a user error.
+        // The reference run completed, so a stray memory access or a
+        // tripped watchdog here is the faulted run's divergence, not a
+        // user error.
         report.mismatches.push_back(
             std::string("run did not complete: ") + e.what());
     }

@@ -67,8 +67,9 @@ Core::step()
     if (halted_)
         return false;
 
+    // A program that never halts is a user error, not a simulator bug.
     if (instsRetired_ >= config_.maxInsts)
-        panic("instruction watchdog exceeded (", config_.maxInsts, ")");
+        fatal("instruction watchdog exceeded (", config_.maxInsts, ")");
 
     // Failure injection: the fault schedule delivers external events.
     // The periodic interrupt fires on cycle counts (the legacy

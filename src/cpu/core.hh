@@ -66,7 +66,7 @@ struct CoreConfig
      */
     bool sabotageAbandonUcodeOnInterrupt = false;
 
-    /** Watchdog: panic after this many retired instructions. */
+    /** Watchdog: fatal() after this many retired instructions. */
     std::uint64_t maxInsts = 2'000'000'000ull;
 };
 

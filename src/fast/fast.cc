@@ -817,7 +817,7 @@ FastInterp::runUntil(std::uint64_t target)
         if (halted_ || retired_ >= target)
             break;
         if (retired_ >= config_.maxInsts) {
-            panic("instruction watchdog exceeded (", config_.maxInsts,
+            fatal("instruction watchdog exceeded (", config_.maxInsts,
                   ")");
         }
         fireDueFaults();
@@ -844,7 +844,7 @@ FastInterp::step()
     if (halted_)
         return false;
     if (retired_ >= config_.maxInsts)
-        panic("instruction watchdog exceeded (", config_.maxInsts, ")");
+        fatal("instruction watchdog exceeded (", config_.maxInsts, ")");
     fireDueFaults();
     LIQUID_ASSERT(pc_ >= 0 &&
                       static_cast<std::size_t>(pc_) < ops_.size(),

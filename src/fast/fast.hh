@@ -70,7 +70,7 @@ struct FastConfig
      */
     FaultSchedule faults{};
 
-    /** Watchdog: panic after this many retired instructions. */
+    /** Watchdog: fatal() after this many retired instructions. */
     std::uint64_t maxInsts = 2'000'000'000ull;
 
     /** Force the portable switch dispatch loop (differential tests). */

@@ -4,18 +4,19 @@
  *
  * The translator listens on the retire bus. When a bl into an outlined
  * function retires, it begins capturing; each retired scalar instruction
- * is pushed through the rule automaton of paper Table 3 to build SIMD
- * microcode. Multi-lane facts (permutation offset vectors, per-lane
- * constants, lane masks) are identified during the loop's first
- * iteration and collected/verified over the following iterations: lane
- * values accumulate in the per-register "previous values" state until
- * one full vector's worth is known, after which the permutation CAM and
- * constant pool are finalized and every later iteration is checked
- * against the prediction. Any mismatch — unknown opcode, unsupported
- * shuffle, trip count not a multiple of the accelerator width, external
- * interrupt — aborts translation (legality checks). On ret, the
- * microcode buffer is compacted (the paper's alignment network removes
- * collapsed offset loads) and written to the microcode cache.
+ * is pushed through the rule automaton of paper Table 3
+ * (RuleAutomaton, rule_automaton.hh) to build SIMD microcode, and on
+ * ret the compacted microcode is written to the microcode cache. Any
+ * legality failure — unknown opcode, unsupported shuffle, trip count
+ * not a multiple of the accelerator width, external interrupt — aborts
+ * the capture.
+ *
+ * The rules themselves live in RuleAutomaton, which the static verifier
+ * drives as well. This class is the hardware adapter around it: it
+ * wraps each RetireInfo into a record with every value known, and owns
+ * call binding, width fallback and the blacklist, re-translation
+ * bookkeeping, self-modifying-code invalidation, and the UcodeEntry it
+ * publishes (including when it becomes ready).
  */
 
 #ifndef LIQUID_TRANSLATOR_TRANSLATOR_HH
@@ -24,13 +25,12 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "cpu/core.hh"
 #include "memory/ucode_cache.hh"
 #include "translator/abort_reason.hh"
+#include "translator/rule_automaton.hh"
 
 namespace liquid
 {
@@ -92,6 +92,9 @@ class Translator : public RetireSink
   public:
     Translator(const TranslatorConfig &config, const Program &prog,
                UcodeCache &cache);
+    /** Not copyable or movable: rules_ refers to config_ and stats_. */
+    Translator(const Translator &) = delete;
+    Translator &operator=(const Translator &) = delete;
 
     // RetireSink interface -------------------------------------------------
     void onCall(Addr callee_entry, bool hinted, unsigned width_hint,
@@ -100,7 +103,7 @@ class Translator : public RetireSink
     void onReturn(Cycles now) override;
     void onInterrupt(Cycles now) override;
 
-    bool capturing() const { return mode_ != Mode::Idle; }
+    bool capturing() const { return rules_.active(); }
     bool isBlacklisted(Addr entry) const
     {
         return blacklist_.count(entry) != 0;
@@ -133,112 +136,13 @@ class Translator : public RetireSink
     void noteCodeInvalidated(Addr lo, Addr hi, AbortReason reason);
 
   private:
-    enum class Mode
-    {
-        Idle,     ///< not capturing
-        Build,    ///< first pass through region code: emitting microcode
-        Verify,   ///< inside a recognized loop, checking iterations 2..N
-    };
-
-    /** Per-register translation state (the paper's 56 bits/register). */
-    struct RegState
-    {
-        enum class Kind : std::uint8_t
-        {
-            Unknown,
-            Scalar,     ///< plain scalar value
-            IndVar,     ///< induction-variable candidate (mov r, #c)
-            Vector,     ///< virtualizes a vector register
-            VecValues,  ///< offsets copied from a loaded value stream
-        };
-        Kind kind = Kind::Unknown;
-        unsigned elemSize = 4;
-        int stream = -1;        ///< value stream feeding this register
-        int producerUcode = -1; ///< ucode slot of the vld that defined it
-        RegId ivReg;            ///< VecValues: the IV it was combined with
-        std::int32_t ivStep = 1;
-    };
-
-    /** Per-iteration values observed from one static load. */
-    struct ValueStream
-    {
-        std::vector<Word> values;  ///< capped at simdWidth lanes
-        int producerUcode = -1;    ///< tentative vld slot (collapsible)
-        bool referenced = false;   ///< consumed as offsets/constants
-    };
-
-    /** Emitted microcode slot (pre-compaction buffer). */
-    struct UcodeSlot
-    {
-        Inst inst;
-        bool squashed = false;        ///< removed by the collapse network
-        bool collapseCandidate = false;
-        bool keep = false;            ///< has a real vector consumer
-        bool loopVerified = false;
-        bool needsLoop = false;       ///< must end up in a verified loop
-        bool branchNeedsRemap = false; ///< inst.target is a static index
-    };
-
-    /** Deferred multi-lane finalization. */
-    struct Patch
-    {
-        enum class Kind
-        {
-            PermLoad,   ///< vperm after a shuffled load
-            PermStore,  ///< vperm before a shuffled store (inverse)
-            CvecOrMask, ///< per-lane constant / lane mask operand
-        };
-        Kind kind;
-        int ucodeIdx;
-        int stream;
-    };
-
-    /** What to check when this static instruction retires again. */
-    struct BuildNote
-    {
-        int stream = -1;       ///< append/verify the retired value
-        bool checkAddr = false;
-        bool isStore = false;
-        Addr firstEa = 0;
-        unsigned esize = 0;
-        bool checkIv = false;
-        Word ivFirst = 0;
-        std::int32_t ivStep = 1;
-    };
-
-    /** Saturation idiom recognizer state. */
-    struct IdiomState
-    {
-        int stage = 0;      ///< 0: none, 1..3: inside the idiom
-        RegId reg;
-        int defSlot = -1;   ///< ucode slot holding the vadd/vsub to patch
-    };
-
-    // Build-phase rule handlers.
-    void build(const RetireInfo &info);
-    void buildMov(const RetireInfo &info);
-    void buildLoad(const RetireInfo &info);
-    void buildStore(const RetireInfo &info);
-    void buildDataProc(const RetireInfo &info);
-    void buildCmp(const RetireInfo &info);
-    void buildBranch(const RetireInfo &info);
-    bool handleIdiom(const RetireInfo &info);
-
-    // Verify-phase handler.
-    void verify(const RetireInfo &info);
-    void finalizeLoop();
-
     void commit(Cycles now);
     void abort(AbortReason reason);
     void resetCapture();
-
-    RegState &state(RegId reg);
-    int newStream(int producer_ucode);
-    int emit(Inst inst, int static_idx);
-    BuildNote &note(int static_idx);
+    /** One past the last source byte the capture has observed. */
+    Addr captureEnd() const;
 
     TranslatorConfig config_;
-    const Program &prog_;
     UcodeCache &cache_;
     StatGroup stats_;
 
@@ -250,9 +154,6 @@ class Translator : public RetireSink
     {
         StatGroup::Counter instsObserved{"instsObserved"};
         StatGroup::Counter capturesStarted{"capturesStarted"};
-        StatGroup::Counter idiomsRecognized{"idiomsRecognized"};
-        StatGroup::Counter loopsVerified{"loopsVerified"};
-        StatGroup::Counter instsCollapsed{"instsCollapsed"};
         StatGroup::Counter translations{"translations"};
         StatGroup::Counter instsTranslated{"instsTranslated"};
         StatGroup::Counter retranslations{"retranslations"};
@@ -264,12 +165,8 @@ class Translator : public RetireSink
         ReasonFamily retranslate{"retranslate.", abortReasonName};
     } ctr_;
 
-    Mode mode_ = Mode::Idle;
     Addr regionEntry_ = invalidAddr;
     Cycles regionStart_ = 0;
-    std::uint64_t observedInsts_ = 0;
-    /** Width this capture binds to (may be below the accelerator's). */
-    unsigned captureWidth_ = 0;
     /** Regions that must retry at a reduced width. */
     std::map<Addr, unsigned> retryWidth_;
     /**
@@ -281,21 +178,8 @@ class Translator : public RetireSink
     /** Most recent abort reason (survives resetCapture). */
     AbortReason lastAbort_ = AbortReason::None;
 
-    std::vector<RegState> regs_;
-    std::vector<ValueStream> streams_;
-    std::vector<UcodeSlot> ucode_;
-    std::vector<ConstVec> cvecs_;
-    std::vector<Patch> patches_;
-    std::map<int, int> ucodeStartOfStatic_;
-    std::map<int, BuildNote> notes_;
-    IdiomState idiom_;
-
-    // Loop verification state.
-    int loopStart_ = -1;       ///< static index of the loop head
-    int loopEnd_ = -1;         ///< static index of the backedge branch
-    int expectIdx_ = -1;       ///< next expected static index
-    unsigned itersDone_ = 0;
-    int loopUcodeStart_ = -1;
+    /** The Table-3 rules; bumps its counters in stats_. */
+    RuleAutomaton rules_;
 
     std::set<Addr> blacklist_;
 };

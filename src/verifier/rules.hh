@@ -2,21 +2,20 @@
  * @file
  * Static Table-1/Table-3 conformance analysis of one outlined region.
  *
- * analyzeRegion() walks the region's instructions from the entry,
- * driving two coupled machines:
- *  - an AbsMachine (dataflow.hh) that supplies the values the dynamic
- *    translator would have observed on the retire bus, and
- *  - a static mirror of the Translator's rule automaton (build /
- *    verify / finalize / commit), identical decision-for-decision to
- *    src/translator/translator.cc but consuming AbsRetire records
- *    instead of hardware retires.
+ * analyzeRegion() walks the region's instructions from the entry and
+ * drives the translator's own rule automaton (RuleAutomaton,
+ * translator/rule_automaton.hh) with what an AbsMachine (dataflow.hh)
+ * says the retire bus would have carried. There is no second copy of
+ * the rules: this file owns only the walk, its step budget, and the
+ * mapping of the automaton's outcomes to verdicts.
  *
  * The outcome is therefore a *prediction* of translateOffline() at the
  * same width: Ok predicts a commit (with the exact microcode size and
  * constant-pool count), Error predicts an abort with the given reason,
  * and Warn means some decision needed runtime state the analysis
- * cannot see (a branch on non-constant data, control flow leaving the
- * text, a region longer than the analysis budget).
+ * cannot see (a Top value the automaton asked for, a branch on
+ * non-constant data, control flow leaving the text, a region longer
+ * than the analysis budget).
  */
 
 #ifndef LIQUID_VERIFIER_RULES_HH
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "asm/program.hh"
+#include "translator/rule_automaton.hh"
 #include "translator/translator.hh"
 #include "verifier/diagnostics.hh"
 
@@ -54,36 +54,6 @@ struct StaticOutcome
 };
 
 class EntryFacts;
-
-/**
- * Observer for the width-dependent checks of the rule automaton
- * (liquid-poly). When a sink is installed, analyzeRegion runs one
- * width-*independent* walk: every check that consults the binding
- * width is reported to the sink instead of being evaluated, and the
- * walk continues as if it had passed (streams capture every lane,
- * trip-count/lane-count/permutation aborts are deferred). The sink
- * receives the checks in exact program order, so replaying them
- * against a concrete N reproduces the width-bound walk's first abort.
- * Width-independent aborts (address/IV mismatch, the store-vs-load
- * interval test, commit-time shape checks) still fire normally.
- */
-class WidthCheckSink
-{
-  public:
-    virtual ~WidthCheckSink() = default;
-    /** Stream @p stream seeded with lane 0 (= @p value) at build. */
-    virtual void onStreamSeed(int stream, Word value) = 0;
-    /** Constant-pool load observed lane @p elem with @p value. */
-    virtual void onStreamLane(int inst_index, int stream,
-                              std::size_t elem, Word value) = 0;
-    /** Loop at @p inst_index finalized after @p iters iterations. */
-    virtual void onTripCount(int inst_index, unsigned iters) = 0;
-    /** Patch on @p stream finalized having seen @p observed lanes. */
-    virtual void onLanes(int inst_index, int stream,
-                         std::size_t observed) = 0;
-    /** Permutation patch on @p stream (load or store side). */
-    virtual void onPerm(int inst_index, int stream, bool is_store) = 0;
-};
 
 /**
  * Statically analyze the region entered at @p entry_index, bound at

@@ -324,8 +324,10 @@ TEST(CoreTiming, VectorMemoryBusOccupancy)
               beats(64) - beats(32) + config.missPenalty);
 }
 
-TEST(Core, WatchdogPanicsOnRunaway)
+TEST(Core, WatchdogIsFatalOnRunaway)
 {
+    // A user program that never halts is a user error, not a simulator
+    // bug.
     CoreConfig config;
     config.maxInsts = 100;
     TestRun r(
@@ -335,7 +337,7 @@ TEST(Core, WatchdogPanicsOnRunaway)
             b top
     )",
           config);
-    EXPECT_THROW(r.core.run(), PanicError);
+    EXPECT_THROW(r.core.run(), FatalError);
 }
 
 } // namespace

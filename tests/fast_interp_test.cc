@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 
+#include "asm/assembler.hh"
 #include "chaos/fault_schedule.hh"
 #include "fast/fast.hh"
 #include "fast/tier.hh"
@@ -158,6 +159,32 @@ TEST(FastFaults, RetireKeyedEventsFireAtExactRetireCounts)
     EXPECT_EQ(rig.interp.nextFaultIndex(), 1u);
     rig.interp.run();
     EXPECT_EQ(rig.interp.stats().get("faults.int"), 1u);
+}
+
+TEST(FastFaults, WatchdogIsFatalOnRunaway)
+{
+    // Functional twin of Core.WatchdogIsFatalOnRunaway: both run loops
+    // report a program that never halts as a user error.
+    const Program prog = assemble(R"(
+        main:
+        top:
+            b top
+    )");
+    FastConfig config;
+    config.maxInsts = 100;
+    MainMemory mem = MainMemory::forProgram(prog);
+    FastInterp run(config, prog, mem);
+    EXPECT_THROW(run.run(), FatalError);
+
+    MainMemory step_mem = MainMemory::forProgram(prog);
+    FastInterp stepper(config, prog, step_mem);
+    EXPECT_THROW(
+        {
+            while (stepper.step()) {
+            }
+        },
+        FatalError);
+    EXPECT_EQ(stepper.retired(), 100u);
 }
 
 TEST(FastLabTier, FunctionalTagsTheJobKey)

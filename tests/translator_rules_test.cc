@@ -391,6 +391,49 @@ TEST(TranslatorRules, SaturationIdiomBecomesVqadd)
 // Legality / abort behaviour.
 // ---------------------------------------------------------------------------
 
+TEST(TranslatorAborts, CountersOfAbortedCaptureStay)
+{
+    // The loop recognizes the saturation idiom on a constant-vector add
+    // (rule 7) and verifies; the vector op after the loop then aborts
+    // the commit. Counters bumped mid-capture keep their values, and
+    // the collapsed constant-array load is counted before the
+    // vectorOutsideLoop check fires.
+    LiquidRun r(R"(
+        .words a 32760 -32760 100 200 32760 -32760 100 200 0
+        .rowords k 10 -10 50 60 10 -10 50 60
+        .data c 32
+        fn:
+            mov r0, #0
+        top:
+            ldw r1, [a + r0]
+            ldw r2, [k + r0]
+            add r3, r1, r2
+            cmp r3, #32767
+            movgt r3, #32767
+            cmp r3, #-32768
+            movlt r3, #-32768
+            stw [c + r0], r3
+            add r0, r0, #1
+            cmp r0, #8
+            blt top
+            ldw r4, [a + r0]
+            add r4, r4, #1
+            ret
+        main:
+            bl.simd fn
+            bl.simd fn
+            halt
+    )");
+    EXPECT_EQ(r.tstat("abort.vectorOutsideLoop"), 1u);
+    EXPECT_EQ(r.tstat("aborts"), 1u);
+    EXPECT_EQ(r.tstat("translations"), 0u);
+    EXPECT_EQ(r.tstat("capturesStarted"), 1u);
+    EXPECT_EQ(r.tstat("idiomsRecognized"), 1u);
+    EXPECT_EQ(r.tstat("loopsVerified"), 1u);
+    EXPECT_EQ(r.tstat("instsCollapsed"), 1u);
+    EXPECT_EQ(r.sys.core().stats().get("ucodeDispatches"), 0u);
+}
+
 TEST(TranslatorAborts, TripCountWidthFallback)
 {
     // A 12-iteration loop cannot bind on 8 lanes, but it can on 4: the

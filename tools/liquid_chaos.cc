@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "chaos/oracle.hh"
+#include "cli_args.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "fast/reference.hh"
@@ -114,23 +115,6 @@ usage()
         "  --json           machine-readable report on stdout\n";
 }
 
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        out.push_back(list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &opts)
 {
@@ -154,7 +138,7 @@ parseArgs(int argc, char **argv, Options &opts)
             const char *v = next();
             if (!v)
                 return false;
-            opts.workloads = splitList(v);
+            opts.workloads = cli::splitList(v);
         } else if (arg == "--schedule") {
             const char *v = next();
             if (!v)

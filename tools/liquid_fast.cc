@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -99,23 +100,6 @@ usage()
         "  --json            machine-readable report on stdout\n";
 }
 
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        out.push_back(list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &opts)
 {
@@ -128,13 +112,13 @@ parseArgs(int argc, char **argv, Options &opts)
             const char *v = next();
             if (!v)
                 return false;
-            opts.workloads = splitList(v);
+            opts.workloads = cli::splitList(v);
         } else if (arg == "--modes") {
             const char *v = next();
             if (!v)
                 return false;
             opts.modes.clear();
-            for (const auto &m : splitList(v)) {
+            for (const auto &m : cli::splitList(v)) {
                 if (m == "scalar") {
                     opts.modes.push_back(ExecMode::ScalarBaseline);
                 } else if (m == "native") {
@@ -150,11 +134,8 @@ parseArgs(int argc, char **argv, Options &opts)
             const char *v = next();
             if (!v)
                 return false;
-            opts.widths.clear();
-            for (const auto &w : splitList(v))
-                opts.widths.push_back(
-                    static_cast<unsigned>(std::strtoul(
-                        w.c_str(), nullptr, 10)));
+            if (!cli::parseWidths(v, opts.widths))
+                return false;
         } else if (arg == "--random") {
             const char *v = next();
             if (!v)

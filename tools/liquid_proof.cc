@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "cli_args.hh"
 #include "common/json.hh"
 #include "verifier/proof.hh"
 #include "workloads/workload.hh"
@@ -76,31 +77,14 @@ usage()
 }
 
 bool
-parseWidths(const std::string &arg, std::vector<unsigned> &out)
-{
-    out.clear();
-    std::istringstream is(arg);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-        const unsigned w =
-            static_cast<unsigned>(std::strtoul(tok.c_str(), nullptr, 10));
-        if (w != 2 && w != 4 && w != 8 && w != 16)
-            return false;
-        out.push_back(w);
-    }
-    return !out.empty();
-}
-
-bool
 parseArgs(int argc, char **argv, Options &opt)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--widths") {
-            if (i + 1 >= argc || !parseWidths(argv[++i], opt.proof.widths)) {
-                std::cerr << "--widths takes a comma list of 2/4/8/16\n";
+            if (i + 1 >= argc ||
+                !cli::parseWidths(argv[++i], opt.proof.widths))
                 return false;
-            }
         } else if (arg == "--symbolic-n") {
             opt.proof.symbolicN = true;
         } else if (arg == "--no-replay") {

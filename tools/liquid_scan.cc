@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "cli_args.hh"
 #include "common/json.hh"
 #include "lab/predict.hh"
 #include "verifier/range.hh"
@@ -93,24 +94,6 @@ usage()
 }
 
 bool
-parseWidths(const std::string &list, std::vector<unsigned> &out)
-{
-    out.clear();
-    std::istringstream is(list);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-        if (tok.empty())
-            return false;
-        const unsigned w =
-            static_cast<unsigned>(std::stoul(tok));
-        if (w < 2 || (w & (w - 1)) != 0)
-            return false;
-        out.push_back(w);
-    }
-    return !out.empty();
-}
-
-bool
 parseArgs(int argc, char **argv, Options &opt)
 {
     for (int i = 1; i < argc; ++i) {
@@ -124,10 +107,8 @@ parseArgs(int argc, char **argv, Options &opt)
         };
         if (arg == "--widths") {
             const char *v = value();
-            if (!v || !parseWidths(v, opt.widths)) {
-                std::cerr << "bad width list\n";
+            if (!v || !cli::parseWidths(v, opt.widths))
                 return false;
-            }
         } else if (arg == "--no-fallback") {
             opt.fallback = false;
         } else if (arg == "--no-predict") {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "lab/results.hh"
@@ -111,23 +112,6 @@ usage()
         "                      (BENCH_serve.json) for liquid-lab diff\n";
 }
 
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        out.push_back(list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &opts)
 {
@@ -162,21 +146,19 @@ parseArgs(int argc, char **argv, Options &opts)
             const char *v = next();
             if (!v)
                 return false;
-            opts.workloads = splitList(v);
+            opts.workloads = cli::splitList(v);
         } else if (arg == "--widths") {
             const char *v = next();
             if (!v)
                 return false;
-            opts.widths.clear();
-            for (const auto &w : splitList(v))
-                opts.widths.push_back(static_cast<unsigned>(
-                    std::strtoul(w.c_str(), nullptr, 10)));
+            if (!cli::parseWidths(v, opts.widths))
+                return false;
         } else if (arg == "--classes") {
             const char *v = next();
             if (!v)
                 return false;
             opts.classes.clear();
-            for (const auto &c : splitList(v))
+            for (const auto &c : cli::splitList(v))
                 opts.classes.push_back(classFromName(c));
         } else if (arg == "--jobs") {
             const char *v = next();
@@ -192,7 +174,7 @@ parseArgs(int argc, char **argv, Options &opts)
             if (!v)
                 return false;
             opts.qpsList.clear();
-            for (const auto &q : splitList(v))
+            for (const auto &q : cli::splitList(v))
                 opts.qpsList.push_back(std::strtod(q.c_str(), nullptr));
         } else if (arg == "--requests") {
             if (!nextU64(opts.requests))
