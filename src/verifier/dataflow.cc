@@ -1,5 +1,11 @@
 #include "verifier/dataflow.hh"
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <optional>
+
 #include "cpu/exec.hh"
 
 namespace liquid
@@ -165,8 +171,7 @@ AbsMachine::step(const Inst &inst, int index, Taken &taken)
         const AbsVal ea = effectiveAddr(inst);
         if (executed != Taken::No) {
             if (ea.known)
-                stores_.push_back(
-                    StoreRange{ea.value, info.memElemSize});
+                noteStore(ea.value, info.memElemSize);
             else
                 unknownStore_ = true;
         }
@@ -195,16 +200,54 @@ AbsMachine::step(const Inst &inst, int index, Taken &taken)
     return ri;
 }
 
+namespace
+{
+
+/** End of [addr, addr+size), or nullopt when the 32-bit sum wraps. */
+std::optional<Addr>
+rangeEnd(Addr addr, unsigned size)
+{
+    const std::uint64_t end = std::uint64_t{addr} + size;
+    if (end > std::numeric_limits<Addr>::max())
+        return std::nullopt;
+    return static_cast<Addr>(end);
+}
+
+} // namespace
+
+void
+AbsMachine::noteStore(Addr addr, unsigned size)
+{
+    std::optional<Addr> end = rangeEnd(addr, size);
+    if (!end)
+        return;  // wraps: overlaps nothing
+    // Absorb every kept range that overlaps or touches [addr, end).
+    auto it = stores_.upper_bound(*end);
+    while (it != stores_.begin()) {
+        const auto prev = std::prev(it);
+        if (prev->second < addr)
+            break;
+        addr = std::min(addr, prev->first);
+        *end = std::max(*end, prev->second);
+        it = stores_.erase(prev);
+    }
+    stores_.emplace_hint(it, addr, *end);
+}
+
 bool
 AbsMachine::clobbered(Addr addr, unsigned size) const
 {
     if (unknownStore_)
         return true;
-    for (const StoreRange &s : stores_) {
-        if (addr < s.addr + s.size && s.addr < addr + size)
-            return true;
-    }
-    return false;
+    const std::optional<Addr> end = rangeEnd(addr, size);
+    if (!end)
+        return false;
+    // Ranges are disjoint: only the first one starting after addr and
+    // the last one starting at or before it can overlap.
+    const auto next = stores_.upper_bound(addr);
+    if (next != stores_.end() && next->first < *end)
+        return true;
+    return next != stores_.begin() && std::prev(next)->second > addr;
 }
 
 } // namespace liquid

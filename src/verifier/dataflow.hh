@@ -26,6 +26,7 @@
 #define LIQUID_VERIFIER_DATAFLOW_HH
 
 #include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -127,17 +128,14 @@ class AbsMachine
      */
     bool clobbered(Addr addr, unsigned size) const;
 
+    /** Add the store [addr, addr+size) to `stores_`. */
+    void noteStore(Addr addr, unsigned size);
+
     /** Mirror of Core::memEA over the abstract registers. */
     AbsVal effectiveAddr(const Inst &inst) const;
 
     /** Whether inst's condition holds: tri-state. */
     Taken condHolds(Cond cond) const;
-
-    struct StoreRange
-    {
-        Addr addr;
-        unsigned size;
-    };
 
     /** Record that @p fact fed a resolved value (deduplicated). */
     void noteFact(const std::string &fact) const;
@@ -149,7 +147,13 @@ class AbsMachine
     bool flagsKnown_ = false;
     int cmpState_ = 0;
     int lastCmpIndex_ = -1;
-    std::vector<StoreRange> stores_;
+    /**
+     * Bytes stored so far as disjoint half-open ranges, start -> end,
+     * merged on insert. A range whose end passes the top of the
+     * address space is never kept: its wrapped end makes it overlap
+     * nothing.
+     */
+    std::map<Addr, Addr> stores_;
     bool unknownStore_ = false;
     mutable std::vector<std::string> factsUsed_;
 };

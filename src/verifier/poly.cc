@@ -10,6 +10,7 @@
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "isa/perm.hh"
 #include "translator/abort_reason.hh"
@@ -105,101 +106,179 @@ depOverlaps(const DepEvent &a, const DepEvent &b)
     return a.ea < b.ea + b.size && b.ea < a.ea + a.size;
 }
 
+unsigned
+iterDistance(const DepEvent &a, const DepEvent &b)
+{
+    return a.iter > b.iter ? a.iter - b.iter : b.iter - a.iter;
+}
+
+/** Textual order opposes iteration order: any grouping breaks it. */
+bool
+orderFlips(const DepEvent &a, const DepEvent &b)
+{
+    return (a.iter < b.iter && a.pos > b.pos) ||
+           (b.iter < a.iter && b.pos > a.pos);
+}
+
 /**
- * The per-width group scan analyzeDeps runs, replayed on the recorded
- * trace at symbolic-instantiation time. Pair enumeration order matches
- * analyzeDeps exactly: loops ascending, store events ascending, their
- * partners ascending — within one group the two iteration orders
- * coincide because group runs are contiguous. The sabotage knobs seed
- * the --sabotage bugs into this evaluator.
+ * The width-independent filters on store @p i and partner @p j: store
+ * pairs are tested once, and a pair inside one iteration never breaks.
  */
+bool
+carriedCandidate(const std::vector<DepEvent> &evs, std::uint32_t i,
+                 std::uint32_t j)
+{
+    return !(evs[j].isStore && j < i) && evs[j].iter != evs[i].iter;
+}
+
+/**
+ * The events of store @p i's loop that overlap it, other than itself,
+ * in ascending index order, into @p out.
+ */
+void
+overlapsOf(const PolyDeps &deps, const PolyRegion::DepIndex &index,
+           std::uint32_t i, std::vector<std::uint32_t> &out)
+{
+    const std::vector<DepEvent> &evs = deps.events;
+    const DepEvent &a = evs[i];
+    const unsigned maxSize =
+        index.maxSize[static_cast<std::size_t>(a.loop)];
+    const std::uint64_t from = a.ea + std::uint64_t{1} > maxSize
+                                   ? a.ea + std::uint64_t{1} - maxSize
+                                   : 0;
+    const std::uint64_t to = std::uint64_t{a.ea} + a.size;
+    auto it = std::lower_bound(
+        index.byAddr.begin(), index.byAddr.end(), from,
+        [&](std::uint32_t k, std::uint64_t ea) {
+            const DepEvent &e = evs[k];
+            return e.loop != a.loop ? e.loop < a.loop : e.ea < ea;
+        });
+    out.clear();
+    for (; it != index.byAddr.end(); ++it) {
+        const DepEvent &b = evs[*it];
+        if (b.loop != a.loop || b.ea >= to)
+            break;
+        if (*it != i && depOverlaps(a, b))
+            out.push_back(*it);
+    }
+    std::sort(out.begin(), out.end());
+}
+
+/** Build the address index of @p deps (PolyRegion::depIndex). */
+PolyRegion::DepIndex
+indexDeps(const PolyDeps &deps)
+{
+    const std::vector<DepEvent> &evs = deps.events;
+    PolyRegion::DepIndex index;
+    index.byAddr.resize(evs.size());
+    std::iota(index.byAddr.begin(), index.byAddr.end(), 0u);
+    std::sort(index.byAddr.begin(), index.byAddr.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                  const DepEvent &a = evs[x];
+                  const DepEvent &b = evs[y];
+                  if (a.loop != b.loop)
+                      return a.loop < b.loop;
+                  return a.ea != b.ea ? a.ea < b.ea : x < y;
+              });
+    index.maxSize.assign(deps.loopsAnalyzed, 0);
+    for (const DepEvent &e : evs) {
+        unsigned &m = index.maxSize[static_cast<std::size_t>(e.loop)];
+        m = std::max(m, e.size);
+    }
+    // A store none of whose overlapping partners is a carried
+    // candidate can never yield a hit.
+    std::vector<std::uint32_t> partners;
+    for (std::uint32_t i = 0; i < evs.size(); ++i) {
+        if (!evs[i].isStore)
+            continue;
+        overlapsOf(deps, index, i, partners);
+        if (std::any_of(partners.begin(), partners.end(),
+                        [&](std::uint32_t j) {
+                            return carriedCandidate(evs, i, j);
+                        }))
+            index.stores.push_back(i);
+    }
+    std::stable_sort(index.stores.begin(), index.stores.end(),
+                     [&](std::uint32_t x, std::uint32_t y) {
+                         return evs[x].loop < evs[y].loop;
+                     });
+    return index;
+}
+
+/**
+ * The pair scan analyzeDeps runs, replayed on the recorded trace:
+ * loops ascending, store events ascending, their partners ascending,
+ * and the first cross-iteration pair @p accept takes wins — within one
+ * group the two iteration orders coincide because group runs are
+ * contiguous. Only the index's stores and their overlapping partners
+ * are visited; every pair skipped that way is one carriedCandidate or
+ * depOverlaps rejects, so the first hit is the whole-loop scan's.
+ * @p examined counts the visited pairs.
+ */
+template <typename Accept>
+std::optional<std::pair<const DepEvent *, const DepEvent *>>
+firstPair(const PolyDeps &deps, const PolyRegion::DepIndex &index,
+          std::uint64_t &examined, Accept accept)
+{
+    std::vector<std::uint32_t> partners;
+    for (const std::uint32_t i : index.stores) {
+        const DepEvent &a = deps.events[i];
+        overlapsOf(deps, index, i, partners);
+        for (const std::uint32_t j : partners) {
+            ++examined;
+            const DepEvent &b = deps.events[j];
+            if (carriedCandidate(deps.events, i, j) && accept(a, b))
+                return std::make_pair(&a, &b);
+        }
+    }
+    return std::nullopt;
+}
+
 struct DepScanHit
 {
     bool unsafe = false;
     DepPair pair;
 };
 
+/**
+ * analyzeDeps' verdict at width @p n: the first pair that flips order
+ * inside one vector group. The sabotage knobs seed the --sabotage bugs
+ * into this evaluator.
+ */
 DepScanHit
-scanDepsAt(const PolyDeps &deps, unsigned n, unsigned sabotage)
+scanDepsAt(const PolyRegion &r, unsigned n, unsigned sabotage,
+           std::uint64_t &examined)
 {
+    auto breaks = [&](const DepEvent &a, const DepEvent &b) {
+        if (!sabOn(sabotage, PolySabotage::FlipIgnore) &&
+            !orderFlips(a, b))
+            return false;
+        return sabOn(sabotage, PolySabotage::GroupCollide)
+                   ? iterDistance(a, b) < n
+                   : a.iter / n == b.iter / n;
+    };
+    const auto found = firstPair(r.deps, r.depIndex, examined, breaks);
     DepScanHit hit;
-    std::vector<std::vector<const DepEvent *>> perLoop(
-        deps.loopsAnalyzed);
-    for (const DepEvent &e : deps.events)
-        perLoop[static_cast<std::size_t>(e.loop)].push_back(&e);
-
-    for (const auto &evs : perLoop) {
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-            const DepEvent &a = *evs[i];
-            if (!a.isStore)
-                continue;
-            for (std::size_t j = 0; j < evs.size(); ++j) {
-                if (i == j)
-                    continue;
-                const DepEvent &b = *evs[j];
-                if (a.isStore && b.isStore && j < i)
-                    continue;  // store pairs tested once
-                if (!depOverlaps(a, b) || a.iter == b.iter)
-                    continue;
-                const unsigned dist = a.iter > b.iter
-                                          ? a.iter - b.iter
-                                          : b.iter - a.iter;
-                const bool flips =
-                    (a.iter < b.iter && a.pos > b.pos) ||
-                    (b.iter < a.iter && b.pos > a.pos);
-                if (!sabOn(sabotage, PolySabotage::FlipIgnore) &&
-                    !flips)
-                    continue;
-                const bool sameGroup =
-                    sabOn(sabotage, PolySabotage::GroupCollide)
-                        ? dist < n
-                        : a.iter / n == b.iter / n;
-                if (!sameGroup)
-                    continue;
-                hit.unsafe = true;
-                hit.pair.storeIndex = a.pos;
-                hit.pair.otherIndex = b.pos;
-                hit.pair.otherIsStore = b.isStore;
-                hit.pair.distance = dist;
-                hit.pair.addr = std::max(a.ea, b.ea);
-                hit.pair.orderFlips = flips;
-                return hit;
-            }
-        }
-    }
+    if (!found)
+        return hit;
+    const DepEvent &a = *found->first;
+    const DepEvent &b = *found->second;
+    hit.unsafe = true;
+    hit.pair.storeIndex = a.pos;
+    hit.pair.otherIndex = b.pos;
+    hit.pair.otherIsStore = b.isStore;
+    hit.pair.distance = iterDistance(a, b);
+    hit.pair.addr = std::max(a.ea, b.ea);
+    hit.pair.orderFlips = orderFlips(a, b);
     return hit;
 }
 
 /** Does any order-breaking carried pair exist at *some* width? */
 bool
-anyFlippingPair(const PolyDeps &deps)
+anyFlippingPair(const PolyRegion &r, std::uint64_t &examined)
 {
-    std::vector<std::vector<const DepEvent *>> perLoop(
-        deps.loopsAnalyzed);
-    for (const DepEvent &e : deps.events)
-        perLoop[static_cast<std::size_t>(e.loop)].push_back(&e);
-    for (const auto &evs : perLoop) {
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-            const DepEvent &a = *evs[i];
-            if (!a.isStore)
-                continue;
-            for (std::size_t j = 0; j < evs.size(); ++j) {
-                if (i == j)
-                    continue;
-                const DepEvent &b = *evs[j];
-                if (a.isStore && b.isStore && j < i)
-                    continue;
-                if (!depOverlaps(a, b) || a.iter == b.iter)
-                    continue;
-                const bool flips =
-                    (a.iter < b.iter && a.pos > b.pos) ||
-                    (b.iter < a.iter && b.pos > a.pos);
-                if (flips)
-                    return true;
-            }
-        }
-    }
-    return false;
+    return firstPair(r.deps, r.depIndex, examined, orderFlips)
+        .has_value();
 }
 
 /**
@@ -404,7 +483,8 @@ PolyRegion::instantiate(unsigned n, unsigned sabotage) const
             // verifyRegion runs depcheck on interval-test aborts too
             // (the conservative-abort note); mirror its verdict.
             out.depRan = true;
-            const DepScanHit hit = scanDepsAt(deps, n, sabotage);
+            const DepScanHit hit =
+                scanDepsAt(*this, n, sabotage, out.pairsExamined);
             out.depKind = hit.unsafe ? WidthVerdict::Kind::Unsafe
                                      : WidthVerdict::Kind::Safe;
             out.pair = hit.pair;
@@ -432,7 +512,8 @@ PolyRegion::instantiate(unsigned n, unsigned sabotage) const
         out.note = "memoryDependence: " + deps.unresolvedWhy;
         return out;
     }
-    const DepScanHit hit = scanDepsAt(deps, n, sabotage);
+    const DepScanHit hit =
+        scanDepsAt(*this, n, sabotage, out.pairsExamined);
     if (hit.unsafe) {
         out.verdict = Severity::Error;
         out.reason = AbortReason::MemoryDependence;
@@ -496,6 +577,7 @@ analyzePoly(const Program &prog, int entry_index,
 
     const RegionCfg cfg = RegionCfg::build(prog, entry_index);
     r.deps = analyzePolyDeps(prog, entry_index, cfg, depOpts);
+    r.depIndex = indexDeps(r.deps);
 
     // ---- validity set: probe to the data horizon ---------------------
     PolyValidity &v = r.validity;
@@ -523,14 +605,19 @@ analyzePoly(const Program &prog, int entry_index,
     v.horizon = static_cast<unsigned>(
         std::min<std::uint64_t>(need, maxHorizon));
     v.tailExact = need <= maxHorizon;
+    auto probe = [&r](unsigned n) {
+        PolyWidthOutcome o = r.instantiate(n);
+        r.pairsExamined += o.pairsExamined;
+        return o;
+    };
     for (unsigned n = 2; n <= v.horizon; ++n) {
-        if (r.instantiate(n).verdict == Severity::Ok)
+        if (probe(n).verdict == Severity::Ok)
             v.okWidths.push_back(n);
     }
     // Beyond the horizon every recorded check saturates (trip and
     // lane counts are exceeded, streams stay in capture mode, every
     // dependence pair shares group 0), so one probe is the whole tail.
-    v.tail = r.instantiate(v.horizon + 1);
+    v.tail = probe(v.horizon + 1);
 
     // ---- structural view: trip data factored out ---------------------
     bool structural = r.terminal.verdict == Severity::Ok;
@@ -580,12 +667,12 @@ analyzePoly(const Program &prog, int entry_index,
             c.why = "unresolved dependence walk: " +
                     r.deps.unresolvedWhy;
             v.constraints.push_back(std::move(c));
-        } else if (anyFlippingPair(r.deps)) {
+        } else if (anyFlippingPair(r, r.pairsExamined)) {
             structural = false;
             // Name the symbolic distance bound when the first
             // offending pair is affine (Lane-mode address algebra).
             const DepScanHit wide =
-                scanDepsAt(r.deps, v.horizon + 1, 0);
+                scanDepsAt(r, v.horizon + 1, 0, r.pairsExamined);
             NConstraint c;
             c.iv = Interval::make(
                 2, v.okWidths.empty()
@@ -617,7 +704,7 @@ analyzePoly(const Program &prog, int entry_index,
     if (r.terminal.verdict == Severity::Warn && v.okWidths.empty()) {
         os << "warn for all N: " << r.terminal.warnCondition;
     } else if (v.okWidths.empty()) {
-        const PolyWidthOutcome two = r.instantiate(2);
+        const PolyWidthOutcome two = probe(2);
         os << "error for all N";
         if (two.verdict == Severity::Error) {
             os << ": " << abortReasonName(two.reason);
@@ -636,12 +723,12 @@ analyzePoly(const Program &prog, int entry_index,
            << renderOkSet(v.okWidths, v.horizon, trips);
         // Detect the upward-closed failure pattern "error for N >= x".
         const unsigned last = v.okWidths.back();
-        const PolyWidthOutcome after = r.instantiate(last + 1);
+        const PolyWidthOutcome after = probe(last + 1);
         bool upward = after.verdict == Severity::Error &&
                       v.tail.verdict == Severity::Error &&
                       v.tail.reason == after.reason;
         for (unsigned n = last + 1; upward && n <= v.horizon; ++n) {
-            const PolyWidthOutcome o = r.instantiate(n);
+            const PolyWidthOutcome o = probe(n);
             upward = o.verdict == Severity::Error &&
                      o.reason == after.reason;
         }

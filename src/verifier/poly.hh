@@ -81,6 +81,8 @@ struct PolyWidthOutcome
     DepReason depReason = DepReason::None;
     DepPair pair;  ///< valid when depKind == Unsafe
     std::string note;  ///< Warn condition / human context
+    /** Dependence pairs the scan at N visited (a work count). */
+    std::uint64_t pairsExamined = 0;
 };
 
 /**
@@ -137,6 +139,12 @@ class PolyRegion
     /** Dependence trace (width-independent walk + classification). */
     PolyDeps deps;
     PolyValidity validity;
+    /**
+     * Dependence pairs analyzePoly's scans visited while deriving
+     * `validity`: a deterministic work count, proportional to the
+     * overlapping pairs rather than to all event pairs.
+     */
+    std::uint64_t pairsExamined = 0;
 
     /**
      * Replay the recorded checks at concrete width @p n, with the
@@ -171,6 +179,23 @@ class PolyRegion
     std::vector<Stream> streams;
     std::vector<Event> events;
     PermRepertoire permRepertoire{};
+
+    /**
+     * Address index over deps.events, built once by analyzePoly so no
+     * width pays for it again: every event index ordered by (loop, ea,
+     * index), each loop's largest access size, and the stores that
+     * overlap an event of another iteration of their loop, in (loop,
+     * index) order. Those stores are the only ones the dependence scan
+     * visits, and an event overlapping a store at `ea` starts in
+     * `(ea - maxSize, ea + size)`: one binary search finds them all.
+     */
+    struct DepIndex
+    {
+        std::vector<std::uint32_t> byAddr;
+        std::vector<unsigned> maxSize;  ///< per loop
+        std::vector<std::uint32_t> stores;
+    };
+    DepIndex depIndex;
 };
 
 /**

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "asm/assembler.hh"
 #include "verifier/cfg.hh"
@@ -195,6 +196,57 @@ TEST(DataflowEdge, ReadOnlyLoadClobberedByRegionStoreGoesTop)
     m.step(prog.code()[base + 1], base + 1, taken);  // unknown store
     AbsRetire second = m.step(prog.code()[base + 2], base + 2, taken);
     EXPECT_FALSE(second.value.known);
+}
+
+TEST(DataflowEdge, ReadOnlyLoadSeesExactlyTheStoredBytes)
+{
+    // Stores into the constant pool clobber exactly the bytes they
+    // cover: touching stores merge, a load overlapping any stored
+    // byte goes Top and one beside them keeps the initial image.
+    const Program prog = assemble(R"(
+        .rowords cp 10 11 12 13 14 15
+        fn:
+            mov r1, #0
+            stb [cp + #1], r1
+            sth [cp + #4], r1
+            sth [cp + #5], r1
+            stw [cp + #4], r1
+            ldw r2, [cp]
+            ldw r2, [cp + #1]
+            ldw r2, [cp + #2]
+            ldw r2, [cp + #3]
+            ldb r2, [cp + #2]
+            ldb r2, [cp + #1]
+            sth [cp + #7], r1
+            ldh r2, [cp + #6]
+            ldh r2, [cp + #7]
+            ldw r2, [cp + #5]
+            ret
+        main:
+            bl.simd fn
+            halt
+    )");
+    AbsMachine m(prog);
+    Taken taken = Taken::Unknown;
+    const int base = prog.labelIndex("fn");
+    std::vector<AbsRetire> seen;
+    for (int i = 0; i < 15; ++i)
+        seen.push_back(m.step(prog.code()[base + i], base + i, taken));
+
+    // Stored bytes: [1,2), [8,12) (two touching halves), [16,20).
+    EXPECT_FALSE(seen[5].value.known);   // [0,4) holds byte 1
+    EXPECT_TRUE(seen[6].value.known);    // [4,8)
+    EXPECT_EQ(seen[6].value.value, 11u);
+    EXPECT_FALSE(seen[7].value.known);   // [8,12)
+    EXPECT_TRUE(seen[8].value.known);    // [12,16)
+    EXPECT_EQ(seen[8].value.value, 13u);
+    EXPECT_TRUE(seen[9].value.known);    // [2,3), beside byte 1
+    EXPECT_FALSE(seen[10].value.known);  // [1,2)
+    // [14,16) then joins [16,20); [12,14) stays untouched.
+    EXPECT_TRUE(seen[12].value.known);   // [12,14)
+    EXPECT_FALSE(seen[13].value.known);  // [14,16)
+    EXPECT_TRUE(seen[14].value.known);   // [20,24)
+    EXPECT_EQ(seen[14].value.value, 15u);
 }
 
 } // namespace
