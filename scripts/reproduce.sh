@@ -5,7 +5,7 @@
 # The cycle-level sweeps (Figure 6, the ucache/latency/cache ablations)
 # run through liquid-lab: sharded across every core, written as
 # machine-readable BENCH_*.json under $BUILD/results/, and rendered as
-# the paper tables. The remaining benches are single-shot analyses and
+# the paper tables. The bench/ binaries are single-shot analyses and
 # run directly.
 set -euo pipefail
 BUILD="${1:-build}"
@@ -20,11 +20,6 @@ echo "########## liquid-lab run --all"
 
 for b in "$BUILD"/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
-    case "$(basename "$b")" in
-        # Covered by the lab campaigns above.
-        bench_fig6_speedup|bench_ucache_sweep|\
-        bench_latency_sweep|bench_cache_sweep) continue ;;
-    esac
     echo
     echo "########## $(basename "$b")"
     "$b"

@@ -246,8 +246,6 @@ pick(const std::vector<const JobResult *> &jobs, ExecMode mode,
     return nullptr;
 }
 
-} // namespace
-
 // ---- renderers ------------------------------------------------------------
 
 bool
@@ -627,6 +625,8 @@ renderFast(std::ostream &os, const ResultSet &results)
           "stats are absent under that tier, never zero)\n";
     return allParity && !missing;
 }
+
+} // namespace
 
 // ---- campaign registry ----------------------------------------------------
 

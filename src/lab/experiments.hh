@@ -1,12 +1,13 @@
 /**
  * @file
- * The standard paper-evaluation campaigns, declared once and shared by
- * the liquid-lab CLI and the ported bench binaries: Figure 6 speedups
- * (+ virtualization-overhead callout), the microcode-cache capacity
- * sweep, the translation-latency sweep and the data-cache sweep. Each
- * campaign also has a renderer that reproduces the classic text table
- * (including the paper shape checks) from a ResultSet, so the human
- * tables are now a pure function of the machine-readable JSON.
+ * The standard paper-evaluation campaigns, declared once and run by
+ * the liquid-lab CLI (`liquid-lab run --experiment NAME --render`):
+ * Figure 6 speedups (+ virtualization-overhead callout), the
+ * microcode-cache capacity sweep, the translation-latency sweep and
+ * the data-cache sweep. Each campaign also has a renderer that
+ * reproduces the classic text table (including the paper shape
+ * checks) from a ResultSet, so the human tables are a pure function
+ * of the machine-readable JSON.
  */
 
 #ifndef LIQUID_LAB_EXPERIMENTS_HH
@@ -41,14 +42,6 @@ std::vector<Campaign> standardCampaigns(bool smoke);
 
 /** Campaign by name; fatal() listing the choices on a miss. */
 Campaign campaignByName(const std::string &name, bool smoke);
-
-// Individual renderers (used by the ported bench binaries).
-bool renderFig6(std::ostream &os, const ResultSet &results);
-bool renderUcacheSweep(std::ostream &os, const ResultSet &results);
-bool renderLatencySweep(std::ostream &os, const ResultSet &results);
-bool renderCacheSweep(std::ostream &os, const ResultSet &results);
-bool renderChaos(std::ostream &os, const ResultSet &results);
-bool renderFast(std::ostream &os, const ResultSet &results);
 
 } // namespace liquid::lab
 

@@ -14,8 +14,8 @@
  * The paper's objections to this approach — no transparency, multiple
  * binaries to manage, unclear accountability when translated code
  * misbehaves — are organizational, not functional; this implementation
- * exists to quantify the other side of that trade (bench_fig6's
- * "ideal" column and the offline tests) and to cross-check the
+ * exists to quantify the other side of that trade (the fig6
+ * campaign's "ideal" column and the offline tests) and to cross-check the
  * hardware translator: both must produce identical microcode.
  */
 

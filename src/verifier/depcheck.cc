@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <sstream>
 
+#include "common/logging.hh"
 #include "verifier/cfg.hh"
 #include "verifier/dataflow.hh"
 
@@ -12,17 +14,6 @@ namespace liquid
 
 namespace
 {
-
-/** One dynamic load/store execution inside a loop. */
-struct MemEvent
-{
-    int loop;          ///< loop id (index into the walker's ranges)
-    unsigned iter;     ///< 0-based iteration of that loop
-    int pos;           ///< instruction index = textual position
-    Addr ea;
-    unsigned size;
-    bool isStore;
-};
 
 /** Instruction range [first, last] of one natural loop. */
 struct LoopRange
@@ -65,12 +56,12 @@ struct WalkStop
  * predicated memory accesses, which the translator vectorizes
  * unconditionally and so are never provably order-safe).
  */
-std::vector<MemEvent>
+std::vector<DepEvent>
 walkRegion(const Program &prog, int entry_index,
            const std::vector<LoopRange> &loops,
            const DepcheckOptions &opts, AbsMachine &machine)
 {
-    std::vector<MemEvent> events;
+    std::vector<DepEvent> events;
     std::vector<unsigned> iterOf(loops.size(), 0);
 
     const auto &code = prog.code();
@@ -114,7 +105,7 @@ walkRegion(const Program &prog, int entry_index,
                         "memory address depends on runtime data", pc,
                         DepReason::RuntimeAddress};
                 }
-                events.push_back(MemEvent{
+                events.push_back(DepEvent{
                     loop, iterOf[static_cast<std::size_t>(loop)], pc,
                     ri.memAddr.value, info.memElemSize, info.isStore});
             }
@@ -134,14 +125,14 @@ walkRegion(const Program &prog, int entry_index,
 
 /** Classify each static access from its per-iteration address trace. */
 std::vector<MemAccess>
-classifyAccesses(const Program &prog, const std::vector<MemEvent> &events)
+classifyAccesses(const Program &prog, const std::vector<DepEvent> &events)
 {
     std::map<int, MemAccess> byInst;
     std::map<int, Addr> lastEa;
     std::map<int, bool> affine;
     std::map<int, unsigned> lastIter;
 
-    for (const MemEvent &e : events) {
+    for (const DepEvent &e : events) {
         auto it = byInst.find(e.pos);
         if (it == byInst.end()) {
             MemAccess a;
@@ -202,9 +193,62 @@ classifyAccesses(const Program &prog, const std::vector<MemEvent> &events)
 }
 
 bool
-overlaps(const MemEvent &a, const MemEvent &b)
+overlaps(const DepEvent &a, const DepEvent &b)
 {
     return a.ea < b.ea + b.size && b.ea < a.ea + a.size;
+}
+
+/**
+ * The width-independent filters on store @p i and partner @p j: store
+ * pairs are tested once, and a pair inside one iteration never breaks.
+ */
+bool
+carriedCandidate(const std::vector<DepEvent> &evs, std::uint32_t i,
+                 std::uint32_t j)
+{
+    return !(evs[j].isStore && j < i) && evs[j].iter != evs[i].iter;
+}
+
+/**
+ * The events of store @p i's loop that overlap it, other than itself,
+ * in ascending index order, into @p out.
+ */
+void
+overlapsOf(const std::vector<DepEvent> &evs, const DepIndex &index,
+           std::uint32_t i, std::vector<std::uint32_t> &out)
+{
+    const DepEvent &a = evs[i];
+    const unsigned maxSize =
+        index.maxSize[static_cast<std::size_t>(a.loop)];
+    const std::uint64_t from = a.ea + std::uint64_t{1} > maxSize
+                                   ? a.ea + std::uint64_t{1} - maxSize
+                                   : 0;
+    const std::uint64_t to = std::uint64_t{a.ea} + a.size;
+    auto it = std::lower_bound(
+        index.byAddr.begin(), index.byAddr.end(), from,
+        [&](std::uint32_t k, std::uint64_t ea) {
+            const DepEvent &e = evs[k];
+            return e.loop != a.loop ? e.loop < a.loop : e.ea < ea;
+        });
+    out.clear();
+    for (; it != index.byAddr.end(); ++it) {
+        const DepEvent &b = evs[*it];
+        if (b.loop != a.loop || b.ea >= to)
+            break;
+        if (*it != i && overlaps(a, b))
+            out.push_back(*it);
+    }
+    std::sort(out.begin(), out.end());
+}
+
+WidthVerdict
+budgetDiedAtWidth()
+{
+    WidthVerdict v;
+    v.kind = WidthVerdict::Kind::Unknown;
+    v.why = "dependence pair-test budget exhausted at this width";
+    v.reason = DepReason::PairBudgetAtWidth;
+    return v;
 }
 
 } // namespace
@@ -250,7 +294,7 @@ DepcheckResult::verdictAt(unsigned width) const
     static const WidthVerdict unknown{
         WidthVerdict::Kind::Unknown, DepPair{},
         "width outside the analyzed ladder",
-        DepReason::OutsideLadder, false};
+        DepReason::OutsideLadder};
     return unknown;
 }
 
@@ -285,20 +329,18 @@ DepcheckResult::proofSummary(unsigned width) const
     return os.str();
 }
 
-DepcheckResult
-analyzeDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
-            const DepcheckOptions &opts)
+DepTrace
+traceDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
+          const DepcheckOptions &opts)
 {
-    DepcheckResult result;
+    DepTrace trace;
     if (cfg.loops().empty()) {
         // No loops: every access executes once, in textual order, in
         // both scalar and microcode form.
-        result.resolved = true;
-        for (auto &v : result.byWidth)
-            v.kind = WidthVerdict::Kind::Safe;
-        return result;
+        trace.resolved = true;
+        return trace;
     }
-    result.analyzed = true;
+    trace.analyzed = true;
 
     std::vector<LoopRange> loops;
     loops.reserve(cfg.loops().size());
@@ -307,43 +349,164 @@ analyzeDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
             cfg.blocks()[static_cast<std::size_t>(l.headBlock)].first,
             l.backedgeIndex});
     }
-    result.loopsAnalyzed = static_cast<unsigned>(loops.size());
+    trace.loopsAnalyzed = static_cast<unsigned>(loops.size());
 
-    std::vector<MemEvent> events;
     AbsMachine machine(prog, opts.facts);
     try {
-        events = walkRegion(prog, entry_index, loops, opts, machine);
+        trace.events = walkRegion(prog, entry_index, loops, opts, machine);
     } catch (const WalkStop &stop) {
-        result.resolved = false;
-        result.unresolvedWhy = stop.why;
-        result.unresolvedReason = stop.reason;
-        result.unresolvedIndex = stop.index;
-        result.factsUsed = machine.factsUsed();
+        trace.unresolvedWhy = stop.why;
+        trace.unresolvedReason = stop.reason;
+        trace.unresolvedIndex = stop.index;
+        trace.factsUsed = machine.factsUsed();
+        return trace;
+    }
+    trace.resolved = true;
+    trace.factsUsed = machine.factsUsed();
+    trace.accesses = classifyAccesses(prog, trace.events);
+    for (const DepEvent &e : trace.events)
+        trace.maxIter = std::max(trace.maxIter, e.iter);
+    return trace;
+}
+
+std::uint64_t
+indexDeps(DepTrace &trace, std::uint64_t budget)
+{
+    const std::vector<DepEvent> &evs = trace.events;
+    DepIndex index;
+    index.byAddr.resize(evs.size());
+    std::iota(index.byAddr.begin(), index.byAddr.end(), 0u);
+    std::sort(index.byAddr.begin(), index.byAddr.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                  const DepEvent &a = evs[x];
+                  const DepEvent &b = evs[y];
+                  if (a.loop != b.loop)
+                      return a.loop < b.loop;
+                  return a.ea != b.ea ? a.ea < b.ea : x < y;
+              });
+    index.maxSize.assign(trace.loopsAnalyzed, 0);
+    for (const DepEvent &e : evs) {
+        unsigned &m = index.maxSize[static_cast<std::size_t>(e.loop)];
+        m = std::max(m, e.size);
+    }
+    // A store none of whose overlapping partners is a carried
+    // candidate can never yield a hit.
+    std::uint64_t visited = 0;
+    std::vector<std::uint32_t> partners;
+    for (std::uint32_t i = 0; i < evs.size(); ++i) {
+        if (!evs[i].isStore)
+            continue;
+        overlapsOf(evs, index, i, partners);
+        visited += partners.size();
+        if (visited > budget)
+            return visited;
+        if (std::any_of(partners.begin(), partners.end(),
+                        [&](std::uint32_t j) {
+                            return carriedCandidate(evs, i, j);
+                        }))
+            index.stores.push_back(i);
+    }
+    std::stable_sort(index.stores.begin(), index.stores.end(),
+                     [&](std::uint32_t x, std::uint32_t y) {
+                         return evs[x].loop < evs[y].loop;
+                     });
+    trace.index = std::move(index);
+    return visited;
+}
+
+unsigned
+iterDistance(const DepEvent &a, const DepEvent &b)
+{
+    return a.iter > b.iter ? a.iter - b.iter : b.iter - a.iter;
+}
+
+bool
+sameGroup(const DepEvent &a, const DepEvent &b, unsigned n)
+{
+    return a.iter / n == b.iter / n;
+}
+
+bool
+orderFlips(const DepEvent &a, const DepEvent &b)
+{
+    return (a.iter < b.iter && a.pos > b.pos) ||
+           (b.iter < a.iter && b.pos > a.pos);
+}
+
+WidthScan
+scanWidth(const DepTrace &trace, unsigned n, std::uint64_t &spent,
+          std::uint64_t budget, const PairTests &tests)
+{
+    LIQUID_ASSERT(trace.index, "scanWidth needs an indexed trace");
+    const std::vector<DepEvent> &evs = trace.events;
+    WidthScan scan;
+    scan.verdict.kind = WidthVerdict::Kind::Safe;
+    std::vector<std::uint32_t> partners;
+    for (const std::uint32_t i : trace.index->stores) {
+        const DepEvent &a = evs[i];
+        overlapsOf(evs, *trace.index, i, partners);
+        for (const std::uint32_t j : partners) {
+            if (++spent > budget) {
+                scan.verdict = budgetDiedAtWidth();
+                return scan;
+            }
+            const DepEvent &b = evs[j];
+            if (!carriedCandidate(evs, i, j) || !tests.together(a, b, n))
+                continue;
+            const unsigned dist = iterDistance(a, b);
+            if (scan.minDistance == 0 || dist < scan.minDistance)
+                scan.minDistance = dist;
+            ++scan.carriedPairs;
+            if (!tests.breaks(a, b))
+                continue;
+            DepPair &pair = scan.verdict.pair;
+            pair.storeIndex = a.pos;
+            pair.otherIndex = b.pos;
+            pair.otherIsStore = b.isStore;
+            pair.distance = dist;
+            pair.addr = std::max(a.ea, b.ea);
+            pair.orderFlips = orderFlips(a, b);
+            scan.verdict.kind = WidthVerdict::Kind::Unsafe;
+            return scan;
+        }
+    }
+    return scan;
+}
+
+DepcheckResult
+analyzeDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
+            const DepcheckOptions &opts)
+{
+    DepcheckResult result;
+    DepTrace trace = traceDeps(prog, entry_index, cfg, opts);
+    result.analyzed = trace.analyzed;
+    result.resolved = trace.resolved;
+    result.unresolvedWhy = trace.unresolvedWhy;
+    result.unresolvedReason = trace.unresolvedReason;
+    result.unresolvedIndex = trace.unresolvedIndex;
+    result.factsUsed = std::move(trace.factsUsed);
+    result.loopsAnalyzed = trace.loopsAnalyzed;
+    if (!trace.analyzed) {
+        for (auto &v : result.byWidth)
+            v.kind = WidthVerdict::Kind::Safe;
+        return result;
+    }
+    if (!trace.resolved) {
         for (auto &v : result.byWidth) {
             v.kind = WidthVerdict::Kind::Unknown;
-            v.why = stop.why;
-            v.reason = stop.reason;
+            v.why = trace.unresolvedWhy;
+            v.reason = trace.unresolvedReason;
         }
         return result;
     }
-    result.resolved = true;
-    result.factsUsed = machine.factsUsed();
-    result.eventCount = static_cast<unsigned>(events.size());
-    result.accesses = classifyAccesses(prog, events);
+    result.eventCount = static_cast<unsigned>(trace.events.size());
+    result.accesses = std::move(trace.accesses);
 
-    // Bucket events per (loop, group) and test store-vs-access pairs
-    // inside each group. Widths ascend so a drained budget costs the
-    // wide verdicts first.
-    std::vector<std::vector<const MemEvent *>> perLoop(loops.size());
-    for (const MemEvent &e : events)
-        perLoop[static_cast<std::size_t>(e.loop)].push_back(&e);
-
-    unsigned long spent = 0;
-    unsigned minDist = 0;
+    // Widths ascend so a drained budget costs the wide verdicts first;
+    // the index build spends width 2's budget.
+    result.pairsExamined = indexDeps(trace, opts.pairBudget);
     bool budgetDry = false;
-
     for (std::size_t wi = 0; wi < DepcheckResult::widths.size(); ++wi) {
-        const unsigned width = DepcheckResult::widths[wi];
         WidthVerdict &verdict = result.byWidth[wi];
         if (budgetDry) {
             verdict.kind = WidthVerdict::Kind::Unknown;
@@ -352,132 +515,26 @@ analyzeDeps(const Program &prog, int entry_index, const RegionCfg &cfg,
             verdict.reason = DepReason::PairBudgetBefore;
             continue;
         }
-        verdict.kind = WidthVerdict::Kind::Safe;
-        unsigned pairsThisWidth = 0;
-
-        for (std::size_t li = 0;
-             li < perLoop.size() && !budgetDry &&
-             verdict.kind == WidthVerdict::Kind::Safe;
-             ++li) {
-            // Events arrive iteration-ordered, so group runs are
-            // contiguous.
-            const auto &evs = perLoop[li];
-            std::size_t gBegin = 0;
-            while (gBegin < evs.size() && !budgetDry &&
-                   verdict.kind == WidthVerdict::Kind::Safe) {
-                const unsigned group = evs[gBegin]->iter / width;
-                std::size_t gEnd = gBegin;
-                while (gEnd < evs.size() &&
-                       evs[gEnd]->iter / width == group)
-                    ++gEnd;
-
-                for (std::size_t i = gBegin;
-                     i < gEnd && !budgetDry &&
-                     verdict.kind == WidthVerdict::Kind::Safe;
-                     ++i) {
-                    const MemEvent &a = *evs[i];
-                    if (!a.isStore)
-                        continue;
-                    for (std::size_t j = gBegin; j < gEnd; ++j) {
-                        if (i == j)
-                            continue;
-                        const MemEvent &b = *evs[j];
-                        if (a.isStore && b.isStore && j < i)
-                            continue;  // store pairs tested once
-                        if (++spent > opts.pairBudget) {
-                            budgetDry = true;
-                            verdict.kind =
-                                WidthVerdict::Kind::Unknown;
-                            verdict.why =
-                                "dependence pair-test budget "
-                                "exhausted at this width";
-                            verdict.reason =
-                                DepReason::PairBudgetAtWidth;
-                            break;
-                        }
-                        if (!overlaps(a, b) || a.iter == b.iter)
-                            continue;
-                        const unsigned dist = a.iter > b.iter
-                                                  ? a.iter - b.iter
-                                                  : b.iter - a.iter;
-                        if (minDist == 0 || dist < minDist)
-                            minDist = dist;
-                        ++pairsThisWidth;
-                        // Vector groups run the body textually, so
-                        // the pair breaks iff textual order opposes
-                        // iteration order.
-                        const bool flips =
-                            (a.iter < b.iter && a.pos > b.pos) ||
-                            (b.iter < a.iter && b.pos > a.pos);
-                        if (!flips)
-                            continue;
-                        DepPair pair;
-                        pair.storeIndex = a.pos;
-                        pair.otherIndex = b.pos;
-                        pair.otherIsStore = b.isStore;
-                        pair.distance = dist;
-                        pair.addr = std::max(a.ea, b.ea);
-                        pair.orderFlips = true;
-                        verdict.kind = WidthVerdict::Kind::Unsafe;
-                        verdict.pair = pair;
-                        break;
-                    }
-                }
-                gBegin = gEnd;
-            }
+        if (!trace.index) {
+            verdict = budgetDiedAtWidth();
+            budgetDry = true;
+            continue;
         }
+        const WidthScan scan =
+            scanWidth(trace, DepcheckResult::widths[wi],
+                      result.pairsExamined, opts.pairBudget);
+        verdict = scan.verdict;
+        budgetDry = verdict.reason == DepReason::PairBudgetAtWidth;
         // Groups at width 2N contain the groups at width N, so a
-        // completed wider scan sees a superset of the narrower one's
-        // pairs: the running max is "pairs within the widest resolved
-        // window", the number the Ok proof quotes.
+        // completed wider scan accepts a superset of the narrower
+        // one's pairs: the running max is "pairs within the widest
+        // resolved window", the number the Ok proof quotes.
         result.carriedPairs =
-            std::max(result.carriedPairs, pairsThisWidth);
-    }
-    result.minDistance = minDist;
-    return result;
-}
-
-PolyDeps
-analyzePolyDeps(const Program &prog, int entry_index,
-                const RegionCfg &cfg, const DepcheckOptions &opts)
-{
-    PolyDeps result;
-    if (cfg.loops().empty()) {
-        // No loops: no carried dependences at any width.
-        result.resolved = true;
-        return result;
-    }
-    result.analyzed = true;
-
-    std::vector<LoopRange> loops;
-    loops.reserve(cfg.loops().size());
-    for (const CfgLoop &l : cfg.loops()) {
-        loops.push_back(LoopRange{
-            cfg.blocks()[static_cast<std::size_t>(l.headBlock)].first,
-            l.backedgeIndex});
-    }
-    result.loopsAnalyzed = static_cast<unsigned>(loops.size());
-
-    std::vector<MemEvent> events;
-    AbsMachine machine(prog, opts.facts);
-    try {
-        events = walkRegion(prog, entry_index, loops, opts, machine);
-    } catch (const WalkStop &stop) {
-        result.resolved = false;
-        result.unresolvedWhy = stop.why;
-        result.unresolvedReason = stop.reason;
-        result.unresolvedIndex = stop.index;
-        result.factsUsed = machine.factsUsed();
-        return result;
-    }
-    result.resolved = true;
-    result.factsUsed = machine.factsUsed();
-    result.accesses = classifyAccesses(prog, events);
-    result.events.reserve(events.size());
-    for (const MemEvent &e : events) {
-        result.events.push_back(DepEvent{e.loop, e.iter, e.pos, e.ea,
-                                         e.size, e.isStore});
-        result.maxIter = std::max(result.maxIter, e.iter);
+            std::max(result.carriedPairs, scan.carriedPairs);
+        if (scan.minDistance != 0 &&
+            (result.minDistance == 0 ||
+             scan.minDistance < result.minDistance))
+            result.minDistance = scan.minDistance;
     }
     return result;
 }

@@ -25,12 +25,21 @@
  * accesses is opposite to their iteration order. In particular a
  * carried distance d ≥ N can never break: the iterations land in
  * different groups, which execute in order.
+ *
+ * One scan decides every width: `scanWidth` walks an address index of
+ * the trace, visiting only the stores that overlap an event of another
+ * iteration and only their overlapping partners. analyzeDeps runs it
+ * once per ladder width; liquid-poly (poly.hh) runs the same function
+ * at every N up to its horizon.
  */
 
 #ifndef LIQUID_VERIFIER_DEPCHECK_HH
 #define LIQUID_VERIFIER_DEPCHECK_HH
 
 #include <array>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,8 +106,8 @@ enum class DepReason : std::uint8_t
     RuntimeBranch,     ///< branch depends on runtime data
     PredicatedAccess,  ///< conditional load/store inside a loop
     RuntimeAddress,    ///< effective address depends on runtime data
-    PairBudgetAtWidth, ///< pair-test budget died at this width
-    PairBudgetBefore,  ///< pair-test budget died at a narrower width
+    PairBudgetAtWidth, ///< pair-visit budget died at this width
+    PairBudgetBefore,  ///< pair-visit budget died at a narrower width
     OutsideLadder,     ///< width not in the analyzed ladder
 };
 
@@ -116,10 +125,8 @@ struct WidthVerdict
     };
     Kind kind = Kind::Unknown;
     DepPair pair;     ///< valid when Unsafe
-    std::string why;  ///< human description (Unknown / range proofs)
+    std::string why;  ///< human description (Unknown)
     DepReason reason = DepReason::None;  ///< machine code for Unknown
-    /** True when the range analysis discharged this width to Safe. */
-    bool viaRange = false;
 };
 
 class EntryFacts;
@@ -130,10 +137,11 @@ struct DepcheckOptions
     /** Abstract walk budget (instructions executed). */
     unsigned long stepBudget = 200000;
     /**
-     * Total pair-overlap tests across all candidate widths, spent in
-     * ascending width order: wider groupings cost more tests, so when
-     * the budget runs dry the narrow widths stay resolved and only the
-     * wide ones degrade to Unknown.
+     * Total dependence pairs visited: the address index build's, then
+     * each candidate width's scan in ascending width order. Only pairs
+     * that share a byte are visited, so a region whose accesses never
+     * overlap spends nothing; when the budget runs dry the narrow
+     * widths stay resolved and only the wide ones degrade to Unknown.
      */
     unsigned long pairBudget = 1ul << 24;
     /**
@@ -162,9 +170,19 @@ struct DepcheckResult
     unsigned eventCount = 0;      ///< dynamic load/store executions
     std::vector<MemAccess> accesses;
 
-    unsigned carriedPairs = 0;    ///< overlapping cross-iteration pairs
+    /**
+     * The most carried pairs (overlapping, different iterations, one
+     * vector group) one width's scan accepted; a scan stops at its
+     * first order-breaking pair.
+     */
+    unsigned carriedPairs = 0;
     /** Min iteration distance over carried pairs; 0 when none found. */
     unsigned minDistance = 0;
+    /**
+     * Pairs charged to DepcheckOptions::pairBudget: a deterministic
+     * work count, in no report.
+     */
+    std::uint64_t pairsExamined = 0;
 
     std::array<WidthVerdict, widths.size()> byWidth;
 
@@ -188,10 +206,9 @@ DepcheckResult analyzeDeps(const Program &prog, int entry_index,
                            const DepcheckOptions &opts = {});
 
 /**
- * One dynamic load/store execution inside a loop, exported for the
- * width-polymorphic verifier (liquid-poly). Identical to the trace
- * analyzeDeps scans internally: iteration-ordered per loop, so group
- * runs at any width are contiguous.
+ * One dynamic load/store execution inside a loop. A trace lists them
+ * in walk order, which is iteration order per loop, so the events of
+ * one vector group at any width are contiguous.
  */
 struct DepEvent
 {
@@ -204,13 +221,26 @@ struct DepEvent
 };
 
 /**
- * The width-independent half of the dependence analysis: the walk and
- * the access classification, with the per-width group scan left to the
- * caller. liquid-poly replays the same scan analyzeDeps runs — same
- * event order, same overlap and order-flip predicates — at a symbolic
- * width, so one trace serves every N.
+ * Address index over a trace's events: every event index ordered by
+ * (loop, ea, index), each loop's largest access size, and the stores
+ * that overlap an event of another iteration of their loop, in (loop,
+ * index) order. Those stores are the only ones a scan visits, and an
+ * event overlapping a store at `ea` starts in `(ea - maxSize, ea +
+ * size)`: one binary search finds them all.
  */
-struct PolyDeps
+struct DepIndex
+{
+    std::vector<std::uint32_t> byAddr;
+    std::vector<unsigned> maxSize;  ///< per loop
+    std::vector<std::uint32_t> stores;
+};
+
+/**
+ * The width-independent half of the dependence analysis: the abstract
+ * walk's memory-event trace and the access classification. One trace
+ * serves every width N.
+ */
+struct DepTrace
 {
     bool analyzed = false;  ///< region had loops and the walk ran
     bool resolved = false;  ///< walk completed with concrete addresses
@@ -223,16 +253,74 @@ struct PolyDeps
     std::vector<DepEvent> events;  ///< walk order (= scan order)
     std::vector<MemAccess> accesses;
     unsigned maxIter = 0;  ///< largest 0-based iteration observed
+    /** Built by indexDeps; every scan needs it. */
+    std::optional<DepIndex> index;
 };
 
 /**
- * Run the walk + classification of analyzeDeps and return the raw
- * trace instead of per-width verdicts. Same AbsMachine, same budgets,
- * same failure cases (surfacing as resolved == false).
+ * Walk the region entered at @p entry_index abstractly and record its
+ * trace. Never throws; a runtime-dependent address, branch or
+ * predicate, a nested call or the step budget surfaces as
+ * resolved == false.
  */
-PolyDeps analyzePolyDeps(const Program &prog, int entry_index,
-                         const RegionCfg &cfg,
-                         const DepcheckOptions &opts = {});
+DepTrace traceDeps(const Program &prog, int entry_index,
+                   const RegionCfg &cfg, const DepcheckOptions &opts = {});
+
+/**
+ * Build @p trace's address index. Each overlapping partner the build
+ * visits costs one pair; once the visits exceed @p budget it stops and
+ * leaves trace.index empty. Returns the pairs visited.
+ */
+std::uint64_t indexDeps(
+    DepTrace &trace,
+    std::uint64_t budget = std::numeric_limits<std::uint64_t>::max());
+
+/** Iteration distance |a.iter - b.iter|. */
+unsigned iterDistance(const DepEvent &a, const DepEvent &b);
+/** Do @p a and @p b fall into one width-@p n vector group? */
+bool sameGroup(const DepEvent &a, const DepEvent &b, unsigned n);
+/** Textual order opposes iteration order: any grouping breaks it. */
+bool orderFlips(const DepEvent &a, const DepEvent &b);
+
+/**
+ * The two pair predicates of a scan. analyzeDeps runs the defaults;
+ * liquid-poly's --sabotage self-test swaps in seeded bugs.
+ */
+struct PairTests
+{
+    bool (*together)(const DepEvent &, const DepEvent &,
+                     unsigned n) = sameGroup;
+    bool (*breaks)(const DepEvent &, const DepEvent &) = orderFlips;
+};
+
+/** One width's scan: its verdict and the carried pairs it accepted. */
+struct WidthScan
+{
+    WidthVerdict verdict;
+    unsigned carriedPairs = 0;  ///< carried pairs `together` accepted
+    unsigned minDistance = 0;   ///< their min distance; 0 when none
+};
+
+/**
+ * The dependence scan at width @p n over an indexed @p trace. It
+ * visits loops ascending, the index's stores ascending and each
+ * store's overlapping partners ascending. A partner is accepted when
+ * it is a carried candidate (another iteration; store pairs once) and
+ * `together`; the first accepted pair that `breaks` makes the verdict
+ * Unsafe. Events are iteration-ordered per loop, so a scan over each
+ * vector group's store/event pairs meets the same pairs in the same
+ * order; every pair the index skips is one that shares no byte or is
+ * no carried candidate, so the first hit and the accepted-pair counts
+ * are that scan's. Each visited pair adds one to @p spent; past
+ * @p budget the verdict is Unknown with reason pairBudgetAtWidth. At
+ * n = UINT_MAX every pair shares one group, so the scan asks whether
+ * any width breaks.
+ */
+WidthScan scanWidth(const DepTrace &trace, unsigned n,
+                    std::uint64_t &spent,
+                    std::uint64_t budget =
+                        std::numeric_limits<std::uint64_t>::max(),
+                    const PairTests &tests = {});
 
 } // namespace liquid
 

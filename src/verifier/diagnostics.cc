@@ -79,10 +79,9 @@ formatRegionReport(const RegionReport &report)
     if (report.polyAnalyzed) {
         os << "  validity: " << report.polySummary << '\n';
     }
-    if (!report.rangeFacts.empty() || report.rangeDischarged > 0) {
+    if (!report.rangeFacts.empty()) {
         os << "  range: " << report.rangeFacts.size()
-           << " entry fact(s) consumed, " << report.rangeDischarged
-           << " dep verdict(s) discharged\n";
+           << " entry fact(s) consumed\n";
     }
 
     for (const Diagnostic &d : report.diags) {

@@ -96,13 +96,10 @@ struct RegionReport
 
     /**
      * Range-analysis attachment (VerifyOptions::ranges): the proven
-     * entry facts the mirror/depcheck walks consumed (each also
-     * surfaced as a `range:` Ok diagnostic), and how many depcheck
-     * width verdicts the footprint/congruence argument discharged to
-     * Safe past the pair-test budget.
+     * entry facts the mirror/depcheck walks consumed, each also
+     * surfaced as a `range:` Ok diagnostic.
      */
     std::vector<std::string> rangeFacts;
-    unsigned rangeDischarged = 0;
 
     /**
      * Width-polymorphic attachment (VerifyOptions::poly): the validity

@@ -7,6 +7,8 @@
 #include "verifier/poly.hh"
 
 #include <algorithm>
+#include <climits>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -100,185 +102,36 @@ class Recorder : public WidthCheckSink
     PolyRegion &region_;
 };
 
-bool
-depOverlaps(const DepEvent &a, const DepEvent &b)
-{
-    return a.ea < b.ea + b.size && b.ea < a.ea + a.size;
-}
-
-unsigned
-iterDistance(const DepEvent &a, const DepEvent &b)
-{
-    return a.iter > b.iter ? a.iter - b.iter : b.iter - a.iter;
-}
-
-/** Textual order opposes iteration order: any grouping breaks it. */
-bool
-orderFlips(const DepEvent &a, const DepEvent &b)
-{
-    return (a.iter < b.iter && a.pos > b.pos) ||
-           (b.iter < a.iter && b.pos > a.pos);
-}
-
 /**
- * The width-independent filters on store @p i and partner @p j: store
- * pairs are tested once, and a pair inside one iteration never breaks.
+ * analyzeDeps' scan at width @p n, with the seeded bugs of @p sabotage
+ * swapped into its pair tests. The trace is never budgeted here.
  */
-bool
-carriedCandidate(const std::vector<DepEvent> &evs, std::uint32_t i,
-                 std::uint32_t j)
-{
-    return !(evs[j].isStore && j < i) && evs[j].iter != evs[i].iter;
-}
-
-/**
- * The events of store @p i's loop that overlap it, other than itself,
- * in ascending index order, into @p out.
- */
-void
-overlapsOf(const PolyDeps &deps, const PolyRegion::DepIndex &index,
-           std::uint32_t i, std::vector<std::uint32_t> &out)
-{
-    const std::vector<DepEvent> &evs = deps.events;
-    const DepEvent &a = evs[i];
-    const unsigned maxSize =
-        index.maxSize[static_cast<std::size_t>(a.loop)];
-    const std::uint64_t from = a.ea + std::uint64_t{1} > maxSize
-                                   ? a.ea + std::uint64_t{1} - maxSize
-                                   : 0;
-    const std::uint64_t to = std::uint64_t{a.ea} + a.size;
-    auto it = std::lower_bound(
-        index.byAddr.begin(), index.byAddr.end(), from,
-        [&](std::uint32_t k, std::uint64_t ea) {
-            const DepEvent &e = evs[k];
-            return e.loop != a.loop ? e.loop < a.loop : e.ea < ea;
-        });
-    out.clear();
-    for (; it != index.byAddr.end(); ++it) {
-        const DepEvent &b = evs[*it];
-        if (b.loop != a.loop || b.ea >= to)
-            break;
-        if (*it != i && depOverlaps(a, b))
-            out.push_back(*it);
-    }
-    std::sort(out.begin(), out.end());
-}
-
-/** Build the address index of @p deps (PolyRegion::depIndex). */
-PolyRegion::DepIndex
-indexDeps(const PolyDeps &deps)
-{
-    const std::vector<DepEvent> &evs = deps.events;
-    PolyRegion::DepIndex index;
-    index.byAddr.resize(evs.size());
-    std::iota(index.byAddr.begin(), index.byAddr.end(), 0u);
-    std::sort(index.byAddr.begin(), index.byAddr.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                  const DepEvent &a = evs[x];
-                  const DepEvent &b = evs[y];
-                  if (a.loop != b.loop)
-                      return a.loop < b.loop;
-                  return a.ea != b.ea ? a.ea < b.ea : x < y;
-              });
-    index.maxSize.assign(deps.loopsAnalyzed, 0);
-    for (const DepEvent &e : evs) {
-        unsigned &m = index.maxSize[static_cast<std::size_t>(e.loop)];
-        m = std::max(m, e.size);
-    }
-    // A store none of whose overlapping partners is a carried
-    // candidate can never yield a hit.
-    std::vector<std::uint32_t> partners;
-    for (std::uint32_t i = 0; i < evs.size(); ++i) {
-        if (!evs[i].isStore)
-            continue;
-        overlapsOf(deps, index, i, partners);
-        if (std::any_of(partners.begin(), partners.end(),
-                        [&](std::uint32_t j) {
-                            return carriedCandidate(evs, i, j);
-                        }))
-            index.stores.push_back(i);
-    }
-    std::stable_sort(index.stores.begin(), index.stores.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                         return evs[x].loop < evs[y].loop;
-                     });
-    return index;
-}
-
-/**
- * The pair scan analyzeDeps runs, replayed on the recorded trace:
- * loops ascending, store events ascending, their partners ascending,
- * and the first cross-iteration pair @p accept takes wins — within one
- * group the two iteration orders coincide because group runs are
- * contiguous. Only the index's stores and their overlapping partners
- * are visited; every pair skipped that way is one carriedCandidate or
- * depOverlaps rejects, so the first hit is the whole-loop scan's.
- * @p examined counts the visited pairs.
- */
-template <typename Accept>
-std::optional<std::pair<const DepEvent *, const DepEvent *>>
-firstPair(const PolyDeps &deps, const PolyRegion::DepIndex &index,
-          std::uint64_t &examined, Accept accept)
-{
-    std::vector<std::uint32_t> partners;
-    for (const std::uint32_t i : index.stores) {
-        const DepEvent &a = deps.events[i];
-        overlapsOf(deps, index, i, partners);
-        for (const std::uint32_t j : partners) {
-            ++examined;
-            const DepEvent &b = deps.events[j];
-            if (carriedCandidate(deps.events, i, j) && accept(a, b))
-                return std::make_pair(&a, &b);
-        }
-    }
-    return std::nullopt;
-}
-
-struct DepScanHit
-{
-    bool unsafe = false;
-    DepPair pair;
-};
-
-/**
- * analyzeDeps' verdict at width @p n: the first pair that flips order
- * inside one vector group. The sabotage knobs seed the --sabotage bugs
- * into this evaluator.
- */
-DepScanHit
+WidthScan
 scanDepsAt(const PolyRegion &r, unsigned n, unsigned sabotage,
            std::uint64_t &examined)
 {
-    auto breaks = [&](const DepEvent &a, const DepEvent &b) {
-        if (!sabOn(sabotage, PolySabotage::FlipIgnore) &&
-            !orderFlips(a, b))
-            return false;
-        return sabOn(sabotage, PolySabotage::GroupCollide)
-                   ? iterDistance(a, b) < n
-                   : a.iter / n == b.iter / n;
-    };
-    const auto found = firstPair(r.deps, r.depIndex, examined, breaks);
-    DepScanHit hit;
-    if (!found)
-        return hit;
-    const DepEvent &a = *found->first;
-    const DepEvent &b = *found->second;
-    hit.unsafe = true;
-    hit.pair.storeIndex = a.pos;
-    hit.pair.otherIndex = b.pos;
-    hit.pair.otherIsStore = b.isStore;
-    hit.pair.distance = iterDistance(a, b);
-    hit.pair.addr = std::max(a.ea, b.ea);
-    hit.pair.orderFlips = orderFlips(a, b);
-    return hit;
+    PairTests tests;
+    if (sabOn(sabotage, PolySabotage::GroupCollide)) {
+        tests.together = [](const DepEvent &a, const DepEvent &b,
+                            unsigned w) { return iterDistance(a, b) < w; };
+    }
+    if (sabOn(sabotage, PolySabotage::FlipIgnore))
+        tests.breaks = [](const DepEvent &, const DepEvent &) {
+            return true;
+        };
+    return scanWidth(r.deps, n, examined,
+                     std::numeric_limits<std::uint64_t>::max(), tests);
 }
 
-/** Does any order-breaking carried pair exist at *some* width? */
+/**
+ * Does any order-breaking carried pair exist at *some* width? At an
+ * unbounded width every pair shares group 0.
+ */
 bool
 anyFlippingPair(const PolyRegion &r, std::uint64_t &examined)
 {
-    return firstPair(r.deps, r.depIndex, examined, orderFlips)
-        .has_value();
+    return scanDepsAt(r, UINT_MAX, 0, examined).verdict.kind ==
+           WidthVerdict::Kind::Unsafe;
 }
 
 /**
@@ -483,11 +336,10 @@ PolyRegion::instantiate(unsigned n, unsigned sabotage) const
             // verifyRegion runs depcheck on interval-test aborts too
             // (the conservative-abort note); mirror its verdict.
             out.depRan = true;
-            const DepScanHit hit =
+            const WidthScan scan =
                 scanDepsAt(*this, n, sabotage, out.pairsExamined);
-            out.depKind = hit.unsafe ? WidthVerdict::Kind::Unsafe
-                                     : WidthVerdict::Kind::Safe;
-            out.pair = hit.pair;
+            out.depKind = scan.verdict.kind;
+            out.pair = scan.verdict.pair;
         }
         return out;
     }
@@ -512,18 +364,16 @@ PolyRegion::instantiate(unsigned n, unsigned sabotage) const
         out.note = "memoryDependence: " + deps.unresolvedWhy;
         return out;
     }
-    const DepScanHit hit =
+    const WidthScan scan =
         scanDepsAt(*this, n, sabotage, out.pairsExamined);
-    if (hit.unsafe) {
+    out.depKind = scan.verdict.kind;
+    if (scan.verdict.kind == WidthVerdict::Kind::Unsafe) {
         out.verdict = Severity::Error;
         out.reason = AbortReason::MemoryDependence;
         out.depMiscompile = true;
-        out.depKind = WidthVerdict::Kind::Unsafe;
-        out.pair = hit.pair;
-        out.instIndex = hit.pair.storeIndex;
-        return out;
+        out.pair = scan.verdict.pair;
+        out.instIndex = scan.verdict.pair.storeIndex;
     }
-    out.depKind = WidthVerdict::Kind::Safe;
     return out;
 }
 
@@ -576,8 +426,15 @@ analyzePoly(const Program &prog, int entry_index,
                                depOpts.facts, &rec);
 
     const RegionCfg cfg = RegionCfg::build(prog, entry_index);
-    r.deps = analyzePolyDeps(prog, entry_index, cfg, depOpts);
-    r.depIndex = indexDeps(r.deps);
+    r.deps = traceDeps(prog, entry_index, cfg, depOpts);
+    // Only a terminal that lets the dependence verdict through scans
+    // the trace, so only those regions pay for its index (on accesses
+    // sharing one address the build is quadratic).
+    if (r.deps.resolved &&
+        (r.terminal.verdict == Severity::Ok ||
+         (r.terminal.verdict == Severity::Error &&
+          r.terminal.reason == AbortReason::MemoryDependence)))
+        indexDeps(r.deps);
 
     // ---- validity set: probe to the data horizon ---------------------
     PolyValidity &v = r.validity;
@@ -671,7 +528,7 @@ analyzePoly(const Program &prog, int entry_index,
             structural = false;
             // Name the symbolic distance bound when the first
             // offending pair is affine (Lane-mode address algebra).
-            const DepScanHit wide =
+            const WidthScan wide =
                 scanDepsAt(r, v.horizon + 1, 0, r.pairsExamined);
             NConstraint c;
             c.iv = Interval::make(
@@ -679,12 +536,13 @@ analyzePoly(const Program &prog, int entry_index,
                        ? 1
                        : static_cast<std::int64_t>(v.okWidths.back()));
             std::ostringstream why;
-            why << "carried distance " << wide.pair.distance;
-            if (wide.unsafe) {
+            const DepPair &pair = wide.verdict.pair;
+            why << "carried distance " << pair.distance;
+            if (wide.verdict.kind == WidthVerdict::Kind::Unsafe) {
                 const MemAccess *st =
-                    accessAt(r.deps.accesses, wide.pair.storeIndex);
+                    accessAt(r.deps.accesses, pair.storeIndex);
                 const MemAccess *ot =
-                    accessAt(r.deps.accesses, wide.pair.otherIndex);
+                    accessAt(r.deps.accesses, pair.otherIndex);
                 if (st != nullptr && ot != nullptr) {
                     const std::optional<unsigned> symd =
                         symbolicCarriedDistance(*st, *ot);

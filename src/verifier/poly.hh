@@ -136,8 +136,11 @@ class PolyRegion
 
     /** Width-independent terminal outcome of the recording walk. */
     StaticOutcome terminal;
-    /** Dependence trace (width-independent walk + classification). */
-    PolyDeps deps;
+    /**
+     * Dependence trace (width-independent walk + classification),
+     * indexed when the terminal lets the dependence verdict through.
+     */
+    DepTrace deps;
     PolyValidity validity;
     /**
      * Dependence pairs analyzePoly's scans visited while deriving
@@ -179,23 +182,6 @@ class PolyRegion
     std::vector<Stream> streams;
     std::vector<Event> events;
     PermRepertoire permRepertoire{};
-
-    /**
-     * Address index over deps.events, built once by analyzePoly so no
-     * width pays for it again: every event index ordered by (loop, ea,
-     * index), each loop's largest access size, and the stores that
-     * overlap an event of another iteration of their loop, in (loop,
-     * index) order. Those stores are the only ones the dependence scan
-     * visits, and an event overlapping a store at `ea` starts in
-     * `(ea - maxSize, ea + size)`: one binary search finds them all.
-     */
-    struct DepIndex
-    {
-        std::vector<std::uint32_t> byAddr;
-        std::vector<unsigned> maxSize;  ///< per loop
-        std::vector<std::uint32_t> stores;
-    };
-    DepIndex depIndex;
 };
 
 /**

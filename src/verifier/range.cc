@@ -1627,120 +1627,6 @@ RangeFacts::readCell(Addr addr, unsigned size, bool sign_extend,
     return true;
 }
 
-// ---- dischargeDeps ---------------------------------------------------------
-
-namespace
-{
-
-/** Can @p a and @p b ever touch a common byte? */
-bool
-provenDisjoint(const MemAccess &a, const MemAccess &b,
-               std::string &how)
-{
-    // Footprint interval disjointness over the recorded traces.
-    if (a.maxEnd <= b.minEa || b.maxEnd <= a.minEa) {
-        how = "interval";
-        return true;
-    }
-    // Congruence separation: an affine access with stride s only
-    // touches bytes in [firstEa, firstEa + elemSize) mod g for any g
-    // dividing s, so two residue blocks that are cyclically disjoint
-    // mod g = gcd(|s_a|, |s_b|) never alias.
-    const bool affA = a.cls == AccessClass::UnitStride ||
-                      a.cls == AccessClass::Strided;
-    const bool affB = b.cls == AccessClass::UnitStride ||
-                      b.cls == AccessClass::Strided;
-    if (!affA || !affB || a.strideBytes == 0 || b.strideBytes == 0)
-        return false;
-    const std::uint64_t g = gcd64(
-        static_cast<std::uint64_t>(a.strideBytes < 0 ? -a.strideBytes
-                                                     : a.strideBytes),
-        static_cast<std::uint64_t>(b.strideBytes < 0 ? -b.strideBytes
-                                                     : b.strideBytes));
-    if (g == 0 || a.elemSize > g || b.elemSize > g)
-        return false;
-    const std::uint64_t ra = a.firstEa % g;
-    const std::uint64_t rb = b.firstEa % g;
-    // Blocks [ra, ra+ea) and [rb, rb+eb) cyclically disjoint mod g.
-    const std::uint64_t d1 = (rb + g - ra) % g;  // rb relative to ra
-    const std::uint64_t d2 = (ra + g - rb) % g;
-    if (d1 >= a.elemSize && d2 >= b.elemSize && d1 + d2 != 0) {
-        how = "congruence";
-        return true;
-    }
-    return false;
-}
-
-} // namespace
-
-unsigned
-dischargeDeps(const Program &prog, int entry,
-              const ProgramRanges &ranges, DepcheckResult &dep)
-{
-    (void)prog;
-    (void)entry;
-    if (!ranges.sound || !dep.analyzed || !dep.resolved)
-        return 0;
-
-    // Prove that no loop-carried dependence exists at all: every pair
-    // of accesses with at least one store never shares a byte, and no
-    // store revisits its own footprint at a breakable distance.
-    bool allDisjoint = true;
-    bool sawCongruence = false;
-    unsigned pairs = 0;
-    for (std::size_t i = 0; i < dep.accesses.size() && allDisjoint;
-         ++i) {
-        const MemAccess &a = dep.accesses[i];
-        // Self output dependences: a store with a non-overlapping
-        // stride never rewrites a byte; vst writes lanes ascending,
-        // but partial self-overlap is left to the exact pair test.
-        if (a.isStore && a.events > 1) {
-            const std::int64_t s =
-                a.strideBytes < 0 ? -a.strideBytes : a.strideBytes;
-            const bool affine = a.cls == AccessClass::UnitStride ||
-                                a.cls == AccessClass::Strided;
-            if (!affine || s < static_cast<std::int64_t>(a.elemSize))
-                allDisjoint = false;
-        }
-        for (std::size_t j = i + 1;
-             j < dep.accesses.size() && allDisjoint; ++j) {
-            const MemAccess &b = dep.accesses[j];
-            if (!a.isStore && !b.isStore)
-                continue;
-            ++pairs;
-            std::string how;
-            if (!provenDisjoint(a, b, how)) {
-                allDisjoint = false;
-            } else if (how == "congruence") {
-                sawCongruence = true;
-            }
-        }
-    }
-    if (!allDisjoint || dep.accesses.empty())
-        return 0;
-
-    unsigned flipped = 0;
-    for (auto &v : dep.byWidth) {
-        if (v.kind != WidthVerdict::Kind::Unknown)
-            continue;
-        if (v.reason != DepReason::PairBudgetAtWidth &&
-            v.reason != DepReason::PairBudgetBefore)
-            continue;
-        v.kind = WidthVerdict::Kind::Safe;
-        v.viaRange = true;
-        v.reason = DepReason::None;
-        std::ostringstream os;
-        os << "range: " << (sawCongruence ? "congruence separation"
-                                          : "footprint disjointness")
-           << " over " << dep.accesses.size() << " accesses ("
-           << pairs << " store pairs) proves independence at every "
-           << "width";
-        v.why = os.str();
-        ++flipped;
-    }
-    return flipped;
-}
-
 // ---- RangeObserver ---------------------------------------------------------
 
 void

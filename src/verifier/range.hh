@@ -25,8 +25,6 @@
  *  - the verifier seeds `AbsMachine` walks (rule mirror + depcheck)
  *    with proven-constant entry registers and memory cells, turning
  *    runtime-dependent Warns into concrete verdicts;
- *  - depcheck Unknowns are discharged by footprint interval
- *    disjointness or congruence separation (`dischargeDeps`);
  *  - liquid-scan reads loop trip-count bounds and access alignment;
  *  - liquid-proof shrinks enumeration domains with cell facts.
  *
@@ -48,7 +46,6 @@
 #include "asm/program.hh"
 #include "cpu/core.hh"
 #include "verifier/dataflow.hh"
-#include "verifier/depcheck.hh"
 #include "verifier/liveness.hh"
 
 namespace liquid
@@ -348,17 +345,6 @@ class RangeFacts : public EntryFacts
     const ProgramRanges &ranges_;
     const ProgramRanges::Fn *fn_;
 };
-
-/**
- * Try to discharge depcheck `Unknown` width verdicts with range
- * facts: pairwise footprint interval disjointness or congruence
- * separation proves the absence of carried dependences independent of
- * the pair-test budget. Returns the number of width verdicts flipped
- * to Safe (each annotated with the proof and `viaRange`).
- */
-unsigned dischargeDeps(const Program &prog, int entry,
-                       const ProgramRanges &ranges,
-                       DepcheckResult &dep);
 
 /**
  * Differential soundness oracle: attach to a scalar-mode Core and

@@ -175,10 +175,6 @@ verifyRegionImpl(const Program &prog, int entry_index,
             report.depAnalyzed = true;
             dep_ran = true;
             noteFacts(report.dep.factsUsed);
-            if (opts.ranges) {
-                report.rangeDischarged = dischargeDeps(
-                    prog, entry_index, *opts.ranges, report.dep);
-            }
         }
         return report.dep;
     };
@@ -345,18 +341,6 @@ verifyRegionImpl(const Program &prog, int entry_index,
                 if (!opts.widthFallback)
                     return report;
                 continue;
-            }
-
-            if (wv.viaRange) {
-                // The pair-test budget died here, but the range
-                // analysis closed the width; record the proof.
-                Diagnostic d;
-                d.severity = Severity::Ok;
-                d.instIndex = entry_index;
-                d.message = wv.why + " (discharged past the pair-test "
-                            "budget at width " +
-                            std::to_string(bind) + ")";
-                report.diags.push_back(std::move(d));
             }
 
             // Depcheck proves SIMD at this width preserves scalar

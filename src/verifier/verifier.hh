@@ -53,9 +53,7 @@ struct VerifyOptions
      * Whole-program value-range analysis (range.hh). When set and
      * sound, proven region-entry facts seed the rule-mirror and
      * depcheck walks (turning runtime-dependent Warns into concrete
-     * verdicts), and pair-budget-exhausted depcheck Unknowns are
-     * discharged by footprint disjointness or congruence separation.
-     * Every consumed fact is attached to the report.
+     * verdicts). Every consumed fact is attached to the report.
      */
     const ProgramRanges *ranges = nullptr;
     /**

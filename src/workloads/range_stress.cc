@@ -1,7 +1,5 @@
 #include "workloads/range_stress.hh"
 
-#include <sstream>
-
 namespace liquid
 {
 
@@ -71,72 +69,6 @@ main:
     bl.simd fn
     halt
 )";
-}
-
-/**
- * Pair-budget exhaustion: 9 input and 8 output arrays of n = 5888
- * words, ~32 instructions per iteration with a saturation idiom. The
- * mirror walk commits (under the step budget), but the all-widths
- * pairwise overlap test blows the 2^24 pair budget at width 16 and the
- * prover gives up at 9 distinct leaves — only the footprint/congruence
- * argument over the range facts discharges w16.
- */
-std::string
-pairBudgetSrc()
-{
-    constexpr unsigned n = 5888;
-    std::ostringstream os;
-    for (int arr = 0; arr < 9; ++arr) {
-        os << ".words in" << arr;
-        for (unsigned i = 0; i < n; ++i)
-            os << ' ' << (i % 5 + 1);
-        os << '\n';
-    }
-    for (int arr = 0; arr < 8; ++arr)
-        os << ".data out" << arr << ' ' << n * 4 << '\n';
-    os << R"(
-fn:
-    mov r1, #0
-loop:
-    ldw r4, [in0 + r1]
-    ldw r2, [in1 + r1]
-    ldw r3, [in2 + r1]
-    mul r2, r2, r3
-    ldw r3, [in3 + r1]
-    mul r2, r2, r3
-    ldw r3, [in4 + r1]
-    mul r2, r2, r3
-    ldw r3, [in5 + r1]
-    mul r2, r2, r3
-    ldw r3, [in6 + r1]
-    mul r2, r2, r3
-    ldw r3, [in7 + r1]
-    mul r2, r2, r3
-    ldw r3, [in8 + r1]
-    mul r2, r2, r3
-    add r2, r2, r4
-    cmp r2, #32767
-    movgt r2, #32767
-    cmp r2, #-32768
-    movlt r2, #-32768
-    stw [out0 + r1], r2
-    stw [out1 + r1], r2
-    stw [out2 + r1], r2
-    stw [out3 + r1], r2
-    stw [out4 + r1], r2
-    stw [out5 + r1], r2
-    stw [out6 + r1], r2
-    stw [out7 + r1], r2
-    add r1, r1, #1
-    cmp r1, #5888
-    blt loop
-    ret
-
-main:
-    bl.simd fn
-    halt
-)";
-    return os.str();
 }
 
 /**
@@ -253,9 +185,6 @@ rangeStressCases()
         {"rs_cell_bound",
          "loop bound flows through a memory cell", true,
          cellBoundSrc()},
-        {"rs_pair_budget",
-         "pairwise overlap tests exceed the budget at width 16", true,
-         pairBudgetSrc()},
         {"rs_join_negative",
          "call sites disagree on the bound (no constant fact)", false,
          joinNegativeSrc()},

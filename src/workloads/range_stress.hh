@@ -3,8 +3,8 @@
  * Stress programs for the liquid-range analysis: hand-built binaries
  * whose regions the facts-free verifier cannot close — the loop bound
  * lives in caller state (a register or a memory cell the scalarizer
- * never materializes into the region) or the dependence pair budget
- * runs dry — but whole-program value-range analysis can. Each case
+ * never materializes into the region) — but whole-program value-range
+ * analysis can. Each case
  * defines label `fn` as the region entry and a `main` with hinted
  * calls, mirroring tests/abort_cases.hh, so the same source runs the
  * static verifier, the tool and the dynamic differential oracle.
@@ -31,7 +31,7 @@ struct RangeStressCase
     const char *blocker;
     /**
      * True: the range analysis must upgrade the region (Warn -> Ok via
-     * entry facts, or a pair-budget Unknown discharged to Safe).
+     * entry facts).
      * False: a negative control the analysis must NOT upgrade.
      */
     bool expectUpgrade;

@@ -37,6 +37,30 @@ const char *copySrc = R"(
         halt
 )";
 
+/**
+ * a[i] = a[i+1] + 7: each store overlaps the previous iteration's load,
+ * which runs first in textual order too, so every width is safe. The
+ * translator's interval test ignores a store below a load stream.
+ */
+const char *shiftDownSrc = R"(
+    .words sa 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17
+    fn:
+        mov r0, #0
+        mov r5, #1
+    top:
+        ldw r1, [sa + r5]
+        add r1, r1, #7
+        stw [sa + r0], r1
+        add r5, r5, #1
+        add r0, r0, #1
+        cmp r0, #16
+        blt top
+        ret
+    main:
+        bl.simd fn
+        halt
+)";
+
 const char *gatherSrc = R"(
     .rowords bfly 4 4 4 4 -4 -4 -4 -4
     .words src 10 11 12 13 14 15 16 17
@@ -253,19 +277,28 @@ TEST(Depcheck, ConservativeAbortGetsAnExplanatoryNote)
 
 TEST(Depcheck, PairBudgetDegradesWideWidthsFirst)
 {
-    const Program prog = assemble(copySrc);
+    const Program prog = assemble(shiftDownSrc);
     DepcheckOptions opts;
-    // Widths 2 and 4 cost 40 + 88 pair tests on this loop; width 8
-    // needs 184 more, so a budget of 200 resolves the narrow widths
-    // and leaves the wide ones unknown.
-    opts.pairBudget = 200;
+    // Stores 1..15 each overlap one load, so the index build and every
+    // width's scan visit 15 pairs: a budget of 45 covers the build and
+    // widths 2 and 4 and leaves the wide ones unknown.
+    opts.pairBudget = 45;
     const DepcheckResult dep = analyze(prog, opts);
     ASSERT_TRUE(dep.resolved);
     EXPECT_TRUE(dep.safeAt(2));
     EXPECT_TRUE(dep.safeAt(4));
     EXPECT_EQ(dep.verdictAt(8).kind, WidthVerdict::Kind::Unknown);
+    EXPECT_EQ(dep.verdictAt(8).reason, DepReason::PairBudgetAtWidth);
     EXPECT_EQ(dep.verdictAt(16).kind, WidthVerdict::Kind::Unknown);
+    EXPECT_EQ(dep.verdictAt(16).reason, DepReason::PairBudgetBefore);
     EXPECT_FALSE(dep.verdictAt(16).why.empty());
+
+    // Accesses that never share a byte visit no pair at all.
+    opts.pairBudget = 0;
+    const DepcheckResult copy = analyze(assemble(copySrc), opts);
+    EXPECT_EQ(copy.pairsExamined, 0u);
+    for (const unsigned w : DepcheckResult::widths)
+        EXPECT_TRUE(copy.safeAt(w)) << w;
 }
 
 TEST(Depcheck, PredicatedMemoryAccessIsUnresolved)

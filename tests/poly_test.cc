@@ -2,13 +2,16 @@
  * @file
  * Width-polymorphic verifier (liquid-poly) tests: the differential
  * exactness contract against the concrete verifier, the sabotage
- * self-test, validity-set rendering, and the liquid-verify-v3 JSON
+ * self-test, validity-set rendering, the shared dependence scan
+ * against two test-local references (an O(E^2) pair enumeration and a
+ * direct per-group pair scan), and the liquid-verify-v3 JSON
  * back-compat guarantee for v2 consumers.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -18,6 +21,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "verifier/cfg.hh"
 #include "verifier/poly.hh"
 #include "verifier/verifier.hh"
 #include "workloads/workload.hh"
@@ -355,7 +359,7 @@ struct ScanOracle
     std::vector<EventPair> overlapping;
     std::vector<EventPair> flipping;
 
-    explicit ScanOracle(const PolyDeps &deps)
+    explicit ScanOracle(const DepTrace &deps)
     {
         std::vector<std::vector<const DepEvent *>> perLoop(
             deps.loopsAnalyzed);
@@ -501,10 +505,13 @@ TEST(PolyDepScan, DenseOverlapMatchesBruteForce)
     ASSERT_EQ(r.deps.events.size(), 3u * 16u);
     // The rules reject the same-cell accesses before the dependence
     // scan would run; graft the recorded trace onto an Ok walk so
-    // instantiate runs the scan at every width.
+    // instantiate runs the scan at every width. analyzePoly indexes
+    // only traces its terminal lets through, so index this one here.
     EXPECT_EQ(r.terminal.verdict, Severity::Error);
+    EXPECT_FALSE(r.deps.index.has_value());
     r.terminal = StaticOutcome{};
     r.events.clear();
+    indexDeps(r.deps);
     EXPECT_GT(expectScanMatchesOracle(r, "memreduce"), 0u);
     // The first store flips against the next iteration's load of the
     // same cell, and the scan stops there at every width.
@@ -568,6 +575,277 @@ TEST(PolyDepScan, SuitePairsExaminedIsPinned)
     }
     EXPECT_EQ(events, 124528u);
     EXPECT_EQ(pairs, 6258u);
+}
+
+// ---- analyzeDeps against a direct per-group scan ---------------------
+
+/**
+ * Reference for analyzeDeps: the group criterion scanned directly,
+ * unbudgeted and without an index. For each width ascending, loops
+ * ascending, each vector group's store events ascending against every
+ * other event of the group ascending (store pairs once). It counts the overlapping
+ * cross-iteration pairs it meets up to the first order-flipping one,
+ * which makes the width Unsafe.
+ */
+struct GroupScan
+{
+    std::array<WidthVerdict, DepcheckResult::widths.size()> byWidth;
+    unsigned carriedPairs = 0;
+    unsigned minDistance = 0;
+
+    explicit GroupScan(const DepTrace &trace)
+    {
+        std::vector<std::vector<const DepEvent *>> perLoop(
+            trace.loopsAnalyzed);
+        for (const DepEvent &e : trace.events)
+            perLoop[static_cast<std::size_t>(e.loop)].push_back(&e);
+        for (std::size_t wi = 0; wi < byWidth.size(); ++wi) {
+            const unsigned width = DepcheckResult::widths[wi];
+            WidthVerdict &verdict = byWidth[wi];
+            verdict.kind = WidthVerdict::Kind::Safe;
+            unsigned pairsThisWidth = 0;
+            for (const auto &evs : perLoop) {
+                std::size_t gBegin = 0;
+                while (gBegin < evs.size() &&
+                       verdict.kind == WidthVerdict::Kind::Safe) {
+                    const unsigned group = evs[gBegin]->iter / width;
+                    std::size_t gEnd = gBegin;
+                    while (gEnd < evs.size() &&
+                           evs[gEnd]->iter / width == group)
+                        ++gEnd;
+                    scanGroup(evs, gBegin, gEnd, verdict,
+                              pairsThisWidth);
+                    gBegin = gEnd;
+                }
+                if (verdict.kind != WidthVerdict::Kind::Safe)
+                    break;
+            }
+            carriedPairs = std::max(carriedPairs, pairsThisWidth);
+        }
+    }
+
+  private:
+    void
+    scanGroup(const std::vector<const DepEvent *> &evs,
+              std::size_t gBegin, std::size_t gEnd, WidthVerdict &verdict,
+              unsigned &pairs)
+    {
+        for (std::size_t i = gBegin; i < gEnd; ++i) {
+            const DepEvent &a = *evs[i];
+            if (!a.isStore)
+                continue;
+            for (std::size_t j = gBegin; j < gEnd; ++j) {
+                const DepEvent &b = *evs[j];
+                if (i == j || (b.isStore && j < i))
+                    continue;
+                if (!(a.ea < b.ea + b.size && b.ea < a.ea + a.size) ||
+                    a.iter == b.iter)
+                    continue;
+                const unsigned dist = pairDistance(a, b);
+                if (minDistance == 0 || dist < minDistance)
+                    minDistance = dist;
+                ++pairs;
+                if (!pairFlips(a, b))
+                    continue;
+                verdict.kind = WidthVerdict::Kind::Unsafe;
+                verdict.pair.storeIndex = a.pos;
+                verdict.pair.otherIndex = b.pos;
+                verdict.pair.otherIsStore = b.isStore;
+                verdict.pair.distance = dist;
+                verdict.pair.addr = std::max(a.ea, b.ea);
+                verdict.pair.orderFlips = true;
+                return;
+            }
+        }
+    }
+};
+
+/**
+ * analyzeDeps at the default budget against GroupScan on the same
+ * trace, field by field. Returns 1 when the region's walk resolved a
+ * loop (so the comparison ran), 0 otherwise.
+ */
+unsigned
+expectDepsMatchGroupScan(const Program &prog, int entry,
+                         const std::string &what)
+{
+    const RegionCfg cfg = RegionCfg::build(prog, entry);
+    const DepcheckResult dep = analyzeDeps(prog, entry, cfg);
+    const DepTrace trace = traceDeps(prog, entry, cfg);
+    if (!trace.analyzed || !trace.resolved)
+        return 0;
+    const GroupScan ref(trace);
+    EXPECT_EQ(dep.carriedPairs, ref.carriedPairs) << what;
+    EXPECT_EQ(dep.minDistance, ref.minDistance) << what;
+    for (std::size_t wi = 0; wi < ref.byWidth.size(); ++wi) {
+        const WidthVerdict &got = dep.byWidth[wi];
+        const WidthVerdict &want = ref.byWidth[wi];
+        const unsigned w = DepcheckResult::widths[wi];
+        EXPECT_EQ(got.kind, want.kind) << what << " w" << w;
+        EXPECT_EQ(got.reason, want.reason) << what << " w" << w;
+        EXPECT_EQ(got.pair.storeIndex, want.pair.storeIndex)
+            << what << " w" << w;
+        EXPECT_EQ(got.pair.otherIndex, want.pair.otherIndex)
+            << what << " w" << w;
+        EXPECT_EQ(got.pair.otherIsStore, want.pair.otherIsStore)
+            << what << " w" << w;
+        EXPECT_EQ(got.pair.distance, want.pair.distance)
+            << what << " w" << w;
+        EXPECT_EQ(got.pair.addr, want.pair.addr) << what << " w" << w;
+        EXPECT_EQ(got.pair.orderFlips, want.pair.orderFlips)
+            << what << " w" << w;
+    }
+    return 1;
+}
+
+/** expectDepsMatchGroupScan over every distinct hinted region. */
+unsigned
+expectProgramMatchesGroupScan(const Program &prog, const std::string &what)
+{
+    unsigned compared = 0;
+    std::vector<int> seen;
+    for (const HintedCall &call : prog.hintedCalls()) {
+        if (std::find(seen.begin(), seen.end(), call.target) !=
+            seen.end())
+            continue;
+        seen.push_back(call.target);
+        compared += expectDepsMatchGroupScan(
+            prog, call.target, what + "/" + prog.labelAt(call.target));
+    }
+    return compared;
+}
+
+TEST(DepcheckGroupScan, MiniKernelsMatch)
+{
+    unsigned compared = 0;
+    for (const char *src : {kernMixedSrc, kernTrip24Src, kernStreamSrc,
+                            saxpySrc, kernMemReduceSrc, kernStraddleSrc})
+        compared += expectProgramMatchesGroupScan(assemble(src), "mini");
+    EXPECT_EQ(compared, 6u);
+}
+
+TEST(DepcheckGroupScan, SuiteMatches)
+{
+    unsigned compared = 0;
+    for (const auto &wl : makeSuite()) {
+        const Workload::Build build =
+            wl->build(EmitOptions::Mode::Scalarized, 8, true);
+        compared += expectProgramMatchesGroupScan(build.prog, wl->name());
+    }
+    EXPECT_GT(compared, 0u);
+}
+
+TEST(DepcheckGroupScan, RandomKernelsMatch)
+{
+    Rng rng(0xC0FFEEull);
+    Rng dataRng(0xF00Dull);
+    unsigned compared = 0;
+    for (unsigned i = 0; i < 25; ++i) {
+        const GeneratedKernel g = generateKernel(rng, i);
+        Program prog;
+        try {
+            prog = buildGeneratedProgram(
+                g, dataRng, EmitOptions::Mode::Scalarized, 8);
+        } catch (const FatalError &) {
+            continue;
+        } catch (const PanicError &) {
+            continue;
+        }
+        compared += expectProgramMatchesGroupScan(
+            prog, "kernel " + std::to_string(i));
+    }
+    EXPECT_GT(compared, 0u);
+}
+
+/**
+ * The exact number of pairs analyzeDeps charges to its budget over the
+ * suite: the index build's overlapping partners plus each ladder
+ * width's walk.
+ */
+TEST(DepcheckGroupScan, SuitePairsExaminedIsPinned)
+{
+    std::uint64_t pairs = 0;
+    for (const auto &wl : makeSuite()) {
+        const Workload::Build build =
+            wl->build(EmitOptions::Mode::Scalarized, 8, true);
+        const Program &prog = build.prog;
+        std::vector<int> seen;
+        for (const HintedCall &call : prog.hintedCalls()) {
+            if (std::find(seen.begin(), seen.end(), call.target) !=
+                seen.end())
+                continue;
+            seen.push_back(call.target);
+            const RegionCfg cfg = RegionCfg::build(prog, call.target);
+            pairs += analyzeDeps(prog, call.target, cfg).pairsExamined;
+        }
+    }
+    EXPECT_EQ(pairs, 20090u);
+}
+
+// ---- hostile input: every store hits one cell -------------------------
+
+/** @p trip stores to one cell; the rules reject the region with
+ *  ivArithmetic (the index comes from `mul r2, r0, #0`). */
+std::string
+sameCellSrc(unsigned trip)
+{
+    return "        .data cell 4\n"
+           "fn:\n"
+           "        mov r0, #0\n"
+           "top:\n"
+           "        mul r2, r0, #0\n"
+           "        stw [cell + r2], r0\n"
+           "        add r0, r0, #1\n"
+           "        cmp r0, #" + std::to_string(trip) + "\n"
+           "        blt top\n"
+           "        ret\n"
+           "main:\n"
+           "        bl.simd fn\n"
+           "        halt\n";
+}
+
+TEST(PolyDepScan, RejectedRegionBuildsNoIndex)
+{
+    // Indexing 24000 same-cell stores visits every pair: seconds of
+    // work the ivArithmetic verdict never reads.
+    constexpr unsigned trip = 24000;
+    const Program prog = assemble(sameCellSrc(trip));
+    const PolyRegion r =
+        analyzePoly(prog, prog.labelIndex("fn"), TranslatorConfig{});
+    EXPECT_EQ(r.terminal.verdict, Severity::Error);
+    EXPECT_EQ(r.terminal.reason, AbortReason::IvArithmetic);
+    ASSERT_TRUE(r.deps.resolved);
+    EXPECT_EQ(r.deps.events.size(), trip);
+    EXPECT_FALSE(r.deps.index.has_value());
+    EXPECT_EQ(r.pairsExamined, 0u);
+}
+
+TEST(DepcheckBudget, IndexBuildIsChargedToThePairBudget)
+{
+    // 200 same-cell stores: the index build alone visits 200 * 199
+    // overlapping partners, so a smaller budget dies at width 2 before
+    // any width is scanned.
+    const Program prog = assemble(sameCellSrc(200));
+    const int entry = prog.labelIndex("fn");
+    const RegionCfg cfg = RegionCfg::build(prog, entry);
+    DepcheckOptions opts;
+    opts.pairBudget = 200 * 199 - 1;
+    const DepcheckResult dep = analyzeDeps(prog, entry, cfg, opts);
+    ASSERT_TRUE(dep.resolved);
+    EXPECT_EQ(dep.verdictAt(2).reason, DepReason::PairBudgetAtWidth);
+    for (const unsigned w : {4u, 8u, 16u})
+        EXPECT_EQ(dep.verdictAt(w).reason, DepReason::PairBudgetBefore)
+            << w;
+    EXPECT_EQ(dep.pairsExamined, 200u * 199u);
+
+    // With the build paid for, every width resolves: one instruction
+    // stores every iteration, so each output pair runs in order.
+    // Each width's walk skips the last store (no later partner).
+    opts.pairBudget = 200 * 199 + 4 * 199 * 199;
+    const DepcheckResult full = analyzeDeps(prog, entry, cfg, opts);
+    for (const unsigned w : DepcheckResult::widths)
+        EXPECT_TRUE(full.safeAt(w)) << w;
+    EXPECT_EQ(full.pairsExamined, opts.pairBudget);
 }
 
 /**

@@ -131,12 +131,13 @@ TEST(Proof, SabotageSuiteIsFullyCaught)
 TEST(Proof, ProverUpgradesDepcheckUnknownWarnToOk)
 {
     // Starve depcheck's pair-test budget so every width degrades to
-    // Unknown on a perfectly safe elementwise kernel. Without the
-    // prover that is a Warn; with it, the translation proof closes the
-    // width and the verdict upgrades to Ok with the proof attached.
+    // Unknown on a safe kernel with carried, in-order overlaps
+    // (a[i] = a[i+1] + b[i]). Without the prover that is a Warn; with
+    // it, the translation proof closes the width and the verdict
+    // upgrades to Ok with the proof attached.
     vir::Kernel k("up_add", 16);
-    k.store("up_c",
-            k.bin(Opcode::Add, k.load("up_a"), k.load("up_b")));
+    k.store("up_a", k.bin(Opcode::Add, k.load("up_a", 4, false, false, 1),
+                          k.load("up_b")));
 
     Program prog;
     std::vector<Word> init(16 + 16);
@@ -144,7 +145,6 @@ TEST(Proof, ProverUpgradesDepcheckUnknownWarnToOk)
         init[i] = 3 * i + 1;
     prog.allocWords("up_a", init);
     prog.allocWords("up_b", init);
-    prog.allocData("up_c", init.size() * 4);
     EmitOptions eopts;
     eopts.mode = EmitOptions::Mode::Scalarized;
     eopts.nativeWidth = 8;

@@ -395,11 +395,21 @@ TEST(RangeSolver, StressCasesSolveSoundly)
     }
 }
 
+/** The stress case named @p name; fails the test when it is absent. */
+std::string
+stressSource(const std::string &name)
+{
+    for (const RangeStressCase &c : rangeStressCases()) {
+        if (c.name == name)
+            return c.src;
+    }
+    ADD_FAILURE() << "no range stress case " << name;
+    return "";
+}
+
 TEST(RangeSolver, LiveInBoundProvesEntryConstantAndTrip)
 {
-    const RangeStressCase &c = rangeStressCases()[0];
-    ASSERT_STREQ(c.name, "rs_livein_bound");
-    const Program prog = assemble(c.src);
+    const Program prog = assemble(stressSource("rs_livein_bound"));
     const ProgramRanges pr = solveProgramRanges(prog);
     ASSERT_TRUE(pr.sound);
     const int entry = prog.labelIndex("fn");
@@ -416,7 +426,7 @@ TEST(RangeSolver, LiveInBoundProvesEntryConstantAndTrip)
 
 TEST(RangeSolver, JoinedCallSitesRefuseFalseConstants)
 {
-    const Program prog = assemble(rangeStressCases()[3].src);
+    const Program prog = assemble(stressSource("rs_join_negative"));
     const ProgramRanges pr = solveProgramRanges(prog);
     ASSERT_TRUE(pr.sound);
     const int entry = prog.labelIndex("fn");

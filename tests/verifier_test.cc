@@ -189,15 +189,19 @@ TEST(Verifier, ProgramReportCoversEveryHintedRegion)
         formatRegionReport(report.regions[0]).empty());
 }
 
-const char *copyLoop32 = R"(
-    .words src32 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-    .data dst32 128
+/** a[i] = a[i+1] + 100 over 32 iterations: carried, in-order overlaps
+ *  (each store against the previous iteration's load), safe at every
+ *  width. */
+const char *shiftDown32 = R"(
+    .words sd32 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33
     fn:
         mov r0, #0
+        mov r5, #1
     top:
-        ldw r1, [src32 + r0]
+        ldw r1, [sd32 + r5]
         add r1, r1, #100
-        stw [dst32 + r0], r1
+        stw [sd32 + r0], r1
+        add r5, r5, #1
         add r0, r0, #1
         cmp r0, #32
         blt top
@@ -213,12 +217,13 @@ TEST(Verifier, WarnThenNarrowerOkReportsTheOkBinding)
     // wide attempt must not hide a narrower width the verifier can
     // certify. Depcheck spends its pair budget in ascending width
     // order, so a budget that covers widths 2-8 but not 16 yields a
-    // genuine width-dependent Warn at 16 and a proof at 8.
-    const Program prog = assemble(copyLoop32);
+    // genuine width-dependent Warn at 16 and a proof at 8. Here the
+    // index build and each width visit 31 overlapping pairs.
+    const Program prog = assemble(shiftDown32);
     VerifyOptions opts;
     opts.config.simdWidth = 16;
     opts.widthFallback = true;
-    opts.dep.pairBudget = 900;
+    opts.dep.pairBudget = 4 * 31;
 
     const RegionReport r =
         verifyRegion(prog, prog.labelIndex("fn"), opts);

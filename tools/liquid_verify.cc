@@ -46,10 +46,15 @@ namespace
  * constraints} under --poly. Purely additive over v2 — every v2 field
  * keeps its name and type, so v2 consumers parse v3 reports unchanged
  * (tests/poly_test.cc locks that in).
+ * v4: byWidth entries lost `viaRange` and the range object lost
+ * `discharged`. Both marked dependence verdicts the range facts
+ * flipped past the pair budget; the budget now counts only pairs that
+ * share a byte, so the regions those facts proved disjoint never
+ * exhaust it and nothing is left to flip.
  */
-constexpr const char *verifySchema = "liquid-verify-v3";
+constexpr const char *verifySchema = "liquid-verify-v4";
 /** Tool revision carried in the JSON header for drift detection. */
-constexpr const char *verifyToolVersion = "3.0";
+constexpr const char *verifyToolVersion = "4.0";
 
 struct Options
 {
@@ -204,8 +209,6 @@ regionJson(const std::string &program, const RegionReport &r)
                 e.set("reason", depReasonName(wv.reason));
             if (!wv.why.empty())
                 e.set("why", wv.why);
-            if (wv.viaRange)
-                e.set("viaRange", true);
             bw.set(std::to_string(DepcheckResult::widths[i]),
                    std::move(e));
         }
@@ -234,9 +237,8 @@ regionJson(const std::string &program, const RegionReport &r)
         p.set("constraints", std::move(cons));
         v.set("validity", std::move(p));
     }
-    if (!r.rangeFacts.empty() || r.rangeDischarged > 0) {
+    if (!r.rangeFacts.empty()) {
         json::Value rg = json::Value::object();
-        rg.set("discharged", r.rangeDischarged);
         json::Value facts = json::Value::array();
         for (const std::string &f : r.rangeFacts)
             facts.push(f);
