@@ -296,7 +296,10 @@ dischargeAll(TermPool &pool, const std::vector<Obligation> &obs,
 
         if (free_leaves > max_leaves) {
             noteUnknown(ob, "too many distinct leaves (" +
-                                std::to_string(leaves.size()) + ")");
+                                std::to_string(free_leaves) + " free, " +
+                                std::to_string(npinned) +
+                                " pinned; budget " +
+                                std::to_string(max_leaves) + ")");
             continue;
         }
 
@@ -331,15 +334,18 @@ dischargeAll(TermPool &pool, const std::vector<Obligation> &obs,
                 doms.push_back(domainFor(pool, leaves[i], tier));
         }
 
+        // Compile once, then walk the odometer: each step rewrites only
+        // the leaf slots whose digit moved and reruns the tape.
+        sym::EvalTape tape({ob.lhs, ob.rhs}, leaves);
+        for (std::size_t i = 0; i < leaves.size(); ++i)
+            tape.setLeaf(i, doms[i][0]);
         std::vector<std::size_t> idx(leaves.size(), 0);
-        std::unordered_map<TermRef, Word> env;
         bool refuted = false;
         while (true) {
-            for (std::size_t i = 0; i < leaves.size(); ++i)
-                env[leaves[i]] = doms[i][idx[i]];
-            const Word a = pool.eval(ob.lhs, env);
-            const Word b = pool.eval(ob.rhs, env);
+            tape.run();
             ++out.points;
+            const Word a = tape.root(0);
+            const Word b = tape.root(1);
             if (a != b) {
                 Counterexample ce;
                 ce.obligation = ob.what;
@@ -351,7 +357,7 @@ dischargeAll(TermPool &pool, const std::vector<Obligation> &obs,
                     as.value = doms[i][idx[i]];
                     if (leaves[i]->kind == TermKind::Sym) {
                         const SymDecl &d = pool.decl(leaves[i]->sym);
-                        as.sym = d.name;
+                        as.sym = d.printName();
                         if (d.kind == SymDecl::Kind::Mem) {
                             as.isMem = true;
                             as.addr = d.addr;
@@ -371,9 +377,12 @@ dischargeAll(TermPool &pool, const std::vector<Obligation> &obs,
             }
             std::size_t i = 0;
             for (; i < idx.size(); ++i) {
-                if (++idx[i] < doms[i].size())
+                if (++idx[i] < doms[i].size()) {
+                    tape.setLeaf(i, doms[i][idx[i]]);
                     break;
+                }
                 idx[i] = 0;
+                tape.setLeaf(i, doms[i][0]);
             }
             if (i == idx.size())
                 break;
@@ -754,11 +763,11 @@ foldRoLoads(TermPool &pool, const Program &prog, TermRef t)
     for (TermRef leaf : pool.leaves(t)) {
         if (leaf->kind != TermKind::Load || leaf->size != 4)
             continue;
+        // The address with every leaf at 0 (an unset tape leaf).
         TermRef addr = leaf->args[0];
-        std::unordered_map<TermRef, Word> env;
-        for (TermRef al : pool.leaves(addr))
-            env[al] = 0;
-        const Word c0 = pool.eval(addr, env);
+        sym::EvalTape tape({addr}, pool.leaves(addr));
+        tape.run();
+        const Word c0 = tape.root(0);
         if (const auto v = roSplatValue(prog, c0))
             map[leaf] = pool.konst(*v);
     }

@@ -1,6 +1,7 @@
 #include "verifier/symexec.hh"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <sstream>
 
@@ -118,76 +119,53 @@ linKey(const LinForm &lf)
     return key;
 }
 
-struct InternKey
+/** Structural hash of a term's intern identity (everything but id). */
+std::uint64_t
+internHash(const Term &t)
 {
-    TermKind kind;
-    Opcode op;
-    bool isFloat;
-    Cond cond;
-    unsigned bits;
-    bool isSigned;
-    Word konst;
-    unsigned sym;
-    unsigned size;
-    std::array<unsigned, 3> argIds;
-    unsigned nargs;
-
-    bool
-    operator==(const InternKey &o) const
-    {
-        return kind == o.kind && op == o.op && isFloat == o.isFloat &&
-               cond == o.cond && bits == o.bits &&
-               isSigned == o.isSigned && konst == o.konst &&
-               sym == o.sym && size == o.size && argIds == o.argIds &&
-               nargs == o.nargs;
-    }
-};
-
-struct InternKeyHash
-{
-    std::size_t
-    operator()(const InternKey &k) const
-    {
-        std::uint64_t h = 1469598103934665603ull;
-        auto mix = [&h](std::uint64_t v) {
-            h ^= v;
-            h *= 1099511628211ull;
-        };
-        mix(static_cast<std::uint64_t>(k.kind));
-        mix(static_cast<std::uint64_t>(k.op));
-        mix(k.isFloat);
-        mix(static_cast<std::uint64_t>(k.cond));
-        mix(k.bits);
-        mix(k.isSigned);
-        mix(k.konst);
-        mix(k.sym);
-        mix(k.size);
-        mix(k.nargs);
-        for (unsigned i = 0; i < k.nargs; ++i)
-            mix(k.argIds[i]);
-        return static_cast<std::size_t>(h);
-    }
-};
-
-InternKey
-keyOf(const Term &t)
-{
-    InternKey k{};
-    k.kind = t.kind;
-    k.op = t.op;
-    k.isFloat = t.isFloat;
-    k.cond = t.cond;
-    k.bits = t.bits;
-    k.isSigned = t.isSigned;
-    k.konst = t.konst;
-    k.sym = t.sym;
-    k.size = t.size;
-    k.nargs = t.nargs;
-    k.argIds = {{0, 0, 0}};
+    std::uint64_t h = 0;
+    auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+        h ^= h >> 29;
+    };
+    mix(static_cast<std::uint64_t>(t.kind) |
+        static_cast<std::uint64_t>(t.op) << 8 |
+        static_cast<std::uint64_t>(t.cond) << 24 |
+        static_cast<std::uint64_t>(t.isFloat) << 32 |
+        static_cast<std::uint64_t>(t.isSigned) << 33 |
+        static_cast<std::uint64_t>(t.nargs) << 34 |
+        static_cast<std::uint64_t>(t.bits) << 40);
+    mix(t.konst | static_cast<std::uint64_t>(t.sym) << 32);
+    mix(t.size);
     for (unsigned i = 0; i < t.nargs; ++i)
-        k.argIds[i] = t.args[i]->id;
-    return k;
+        mix(t.args[i]->id);
+    return h;
 }
+
+bool
+sameIntern(const Term &a, const Term &b)
+{
+    return a.kind == b.kind && a.op == b.op && a.isFloat == b.isFloat &&
+           a.cond == b.cond && a.bits == b.bits &&
+           a.isSigned == b.isSigned && a.konst == b.konst &&
+           a.sym == b.sym && a.size == b.size && a.nargs == b.nargs &&
+           a.args == b.args;
+}
+
+/** One slot of the open-addressed intern table; term null = empty. */
+struct InternSlot
+{
+    std::uint64_t hash = 0;
+    TermRef term = nullptr;
+};
+
+/**
+ * Arena chunk sizes, in terms: the first chunk is small, so a pool
+ * built for one query stays cheap, and each next one doubles up to the
+ * cap.
+ */
+constexpr std::size_t firstTermChunk = 16;
+constexpr std::size_t maxTermChunk = 1024;
 
 Word
 extend(Word value, unsigned bits, bool is_signed)
@@ -202,6 +180,27 @@ extend(Word value, unsigned bits, bool is_signed)
 }
 
 } // namespace
+
+std::string
+SymDecl::printName() const
+{
+    switch (kind) {
+      case Kind::Mem: {
+        std::ostringstream os;
+        os << "mem" << size * 8 << (isSigned ? "s" : "u") << "@0x"
+           << std::hex << addr;
+        return os.str();
+      }
+      case Kind::Reg:
+        return regName(reg) + "@entry";
+      case Kind::CmpInit:
+        return "flags@entry";
+      case Kind::Param:
+      case Kind::Poison:
+        break;
+    }
+    return name;
+}
 
 bool
 condHoldsSign(Cond cond, int sign)
@@ -220,30 +219,55 @@ condHoldsSign(Cond cond, int sign)
 
 struct TermPool::Impl
 {
-    std::unordered_map<InternKey, TermRef, InternKeyHash> interned;
-    std::map<std::tuple<Addr, unsigned, bool>, TermRef> memSyms;
+    /** Term storage: chunks never move, so neither does a TermRef. */
+    std::vector<std::unique_ptr<Term[]>> chunks;
+    std::size_t chunkSize = 0; ///< of chunks.back()
+    std::size_t chunkUsed = 0;
+    /** Intern table: linear probing, power-of-two size, <= half full. */
+    std::vector<InternSlot> interned = std::vector<InternSlot>(32);
+    std::size_t internedCount = 0;
+    /** Memory symbols by (addr << 8 | size << 1 | signed). */
+    std::unordered_map<std::uint64_t, TermRef> memSyms;
     std::map<unsigned, TermRef> regSyms; ///< by flat id
     TermRef cmpInit = nullptr;
     std::map<std::string, TermRef> params;
     std::map<std::string, TermRef> poisons;
-    /** Lazily derived polynomial of each integer term; empty = atom. */
-    std::unordered_map<TermRef, std::optional<LinForm>> linCache;
+    /**
+     * Lazily derived polynomial of each integer term, by term id:
+     * 0 = not derived yet, 1 = atom, k + 2 = forms[k]. A deque, so a
+     * form's address survives later derivations.
+     */
+    std::vector<std::uint32_t> linSlot;
+    std::deque<LinForm> forms;
     /** Canonical term for each polynomial already materialized. */
     std::map<std::vector<std::uint64_t>, TermRef> linTerms;
-    /** Scratch for eval(): per-term value, validated by epoch. */
-    std::vector<Word> evalVals;
-    std::vector<std::uint32_t> evalEpoch;
-    std::uint32_t epoch = 0;
 
     const LinForm *linOf(TermRef t);
+    void setLin(TermRef t, std::optional<LinForm> lf);
+    Term *allocTerm();
+    void growInterned();
 };
+
+void
+TermPool::Impl::setLin(TermRef t, std::optional<LinForm> lf)
+{
+    if (linSlot.size() <= t->id)
+        linSlot.resize(t->id + 1, 0);
+    if (!lf) {
+        linSlot[t->id] = 1;
+        return;
+    }
+    linSlot[t->id] = static_cast<std::uint32_t>(forms.size() + 2);
+    forms.push_back(std::move(*lf));
+}
 
 const LinForm *
 TermPool::Impl::linOf(TermRef t)
 {
-    auto it = linCache.find(t);
-    if (it != linCache.end())
-        return it->second ? &*it->second : nullptr;
+    if (t->id < linSlot.size() && linSlot[t->id] != 0) {
+        const std::uint32_t s = linSlot[t->id];
+        return s == 1 ? nullptr : &forms[s - 2];
+    }
 
     std::optional<LinForm> lf;
     if (t->kind == TermKind::Const) {
@@ -268,9 +292,37 @@ TermPool::Impl::linOf(TermRef t)
     }
     // Everything else — and overflowing polynomials — is an atom;
     // callers wrap the term itself as the monomial.
-    auto [pos, inserted] = linCache.emplace(t, std::move(lf));
-    (void)inserted;
-    return pos->second ? &*pos->second : nullptr;
+    const bool atom = !lf;
+    setLin(t, std::move(lf));
+    return atom ? nullptr : &forms.back();
+}
+
+Term *
+TermPool::Impl::allocTerm()
+{
+    if (chunkUsed == chunkSize) {
+        chunkSize = chunkSize == 0 ? firstTermChunk
+                                   : std::min(2 * chunkSize, maxTermChunk);
+        chunks.push_back(std::make_unique<Term[]>(chunkSize));
+        chunkUsed = 0;
+    }
+    return &chunks.back()[chunkUsed++];
+}
+
+void
+TermPool::Impl::growInterned()
+{
+    std::vector<InternSlot> bigger(interned.size() * 2);
+    const std::size_t mask = bigger.size() - 1;
+    for (const InternSlot &s : interned) {
+        if (!s.term)
+            continue;
+        std::size_t i = s.hash & mask;
+        while (bigger[i].term)
+            i = (i + 1) & mask;
+        bigger[i] = s;
+    }
+    interned = std::move(bigger);
 }
 
 TermPool::TermPool() : impl_(std::make_unique<Impl>()) {}
@@ -285,15 +337,29 @@ TermPool::intern(Term t)
     if (t.kind == TermKind::Sym)
         t.poisoned = decls_[t.sym].kind == SymDecl::Kind::Poison;
 
-    const InternKey key = keyOf(t);
-    auto it = impl_->interned.find(key);
-    if (it != impl_->interned.end())
-        return it->second;
+    Impl &im = *impl_;
+    const std::uint64_t h = internHash(t);
+    std::size_t mask = im.interned.size() - 1;
+    std::size_t i = h & mask;
+    for (; im.interned[i].term; i = (i + 1) & mask) {
+        const InternSlot &s = im.interned[i];
+        if (s.hash == h && sameIntern(*s.term, t))
+            return s.term;
+    }
+    if (2 * (im.internedCount + 1) > im.interned.size()) {
+        im.growInterned();
+        mask = im.interned.size() - 1;
+        i = h & mask;
+        while (im.interned[i].term)
+            i = (i + 1) & mask;
+    }
     t.id = static_cast<unsigned>(terms_.size());
-    terms_.push_back(std::make_unique<Term>(t));
-    TermRef ref = terms_.back().get();
-    impl_->interned.emplace(key, ref);
-    return ref;
+    Term *slot = im.allocTerm();
+    *slot = t;
+    terms_.push_back(slot);
+    im.interned[i] = {h, slot};
+    ++im.internedCount;
+    return slot;
 }
 
 TermRef
@@ -318,22 +384,18 @@ TermPool::symTerm(SymDecl decl)
 TermRef
 TermPool::memSym(Addr addr, unsigned size, bool is_signed)
 {
-    const auto key = std::make_tuple(addr, size, is_signed);
-    auto it = impl_->memSyms.find(key);
-    if (it != impl_->memSyms.end())
+    const std::uint64_t key = static_cast<std::uint64_t>(addr) << 8 |
+                              size << 1 | (is_signed ? 1u : 0u);
+    auto [it, fresh] = impl_->memSyms.try_emplace(key, nullptr);
+    if (!fresh)
         return it->second;
     SymDecl d;
     d.kind = SymDecl::Kind::Mem;
     d.addr = addr;
     d.size = size;
     d.isSigned = is_signed;
-    std::ostringstream os;
-    os << "mem" << size * 8 << (is_signed ? "s" : "u") << "@0x"
-       << std::hex << addr;
-    d.name = os.str();
-    TermRef t = symTerm(std::move(d));
-    impl_->memSyms.emplace(key, t);
-    return t;
+    it->second = symTerm(std::move(d));
+    return it->second;
 }
 
 TermRef
@@ -345,7 +407,6 @@ TermPool::regSym(RegId reg)
     SymDecl d;
     d.kind = SymDecl::Kind::Reg;
     d.reg = reg;
-    d.name = regName(reg) + "@entry";
     TermRef t = symTerm(std::move(d));
     impl_->regSyms.emplace(reg.flat(), t);
     return t;
@@ -358,7 +419,6 @@ TermPool::cmpInitSym()
         return impl_->cmpInit;
     SymDecl d;
     d.kind = SymDecl::Kind::CmpInit;
-    d.name = "flags@entry";
     impl_->cmpInit = symTerm(std::move(d));
     return impl_->cmpInit;
 }
@@ -433,7 +493,7 @@ TermPool::bin(Opcode op, TermRef a, TermRef b, bool is_float)
                     if (m.empty())
                         return konst(c);
                     if (m.size() == 1 && c == 1)
-                        return terms_[m[0]].get();
+                        return terms_[m[0]];
                 }
                 const auto key = linKey(*lf);
                 auto it = impl_->linTerms.find(key);
@@ -447,10 +507,10 @@ TermPool::bin(Opcode op, TermRef a, TermRef b, bool is_float)
                         constTerm = c;
                         continue;
                     }
-                    TermRef prod = terms_[m[0]].get();
+                    TermRef prod = terms_[m[0]];
                     for (std::size_t i = 1; i < m.size(); ++i)
                         prod = rawBin(Opcode::Mul, prod,
-                                      terms_[m[i]].get());
+                                      terms_[m[i]]);
                     if (c != 1)
                         prod = rawBin(Opcode::Mul, prod, konst(c));
                     sum = sum ? rawBin(Opcode::Add, sum, prod) : prod;
@@ -462,7 +522,7 @@ TermPool::bin(Opcode op, TermRef a, TermRef b, bool is_float)
                 if (!sum)
                     sum = konst(0);
                 impl_->linTerms.emplace(key, sum);
-                impl_->linCache.insert_or_assign(sum, *lf);
+                impl_->setLin(sum, std::move(*lf));
                 return sum;
             }
             // Polynomial overflow: keep structural, but still order
@@ -664,77 +724,6 @@ TermPool::affineDiff(TermRef a, TermRef b)
     return std::nullopt;
 }
 
-Word
-TermPool::eval(TermRef t, const std::unordered_map<TermRef, Word> &env)
-{
-    auto &vals = impl_->evalVals;
-    auto &ep = impl_->evalEpoch;
-    if (vals.size() < terms_.size()) {
-        vals.resize(terms_.size());
-        ep.resize(terms_.size(), 0);
-    }
-    const std::uint32_t epoch = ++impl_->epoch;
-
-    // Iterative post-order evaluation (terms can be deep chains).
-    std::vector<std::pair<TermRef, bool>> stack{{t, false}};
-    while (!stack.empty()) {
-        const TermRef cur = stack.back().first;
-        if (ep[cur->id] == epoch) {
-            stack.pop_back();
-            continue;
-        }
-        if (!stack.back().second) {
-            stack.back().second = true;
-            // A Load is itself the env-assigned leaf; its address
-            // subtree is not a value dependency (mirrors leaves()).
-            if (cur->kind != TermKind::Load) {
-                for (unsigned i = 0; i < cur->nargs; ++i) {
-                    if (ep[cur->args[i]->id] != epoch)
-                        stack.push_back({cur->args[i], false});
-                }
-            }
-            continue;
-        }
-        Word v = 0;
-        switch (cur->kind) {
-          case TermKind::Const:
-            v = cur->konst;
-            break;
-          case TermKind::Sym:
-          case TermKind::Load: {
-            auto it = env.find(cur);
-            LIQUID_ASSERT(it != env.end(),
-                          "eval: unassigned symbolic leaf");
-            v = it->second;
-            break;
-          }
-          case TermKind::Bin:
-            v = evalScalarOp(cur->op, vals[cur->args[0]->id],
-                             vals[cur->args[1]->id], cur->isFloat);
-            break;
-          case TermKind::Cmp:
-            v = static_cast<Word>(static_cast<SWord>(
-                evalCompare(vals[cur->args[0]->id],
-                            vals[cur->args[1]->id], cur->isFloat)));
-            break;
-          case TermKind::Sel:
-            v = condHoldsSign(cur->cond,
-                              static_cast<int>(static_cast<SWord>(
-                                  vals[cur->args[0]->id])))
-                    ? vals[cur->args[1]->id]
-                    : vals[cur->args[2]->id];
-            break;
-          case TermKind::Ext:
-            v = extend(vals[cur->args[0]->id], cur->bits, cur->isSigned);
-            break;
-        }
-        vals[cur->id] = v;
-        ep[cur->id] = epoch;
-        stack.pop_back();
-    }
-    return vals[t->id];
-}
-
 std::vector<TermRef>
 TermPool::leaves(TermRef t)
 {
@@ -813,7 +802,7 @@ TermPool::str(TermRef t) const
         os << static_cast<SWord>(t->konst);
         break;
       case TermKind::Sym:
-        os << decls_[t->sym].name;
+        os << decls_[t->sym].printName();
         break;
       case TermKind::Bin:
         os << "(" << opName(t->op) << (t->isFloat ? ".f " : " ")
@@ -838,6 +827,93 @@ TermPool::str(TermRef t) const
         break;
     }
     return os.str();
+}
+
+// ===================================================================
+// EvalTape
+// ===================================================================
+
+EvalTape::EvalTape(const std::vector<TermRef> &roots,
+                   const std::vector<TermRef> &leaves)
+    : vals_(leaves.size(), 0)
+{
+    std::unordered_map<TermRef, std::uint32_t> slot;
+    slot.reserve(leaves.size() * 4);
+    for (std::size_t i = 0; i < leaves.size(); ++i)
+        slot.emplace(leaves[i], static_cast<std::uint32_t>(i));
+
+    // Iterative post-order (terms can be deep chains): a node is
+    // emitted after its operands.
+    std::vector<std::pair<TermRef, bool>> stack;
+    for (const TermRef root : roots) {
+        stack.push_back({root, false});
+        while (!stack.empty()) {
+            const auto [cur, expanded] = stack.back();
+            if (slot.count(cur)) {
+                stack.pop_back();
+                continue;
+            }
+            LIQUID_ASSERT(!cur->isLeaf(), "EvalTape: unassigned leaf");
+            if (!expanded) {
+                stack.back().second = true;
+                for (unsigned i = 0; i < cur->nargs; ++i) {
+                    if (!slot.count(cur->args[i]))
+                        stack.push_back({cur->args[i], false});
+                }
+                continue;
+            }
+            stack.pop_back();
+            const auto dst = static_cast<std::uint32_t>(vals_.size());
+            vals_.push_back(cur->isConst() ? cur->konst : 0);
+            slot.emplace(cur, dst);
+            if (cur->isConst())
+                continue;
+            Op o{cur->kind, cur->op, cur->isFloat, cur->cond,
+                 static_cast<std::uint8_t>(cur->bits), cur->isSigned,
+                 dst, 0, 0, 0};
+            o.a = slot.at(cur->args[0]);
+            if (cur->nargs > 1)
+                o.b = slot.at(cur->args[1]);
+            if (cur->nargs > 2)
+                o.c = slot.at(cur->args[2]);
+            ops_.push_back(o);
+        }
+    }
+    roots_.reserve(roots.size());
+    for (const TermRef root : roots)
+        roots_.push_back(slot.at(root));
+}
+
+void
+EvalTape::run()
+{
+    Word *const v = vals_.data();
+    const Op *const end = ops_.data() + ops_.size();
+    for (const Op *p = ops_.data(); p != end; ++p) {
+        const Op &o = *p;
+        switch (o.kind) {
+          case TermKind::Bin:
+            v[o.dst] = evalScalarOp(o.op, v[o.a], v[o.b], o.isFloat);
+            break;
+          case TermKind::Cmp:
+            v[o.dst] = static_cast<Word>(
+                static_cast<SWord>(evalCompare(v[o.a], v[o.b], o.isFloat)));
+            break;
+          case TermKind::Sel:
+            v[o.dst] = condHoldsSign(o.cond, static_cast<int>(
+                                                 static_cast<SWord>(v[o.a])))
+                           ? v[o.b]
+                           : v[o.c];
+            break;
+          case TermKind::Ext:
+            v[o.dst] = extend(v[o.a], o.bits, o.isSigned);
+            break;
+          case TermKind::Const:
+          case TermKind::Sym:
+          case TermKind::Load:
+            break;  // slots, never ops
+        }
+    }
 }
 
 // ===================================================================

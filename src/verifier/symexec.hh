@@ -20,7 +20,8 @@
  *
  * Equality of two terms is therefore pointer equality after
  * normalization; residual obligations the rewriter cannot close are
- * discharged by the prover via small-domain enumeration using eval().
+ * discharged by the prover via small-domain enumeration, each one
+ * compiled once to an EvalTape that then runs per point.
  *
  * SymMachine executes a scalar region or a committed UcodeEntry over
  * this domain in one of two address modes:
@@ -73,7 +74,10 @@ struct SymDecl
     unsigned size = 4;     ///< Mem: element size in bytes (1/2/4)
     bool isSigned = false; ///< Mem: sign-extending read
     RegId reg;             ///< Reg
-    std::string name;      ///< printable name
+    std::string name;      ///< Param/Poison: the name it was made with
+
+    /** Printable name (e.g. mem32u@0x1000), built on demand. */
+    std::string printName() const;
 };
 
 /** Term node kinds. */
@@ -150,13 +154,6 @@ class TermPool
      */
     std::optional<SWord> affineDiff(TermRef a, TermRef b);
 
-    /**
-     * Concrete evaluation under @p env, which must assign every leaf
-     * (Sym and Load node) reachable from @p t. Leaf values are the
-     * post-extension element values (what readElem would return).
-     */
-    Word eval(TermRef t, const std::unordered_map<TermRef, Word> &env);
-
     /** All distinct leaves under @p t, sorted by term id. */
     std::vector<TermRef> leaves(TermRef t);
 
@@ -174,12 +171,55 @@ class TermPool
     struct Impl;
     std::unique_ptr<Impl> impl_;
     std::vector<SymDecl> decls_;
-    std::vector<std::unique_ptr<Term>> terms_;
+    std::vector<TermRef> terms_; ///< by id; storage is the Impl's arena
 
     TermRef intern(Term t);
     TermRef symTerm(SymDecl decl);
     TermRef rawBin(Opcode op, TermRef a, TermRef b);
     friend struct TermPoolTestPeer;
+};
+
+/**
+ * Concrete evaluation of a term DAG, compiled once and run per point:
+ * the prover's only evaluator.
+ *
+ * Slots [0, leaves.size()) hold the leaves in the order given; every
+ * Sym and Load node reachable from a root must be among them. A Load
+ * is itself the leaf: its address subtree is not a value dependency
+ * (mirrors TermPool::leaves), so it is neither walked nor evaluated.
+ * Constants are pre-filled slots, and every other node reachable from
+ * the roots becomes one Op, a shared subterm once. Leaf values are
+ * the post-extension element values (what readElem would return);
+ * unset leaves read 0.
+ */
+class EvalTape
+{
+  public:
+    EvalTape(const std::vector<TermRef> &roots,
+             const std::vector<TermRef> &leaves);
+
+    void setLeaf(std::size_t i, Word value) { vals_[i] = value; }
+    /** Evaluate every op, in topological order. */
+    void run();
+    /** Value of roots[@p i] as of the last run(). */
+    Word root(std::size_t i) const { return vals_[roots_[i]]; }
+    /** Ops on the tape: the distinct non-leaf, non-constant nodes. */
+    std::size_t opCount() const { return ops_.size(); }
+
+  private:
+    struct Op
+    {
+        TermKind kind;
+        Opcode op;
+        bool isFloat;
+        Cond cond;
+        std::uint8_t bits;
+        bool isSigned;
+        std::uint32_t dst, a, b, c;
+    };
+    std::vector<Op> ops_;
+    std::vector<Word> vals_;
+    std::vector<std::uint32_t> roots_;
 };
 
 /** Address handling mode for symbolic execution. */

@@ -3,7 +3,7 @@
  * Acceptance gates for the translation-validation prover (proof.hh).
  *
  *  - every suite workload must prove at every width of the fallback
- *    ladder (no Unknowns, no refutations);
+ *    ladder (no Unknowns, no refutations), with exact work counts;
  *  - the width-polymorphic mode must close the elementwise suite
  *    kernels with a single width-generic proof;
  *  - every sabotage scenario must be caught: abort-class modes as
@@ -19,6 +19,7 @@
 
 #include "scalarizer/scalarizer.hh"
 #include "verifier/proof.hh"
+#include "verifier/range.hh"
 #include "verifier/verifier.hh"
 #include "workloads/workload.hh"
 
@@ -41,11 +42,21 @@ TEST(Proof, SuiteProvesAtEveryWidth)
 {
     ProofOptions opts;  // widths {2, 4, 8, 16}
     unsigned regions = 0;
+    unsigned obligations = 0;
+    unsigned closedStructural = 0;
+    unsigned closedEnum = 0;
+    std::uint64_t enumPoints = 0;
     for (const auto &wl : makeSuite()) {
         const ProgramProof pp = proveWorkload(*wl, opts);
         ASSERT_FALSE(pp.regions.empty()) << wl->name();
         for (const RegionProof &rp : pp.regions) {
             ++regions;
+            for (const WidthProof &wp : rp.widths) {
+                obligations += wp.obligations;
+                closedStructural += wp.closedStructural;
+                closedEnum += wp.closedEnum;
+                enumPoints += wp.enumPoints;
+            }
             // Some widths legitimately don't translate (e.g. a
             // constant-vector period above the width) — those are
             // vacuous. Every width that commits must prove, and every
@@ -73,6 +84,66 @@ TEST(Proof, SuiteProvesAtEveryWidth)
     // The paper suite outlines a nontrivial number of regions; a
     // collapse here would make the gate vacuous.
     EXPECT_GE(regions, 20u);
+
+    // Exact prover work. The evaluator may get faster, but the
+    // obligations it closes and the enumeration points it visits (in
+    // odometer order, up to the first counterexample) must not change.
+    EXPECT_EQ(obligations, 113760u);
+    EXPECT_EQ(closedStructural, 110816u);
+    EXPECT_EQ(closedEnum, 2944u);
+    EXPECT_EQ(enumPoints, 1705468u);
+}
+
+TEST(Proof, LeafBudgetDiagnosticNamesFreePinnedAndBudget)
+{
+    // Halfword saturating adds: every obligation needs enumeration over
+    // its three memory leaves.
+    vir::Kernel k("lb_sat", 16);
+    const int a = k.load("lb_a", 2, false, true);
+    const int b = k.load("lb_b", 2, false, true);
+    const int c = k.load("lb_c", 2, false, true);
+    k.store("lb_out", k.bin(Opcode::Qadd, k.bin(Opcode::Qadd, a, b), c));
+
+    Program prog;
+    std::vector<Word> init(16);
+    for (unsigned i = 0; i < init.size(); ++i)
+        init[i] = 3 * i + 1;
+    prog.allocWords("lb_a", init);
+    prog.allocWords("lb_b", init);
+    prog.allocWords("lb_c", init);
+    prog.allocData("lb_out", 64);
+    EmitOptions eopts;
+    eopts.mode = EmitOptions::Mode::Scalarized;
+    eopts.nativeWidth = 8;
+    emitKernel(prog, k, eopts);
+    prog.defineLabel("main");
+    prog.addInst(Inst::call(-1, true, "lb_sat", 8));
+    prog.addInst(Inst::halt());
+    prog.resolveBranches();
+
+    ProofOptions opts;
+    opts.widths = {4};
+    opts.maxEnumLeaves = 1;
+    const ProgramProof over = proveProgram(prog, opts);
+    ASSERT_EQ(over.regions.size(), 1u);
+    ASSERT_EQ(over.regions[0].widths.size(), 1u);
+    const WidthProof &unknown = over.regions[0].widths[0];
+    EXPECT_EQ(unknown.verdict, ProofVerdict::Unknown);
+    EXPECT_EQ(unknown.summary,
+              "unknown: store @0x1000c0 (lb_out+0): too many distinct "
+              "leaves (3 free, 0 pinned; budget 1)");
+
+    // Range-pinned leaves do not count against the budget: with every
+    // input proven constant at entry, the same budget proves.
+    const ProgramRanges pr = solveProgramRanges(prog);
+    ASSERT_TRUE(pr.sound);
+    opts.ranges = &pr;
+    const ProgramProof pinned = proveProgram(prog, opts);
+    ASSERT_EQ(pinned.regions.size(), 1u);
+    ASSERT_EQ(pinned.regions[0].widths.size(), 1u);
+    const WidthProof &proved = pinned.regions[0].widths[0];
+    EXPECT_EQ(proved.verdict, ProofVerdict::Proved) << proved.summary;
+    EXPECT_EQ(proved.rangePinned, 48u);
 }
 
 TEST(Proof, SymbolicNClosesElementwiseKernelsWidthGenerically)

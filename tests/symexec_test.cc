@@ -8,8 +8,9 @@
  * extension rewrites) must preserve concrete semantics exactly. Every
  * random term is built twice in parallel — once through the pool's
  * normalizing constructors and once as a naive shadow evaluation using
- * the simulator's own evalScalarOp/evalCompare — and the two must
- * agree on 1000 random leaf assignments.
+ * the simulator's own evalScalarOp/evalCompare — and every node's
+ * EvalTape value must agree with its shadow on 1000 random leaf
+ * assignments.
  */
 
 #include <array>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitfield.hh"
 #include "common/random.hh"
 #include "cpu/exec.hh"
 #include "scalarizer/scalarizer.hh"
@@ -171,9 +173,14 @@ TEST(TermPool, LoadIsALeafButSubstituteRebuildsItsAddress)
     ASSERT_EQ(ls.size(), 1u);
     EXPECT_EQ(ls[0], ld);
 
-    // eval() treats the Load as the env-assigned atom.
-    std::unordered_map<TermRef, Word> env{{ld, 1234}};
-    EXPECT_EQ(p.eval(ld, env), 1234u);
+    // The tape treats the Load as a leaf slot: its address is not a
+    // dependency (mu is not among the tape's leaves, and compiling the
+    // address would need it), so nothing is left to run.
+    EvalTape tape({ld}, ls);
+    EXPECT_EQ(tape.opCount(), 0u);
+    tape.setLeaf(0, 1234);
+    tape.run();
+    EXPECT_EQ(tape.root(0), 1234u);
 
     // substitute() does descend into the address (this is what lets
     // the symbolic-N prover instantiate lane 0 as nu -> mu).
@@ -208,10 +215,17 @@ TEST(TermPool, RandomTermsNormalizationPreservesSemantics)
             std::array<Word, numEnvs> shadow;
         };
         std::vector<Node> nodes;
-        std::vector<std::unordered_map<TermRef, Word>> envs(numEnvs);
+        std::vector<TermRef> leaves;
 
         const unsigned numLeaves =
             static_cast<unsigned>(rng.range(3, 5));
+        // Like the prover's odometer, each environment after the first
+        // moves only a prefix of the leaves: moved[k] of them.
+        std::array<unsigned, numEnvs> moved{};
+        moved[0] = numLeaves;
+        for (unsigned k = 1; k < numEnvs; ++k)
+            moved[k] = static_cast<unsigned>(
+                rng.range(1, static_cast<int>(numLeaves)));
         for (unsigned i = 0; i < numLeaves; ++i) {
             Node n;
             n.term = p.param("x" + std::to_string(i));
@@ -221,9 +235,9 @@ TEST(TermPool, RandomTermsNormalizationPreservesSemantics)
                 const Word v =
                     rng.range(0, 1) ? static_cast<Word>(rng.range(-4, 4))
                                     : rng.next32();
-                n.shadow[k] = v;
-                envs[k][n.term] = v;
+                n.shadow[k] = i < moved[k] ? v : n.shadow[k - 1];
             }
+            leaves.push_back(n.term);
             nodes.push_back(n);
         }
         {
@@ -283,14 +297,63 @@ TEST(TermPool, RandomTermsNormalizationPreservesSemantics)
             nodes.push_back(n);
         }
 
-        const Node &final_node = nodes.back();
+        // Every node is a root, so the whole DAG goes through one tape.
+        // Each run after the first sets only the moved leaves; the rest
+        // must keep the values their slots already hold.
+        std::vector<TermRef> roots;
+        for (const Node &n : nodes)
+            roots.push_back(n.term);
+        EvalTape tape(roots, leaves);
         for (unsigned k = 0; k < numEnvs; ++k) {
-            ASSERT_EQ(p.eval(final_node.term, envs[k]),
-                      final_node.shadow[k])
-                << "term " << t << " env " << k << ": "
-                << p.str(final_node.term);
+            for (std::size_t i = 0; i < moved[k]; ++i)
+                tape.setLeaf(i, nodes[i].shadow[k]);
+            tape.run();
+            for (std::size_t r = 0; r < nodes.size(); ++r) {
+                ASSERT_EQ(tape.root(r), nodes[r].shadow[k])
+                    << "term " << t << " node " << r << " env " << k
+                    << ": " << p.str(nodes[r].term);
+            }
         }
     }
+}
+
+TEST(EvalTape, DeepChainCompilesWithoutRecursion)
+{
+    // A 100k-deep chain of float adds (never reassociated, so the pool
+    // keeps every node): compiling and running it must neither recurse
+    // nor lose a node.
+    constexpr unsigned depth = 100'000;
+    TermPool p;
+    const TermRef x = p.param("x");
+    TermRef acc = x;
+    for (unsigned i = 0; i < depth; ++i)
+        acc = p.bin(Opcode::Add, acc, x, true);
+
+    EvalTape tape({acc}, {x});
+    EXPECT_EQ(tape.opCount(), depth);
+    tape.setLeaf(0, floatToBits(1.0f));
+    tape.run();
+    // Every partial sum is an integer below 2^24, so each add is exact.
+    EXPECT_EQ(tape.root(0), floatToBits(static_cast<float>(depth + 1)));
+}
+
+TEST(EvalTape, SharedSubtermIsOneOp)
+{
+    TermPool p;
+    const TermRef x = p.param("x");
+    const TermRef y = p.param("y");
+    const TermRef shared = p.bin(Opcode::Eor, x, y, false);
+    const TermRef lhs = p.bin(Opcode::Lsl, shared, p.konst(3), false);
+    const TermRef rhs = p.bin(Opcode::Orr, shared, y, false);
+
+    // Distinct non-leaf, non-constant nodes: shared, lhs, rhs.
+    EvalTape tape({lhs, rhs}, {x, y});
+    EXPECT_EQ(tape.opCount(), 3u);
+    tape.setLeaf(0, 5);
+    tape.setLeaf(1, 3);
+    tape.run();
+    EXPECT_EQ(tape.root(0), 48u);  // (5 ^ 3) << 3
+    EXPECT_EQ(tape.root(1), 7u);   // (5 ^ 3) | 3
 }
 
 TEST(Perm, SourceLaneComposesWithItsInverse)
