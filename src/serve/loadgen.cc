@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
@@ -14,10 +13,6 @@
 namespace liquid::serve
 {
 
-namespace
-{
-
-/** Fill the draw axes and clamp degenerate knobs; pure. */
 LoadSpec
 withDefaults(LoadSpec spec)
 {
@@ -35,8 +30,6 @@ withDefaults(LoadSpec spec)
         spec.unitsPerUs = 1;
     return spec;
 }
-
-} // namespace
 
 std::vector<Request>
 generateTrace(const LoadSpec &rawSpec)
@@ -197,32 +190,22 @@ runLoad(const LoadSpec &rawSpec, unsigned jobs)
     // decides which of those executions "happened" and when.
     std::unordered_map<std::string, std::size_t> keySlot;
     std::vector<Request> unique;
-    std::vector<std::string> keys(trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        keys[i] = trace[i].key();
-        if (keySlot.emplace(keys[i], unique.size()).second)
-            unique.push_back(trace[i]);
+    for (const Request &r : trace) {
+        if (keySlot.emplace(r.key(), unique.size()).second)
+            unique.push_back(r);
     }
     const Backend backend;
     const std::vector<Response> responses =
         backend.executeAll(unique, jobs);
-    auto responseFor = [&](std::size_t i) -> const Response & {
-        return responses[keySlot.at(keys[i])];
-    };
 
     LoadReport report;
     report.spec = spec;
     report.traceHash = serve::traceHash(trace);
     report.distinctKeys = unique.size();
 
-    // --- single-threaded virtual-time replay (live-Server semantics:
-    // hot tier at the door, coalescing while in flight, FIFO queue
-    // with capacity rejection, deadline checked at service start) ---
-    struct Inflight
-    {
-        std::size_t leader;
-        std::vector<std::size_t> followers;
-    };
+    // --- single-threaded virtual-time replay: the live Server's
+    // dispatcher, driven by arrival and completion times, with one
+    // trace index per waiter ---
     struct Event
     {
         std::uint64_t timeUs;
@@ -236,81 +219,58 @@ runLoad(const LoadSpec &rawSpec, unsigned jobs)
     std::priority_queue<Event, std::vector<Event>, decltype(later)>
         events(later);
     std::uint64_t eventSeq = 0;
-    std::unordered_map<std::string, Inflight> inflight;
-    std::deque<std::string> waitQueue;
-    HotCache hot(spec.hotCacheEntries);
-    unsigned freeServers = spec.virtualServers;
+    Dispatcher<std::size_t> dispatcher(spec.virtualServers,
+                                       spec.queueCapacity,
+                                       spec.hotCacheEntries);
     std::uint64_t lastCompletionUs = 0;
 
     auto classOf = [&](std::size_t i) -> ClassStats & {
         return report.classes[className(trace[i].cls)];
     };
-    auto recordOk = [&](std::size_t i, std::uint64_t latencyUs,
-                        bool hotHit, bool follower) {
-        ClassStats &cs = classOf(i);
-        cs.ok += 1;
-        cs.latency.record(latencyUs);
-        if (hotHit)
-            cs.hotHits += 1;
-        if (follower)
-            cs.coalesced += 1;
+    // Book one answer for every waiter, leader first; followers share
+    // the leader's fate and count as coalesced.
+    auto settle = [&](const Response &resp,
+                      const std::vector<std::size_t> &waiters,
+                      std::uint64_t now) {
+        for (std::size_t w = 0; w < waiters.size(); ++w) {
+            ClassStats &cs = classOf(waiters[w]);
+            if (w > 0)
+                cs.coalesced += 1;
+            if (resp.ok()) {
+                cs.ok += 1;
+                cs.latency.record(now - trace[waiters[w]].arrivalUs);
+            } else if (resp.status == ResponseStatus::Cancelled) {
+                cs.cancelled += 1;
+            } else {
+                cs.failed += 1;
+            }
+        }
     };
-    auto serviceUs = [&](const Response &resp) {
+    auto serviceUs = [&](const std::string &key) {
+        const Response &resp = responses[keySlot.at(key)];
         return spec.overheadUs +
                (resp.workUnits + spec.unitsPerUs - 1) / spec.unitsPerUs;
     };
-    auto startService = [&](const std::string &key,
-                            std::uint64_t startUs) {
-        const Inflight &e = inflight.at(key);
-        events.push(Event{startUs + serviceUs(responseFor(e.leader)),
-                          eventSeq++, key});
-        freeServers -= 1;
+    // Start queued leaders while slots are free; the dispatcher
+    // cancels those whose budget lapsed in the queue.
+    auto fillSlots = [&](std::uint64_t now) {
+        auto cancel = [&](const Response &resp,
+                          std::vector<std::size_t> &&waiters) {
+            settle(resp, waiters, now);
+        };
+        while (auto job = dispatcher.next(now, cancel)) {
+            const std::uint64_t doneUs = now + serviceUs(job->key);
+            events.push(Event{doneUs, eventSeq++, std::move(job->key)});
+        }
     };
     auto complete = [&](const Event &ev) {
-        const std::uint64_t now = ev.timeUs;
-        lastCompletionUs = std::max(lastCompletionUs, now);
-        {
-            const Inflight e = std::move(inflight.at(ev.key));
-            inflight.erase(ev.key);
-            const Response &resp = responseFor(e.leader);
-            classOf(e.leader).executed += 1;
-            if (resp.ok()) {
-                hot.insert(ev.key, resp);
-                recordOk(e.leader, now - trace[e.leader].arrivalUs,
-                         false, false);
-                for (std::size_t f : e.followers)
-                    recordOk(f, now - trace[f].arrivalUs, false, true);
-            } else {
-                classOf(e.leader).failed += 1;
-                for (std::size_t f : e.followers) {
-                    ClassStats &cs = classOf(f);
-                    cs.coalesced += 1;
-                    cs.failed += 1;
-                }
-            }
-        }
-        freeServers += 1;
-        // The freed slot pulls from the FIFO queue; budgets that
-        // lapsed while waiting cancel here — never executed, never
-        // cached, followers sharing the leader's fate.
-        while (freeServers > 0 && !waitQueue.empty()) {
-            const std::string key = std::move(waitQueue.front());
-            waitQueue.pop_front();
-            const Inflight &q = inflight.at(key);
-            const Request &lead = trace[q.leader];
-            if (lead.deadlineUs != 0 &&
-                now > lead.arrivalUs + lead.deadlineUs) {
-                classOf(q.leader).cancelled += 1;
-                for (std::size_t f : q.followers) {
-                    ClassStats &cs = classOf(f);
-                    cs.coalesced += 1;
-                    cs.cancelled += 1;
-                }
-                inflight.erase(key);
-                continue;
-            }
-            startService(key, now);
-        }
+        lastCompletionUs = std::max(lastCompletionUs, ev.timeUs);
+        const Response &resp = responses[keySlot.at(ev.key)];
+        const std::vector<std::size_t> waiters =
+            dispatcher.complete(ev.key, resp);
+        classOf(waiters.front()).executed += 1;
+        settle(resp, waiters, ev.timeUs);
+        fillSlots(ev.timeUs);
     };
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -324,26 +284,25 @@ runLoad(const LoadSpec &rawSpec, unsigned jobs)
             events.pop();
             complete(ev);
         }
-        classOf(i).submitted += 1;
-        const std::string &key = keys[i];
-        if (hot.lookup(key)) {
-            recordOk(i, spec.hitCostUs, true, false);
+        ClassStats &cs = classOf(i);
+        cs.submitted += 1;
+        std::size_t waiter = i;
+        switch (dispatcher.submit(req, waiter, req.arrivalUs).how) {
+          case Admit::HotHit:
+            cs.ok += 1;
+            cs.hotHits += 1;
+            cs.latency.record(spec.hitCostUs);
             lastCompletionUs = std::max(lastCompletionUs,
                                         req.arrivalUs + spec.hitCostUs);
-            continue;
-        }
-        if (auto it = inflight.find(key); it != inflight.end()) {
-            it->second.followers.push_back(i);
-            continue;
-        }
-        if (freeServers > 0) {
-            inflight.emplace(key, Inflight{i, {}});
-            startService(key, req.arrivalUs);
-        } else if (waitQueue.size() >= spec.queueCapacity) {
-            classOf(i).rejected += 1;
-        } else {
-            inflight.emplace(key, Inflight{i, {}});
-            waitQueue.push_back(key);
+            break;
+          case Admit::Rejected:
+            cs.rejected += 1;
+            break;
+          case Admit::Queued:
+            fillSlots(req.arrivalUs);
+            break;
+          case Admit::Coalesced:
+            break;
         }
     }
     while (!events.empty()) {
@@ -351,12 +310,12 @@ runLoad(const LoadSpec &rawSpec, unsigned jobs)
         events.pop();
         complete(ev);
     }
-    LIQUID_ASSERT(waitQueue.empty(),
+    LIQUID_ASSERT(dispatcher.idle(),
                   "loadgen: queued work survived the drain");
 
     for (const auto &[name, stats] : report.classes)
         report.all.merge(stats);
-    report.cache = hot.stats();
+    report.cache = dispatcher.hotCacheStats();
     report.makespanUs = std::max(
         lastCompletionUs, trace.empty() ? 0 : trace.back().arrivalUs);
     return report;

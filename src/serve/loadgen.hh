@@ -18,11 +18,12 @@
  *     so the thread count cannot change any payload — only how fast
  *     the wall clock gets there.
  *  3. A single-threaded discrete-event simulation replays the trace
- *     against a virtual server pool with the live Server's semantics
- *     (hot cache at the door, coalescing onto in-flight leaders, FIFO
+ *     through the live Server's own Dispatcher (serve/dispatch.hh:
+ *     hot cache at the door, coalescing onto in-flight leaders, FIFO
  *     queue with capacity rejection, deadline cancellation at service
- *     start). Service time is derived from the response's
- *     deterministic work units, not from the wall clock.
+ *     start) on virtualServers slots. Service time is derived from
+ *     the response's deterministic work units, not from the wall
+ *     clock.
  *
  * The resulting p50/p95/p99 per request class are exact functions of
  * (seed, spec) — identical bytes at --jobs 1 and --jobs 32 — which is
@@ -39,7 +40,7 @@
 
 #include "common/json.hh"
 #include "lab/results.hh"
-#include "serve/hot_cache.hh"
+#include "serve/dispatch.hh"
 #include "serve/quantile.hh"
 #include "serve/request.hh"
 
@@ -83,6 +84,10 @@ struct LoadSpec
 
     json::Value toJson() const;
 };
+
+/** Fill the empty draw axes (all five classes; fir, lu, fft; widths
+ *  4 and 8) and clamp degenerate knobs; pure. */
+LoadSpec withDefaults(LoadSpec spec);
 
 /**
  * Generate the request trace: integer inter-arrival gaps drawn

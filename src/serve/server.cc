@@ -2,16 +2,16 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace liquid::serve
 {
 
 Server::Server(ServerConfig config)
-    : config_(config), backend_(config.coldCacheDir),
-      hot_(config.hotCacheEntries)
+    : backend_(config.coldCacheDir),
+      epoch_(std::chrono::steady_clock::now()),
+      dispatcher_(std::max(1u, config.workers), config.queueCapacity,
+                  config.hotCacheEntries)
 {
-    const unsigned nw = std::max(1u, config_.workers);
+    const unsigned nw = std::max(1u, config.workers);
     workers_.reserve(nw);
     for (unsigned w = 0; w < nw; ++w)
         workers_.emplace_back([this]() { workerMain(); });
@@ -22,74 +22,59 @@ Server::~Server()
     stop();
 }
 
+std::uint64_t
+Server::nowUs() const
+{
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - epoch_)
+        .count();
+}
+
 std::future<Response>
 Server::submit(Request request)
 {
     std::promise<Response> promise;
     std::future<Response> future = promise.get_future();
-    const std::string key = request.key();
-
-    // Hot tier first: a hit completes at the door, no queue traffic.
-    // The cache only ever holds Ok responses, so a hit is always
-    // servable. (HotCache has its own lock; counter updates below.)
-    std::optional<Response> cached = hot_.lookup(key);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    if (cached) {
-        cached->source = ResponseSource::HotCache;
-        stats_.hotHits += 1;
-        stats_.completed += 1;
-        promise.set_value(std::move(*cached));
-        return future;
-    }
-
     if (stopping_) {
-        Response resp;
-        resp.status = ResponseStatus::Rejected;
-        resp.error = "server is stopping";
         stats_.rejected += 1;
         stats_.completed += 1;
-        promise.set_value(std::move(resp));
+        promise.set_value(
+            refusal(ResponseStatus::Rejected, "server is stopping"));
         return future;
     }
 
-    // Coalesce onto an identical in-flight request — queued or already
-    // executing — instead of doing the work twice.
-    if (auto it = inflight_.find(key); it != inflight_.end()) {
-        it->second->waiters.push_back(std::move(promise));
+    request.id = stats_.accepted;
+    auto admission =
+        dispatcher_.submit(std::move(request), promise, nowUs());
+    switch (admission.how) {
+      case Admit::HotHit:
+        stats_.hotHits += 1;
+        break;
+      case Admit::Rejected:
+        stats_.rejected += 1;
+        break;
+      case Admit::Coalesced:
         stats_.coalesced += 1;
         return future;
-    }
-
-    if (queue_.size() >= config_.queueCapacity) {
-        Response resp;
-        resp.status = ResponseStatus::Rejected;
-        resp.error = "queue at capacity";
-        stats_.rejected += 1;
-        stats_.completed += 1;
-        promise.set_value(std::move(resp));
+      case Admit::Queued:
+        stats_.accepted += 1;
+        stats_.maxQueueDepth = std::max<std::uint64_t>(
+            stats_.maxQueueDepth, dispatcher_.queued());
+        workCv_.notify_one();
         return future;
     }
-
-    auto pending = std::make_shared<Pending>();
-    request.id = stats_.accepted;
-    pending->request = std::move(request);
-    pending->submitted = std::chrono::steady_clock::now();
-    pending->waiters.push_back(std::move(promise));
-    inflight_[key] = pending;
-    queue_.push_back(std::move(pending));
-    stats_.accepted += 1;
-    stats_.maxQueueDepth =
-        std::max<std::uint64_t>(stats_.maxQueueDepth, queue_.size());
-    workCv_.notify_one();
+    stats_.completed += 1;
+    promise.set_value(std::move(admission.response));
     return future;
 }
 
 void
-Server::deliver(Pending &pending, const Response &resp)
+Server::deliver(Waiters &waiters, const Response &resp)
 {
     bool leader = true;
-    for (std::promise<Response> &waiter : pending.waiters) {
+    for (std::promise<Response> &waiter : waiters) {
         Response copy = resp;
         if (!leader && copy.ok())
             copy.source = ResponseSource::Coalesced;
@@ -97,68 +82,42 @@ Server::deliver(Pending &pending, const Response &resp)
         leader = false;
         stats_.completed += 1;
     }
-    pending.waiters.clear();
 }
 
 void
 Server::workerMain()
 {
+    auto cancel = [this](const Response &resp, Waiters &&waiters) {
+        stats_.cancelled += waiters.size();
+        deliver(waiters, resp);
+    };
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        workCv_.wait(lock,
-                     [this]() { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) {
+        workCv_.wait(lock, [this]() {
+            return stopping_ || dispatcher_.queued() > 0;
+        });
+        if (dispatcher_.queued() == 0) {
             // stopping_ and drained: graceful exit.
             return;
         }
-        PendingPtr pending = std::move(queue_.front());
-        queue_.pop_front();
-
-        const std::string key = pending->request.key();
-
-        // Deadline check at service start: a request whose budget
-        // lapsed while it sat in the queue is cancelled — every waiter
-        // notified, nothing executed, nothing cached.
-        if (pending->request.deadlineUs != 0) {
-            const auto waited =
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() -
-                    pending->submitted)
-                    .count();
-            if (static_cast<std::uint64_t>(waited) >
-                pending->request.deadlineUs) {
-                inflight_.erase(key);
-                Response resp;
-                resp.status = ResponseStatus::Cancelled;
-                resp.error = "deadline lapsed in queue";
-                stats_.cancelled += pending->waiters.size();
-                deliver(*pending, resp);
-                if (queue_.empty() && executing_ == 0)
-                    idleCv_.notify_all();
-                continue;
-            }
-        }
-
-        // Execute outside the lock; the inflight entry stays so
-        // identical submissions keep coalescing during execution.
-        executing_ += 1;
-        lock.unlock();
-        const Response resp = backend_.execute(pending->request);
-        lock.lock();
-        executing_ -= 1;
-        inflight_.erase(key);
-
-        if (resp.ok()) {
-            hot_.insert(key, resp);
-            if (resp.source == ResponseSource::ColdCache)
+        // This worker is idle, so a slot is free: next() either hands
+        // it a leader or cancels every lapsed one it meets.
+        if (auto job = dispatcher_.next(nowUs(), cancel)) {
+            // Execute outside the lock; the key stays in flight, so
+            // identical submissions keep coalescing meanwhile.
+            lock.unlock();
+            const Response resp = backend_.execute(job->request);
+            lock.lock();
+            Waiters waiters = dispatcher_.complete(job->key, resp);
+            if (!resp.ok())
+                stats_.failed += waiters.size();
+            else if (resp.source == ResponseSource::ColdCache)
                 stats_.coldHits += 1;
             else
                 stats_.executed += 1;
-        } else {
-            stats_.failed += 1;
+            deliver(waiters, resp);
         }
-        deliver(*pending, resp);
-        if (queue_.empty() && executing_ == 0)
+        if (dispatcher_.idle())
             idleCv_.notify_all();
     }
 }
@@ -167,9 +126,7 @@ void
 Server::drain()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    idleCv_.wait(lock, [this]() {
-        return queue_.empty() && executing_ == 0;
-    });
+    idleCv_.wait(lock, [this]() { return dispatcher_.idle(); });
 }
 
 void
@@ -194,11 +151,18 @@ Server::stats() const
     return stats_;
 }
 
+HotCacheStats
+Server::hotCacheStats() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return dispatcher_.hotCacheStats();
+}
+
 std::size_t
 Server::queueDepth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
+    return dispatcher_.queued();
 }
 
 } // namespace liquid::serve

@@ -4,23 +4,16 @@
  *
  * A Server owns a worker pool and an async job queue: submit() hands
  * back a std::future<Response> immediately and the work proceeds in
- * the background. Three mechanisms shape the tail:
+ * the background. The serving policy itself — hot tier at the door,
+ * coalescing onto queued or running leaders, the FIFO with its
+ * capacity rule, deadlines checked at dequeue — is the Dispatcher's
+ * (serve/dispatch.hh), which the loadgen model drives too. The Server
+ * adds the threads, the wall clock and the futures: it calls the
+ * dispatcher under one lock, so a key finishing on a worker and the
+ * same key arriving at the door can never both miss.
  *
- *  - Hot cache: a bounded in-memory LRU of finished responses keyed by
- *    the content-addressed request key; hits complete at submit time
- *    without touching the queue.
- *  - Coalescing: a request whose key matches one already queued or
- *    executing attaches to it instead of enqueueing — one execution,
- *    N bit-identical responses, followers reporting source Coalesced
- *    and sharing the leader's fate (including cancellation).
- *  - Deadlines: a request still queued when its latency budget lapses
- *    is cancelled at dequeue — gracefully, with a Cancelled response
- *    delivered to every waiter and nothing inserted into any cache.
- *
- * Backpressure is explicit: submissions beyond queueCapacity are
- * rejected at the door with a Rejected response rather than growing
- * the queue without bound. stop() is graceful — the queue drains
- * before the workers exit.
+ * stop() is graceful: the queue drains before the workers exit, and
+ * every later submission is Rejected.
  */
 
 #ifndef LIQUID_SERVE_SERVER_HH
@@ -29,17 +22,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/backend.hh"
-#include "serve/hot_cache.hh"
+#include "serve/dispatch.hh"
 #include "serve/request.hh"
 
 namespace liquid::serve
@@ -49,7 +39,8 @@ struct ServerConfig
 {
     /** Worker threads executing requests. */
     unsigned workers = 2;
-    /** Queued-leader limit; submissions beyond it are Rejected. */
+    /** Queued-leader limit beyond the idle workers; a new leader
+     *  that finds it full is Rejected. */
     std::size_t queueCapacity = 64;
     /** Hot-tier capacity in responses; 0 disables the hot cache. */
     std::size_t hotCacheEntries = 256;
@@ -67,7 +58,7 @@ struct ServerStats
     std::uint64_t executed = 0;   ///< leader ran the backend
     std::uint64_t cancelled = 0;  ///< deadline lapsed while queued
     std::uint64_t rejected = 0;   ///< queue full (or server stopping)
-    std::uint64_t failed = 0;     ///< backend raised an error
+    std::uint64_t failed = 0;     ///< answered Failed (every waiter)
     std::uint64_t completed = 0;  ///< responses delivered, any status
     std::uint64_t maxQueueDepth = 0;
 };
@@ -100,37 +91,28 @@ class Server
     void stop();
 
     ServerStats stats() const;
-    HotCacheStats hotCacheStats() const { return hot_.stats(); }
+    HotCacheStats hotCacheStats() const;
 
     /** Leaders currently waiting in the queue (excludes executing). */
     std::size_t queueDepth() const;
 
   private:
-    /** One queue entry: a leader plus everyone coalesced onto it. */
-    struct Pending
-    {
-        Request request;
-        std::chrono::steady_clock::time_point submitted;
-        std::vector<std::promise<Response>> waiters;
-    };
-    using PendingPtr = std::shared_ptr<Pending>;
+    using Waiters = std::vector<std::promise<Response>>;
 
     void workerMain();
-    /** Deliver @p resp to every waiter (leader first, followers get
+    /** Microseconds since construction: the dispatcher's clock. */
+    std::uint64_t nowUs() const;
+    /** Answer every waiter with @p resp (leader first, followers get
      *  source Coalesced). Caller holds the lock. */
-    void deliver(Pending &pending, const Response &resp);
+    void deliver(Waiters &waiters, const Response &resp);
 
-    ServerConfig config_;
     Backend backend_;
-    HotCache hot_;
+    const std::chrono::steady_clock::time_point epoch_;
 
     mutable std::mutex mutex_;
     std::condition_variable workCv_;  ///< workers: queue or stop
     std::condition_variable idleCv_;  ///< drain(): all quiet
-    std::deque<PendingPtr> queue_;
-    /** Keyed leaders, queued or executing — the coalescing map. */
-    std::unordered_map<std::string, PendingPtr> inflight_;
-    std::size_t executing_ = 0;
+    Dispatcher<std::promise<Response>> dispatcher_;
     bool stopping_ = false;
     ServerStats stats_;
     std::vector<std::thread> workers_;

@@ -13,6 +13,9 @@
  *   - Unknown is tolerated (budget honesty) but counted, and the run
  *     fails if the prover gives up on more than a small fraction.
  *
+ * A kernel the scalarizer cannot build (FatalError) is skipped and
+ * counted; the run fails if more than a small fraction is skipped.
+ *
  * Environment knobs (the nightly CI job turns these up):
  *   LIQUID_PROOF_TRIALS   kernels to generate (default 10)
  *   LIQUID_PROOF_SEED     base RNG seed (default 1)
@@ -22,11 +25,13 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "chaos/oracle.hh"
+#include "common/logging.hh"
 #include "verifier/proof.hh"
 
 #include "random_kernels.hh"
@@ -72,12 +77,22 @@ TEST(ProofFuzz, ProverAgreesWithExecutionOracle)
     ProofOptions popts;  // widths {2, 4, 8, 16}, replay on
 
     unsigned proved = 0, refuted = 0, unknown = 0, untranslated = 0;
+    unsigned skipped = 0;
     for (unsigned t = 0; t < trials; ++t) {
         Rng krng(seed + 1000ull * t);
         Rng drng(seed + 1000ull * t + 7);
         const GeneratedKernel g = generateKernel(krng, t);
-        const Program prog = buildGeneratedProgram(
-            g, drng, EmitOptions::Mode::Scalarized, 16);
+        Program prog;
+        try {
+            prog = buildGeneratedProgram(
+                g, drng, EmitOptions::Mode::Scalarized, 16);
+        } catch (const FatalError &) {
+            // The generator occasionally exceeds a scalarizer limit
+            // (out of integer registers); such a kernel never reaches
+            // the prover. A PanicError is a simulator bug and fails.
+            ++skipped;
+            continue;
+        }
 
         const ProgramProof pp = proveProgram(prog, popts);
         ASSERT_EQ(pp.regions.size(), 1u) << "trial " << t;
@@ -134,4 +149,14 @@ TEST(ProofFuzz, ProverAgreesWithExecutionOracle)
     EXPECT_LE(unknown, (proved + unknown) / 10 + 1)
         << proved << " proved vs " << unknown << " unknown";
     EXPECT_GT(proved, 0u);
+
+    std::cout << "proof fuzz: " << trials << " kernels, " << skipped
+              << " skipped at a scalarizer limit\n";
+    // Skip bound: at 300 trials seeds 1, 7, 20261017 and 20261018
+    // skip 0, 2, 1 and 2 kernels (5 of 1200, 0.4%), and 500-trial
+    // date seeds skip up to 8 (1.6%). The bound, 5% + 1, leaves room
+    // for that spread but fails a generator change that would quietly
+    // leave many kernels unchecked.
+    EXPECT_LE(skipped, trials / 20 + 1)
+        << skipped << " of " << trials << " kernels skipped";
 }

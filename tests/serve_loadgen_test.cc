@@ -35,6 +35,37 @@ smallSpec()
     return spec;
 }
 
+/** The flood from DeadlinesCancelQueuedWork: one server, 50us budget. */
+LoadSpec
+deadlineSpec()
+{
+    LoadSpec spec = smallSpec();
+    spec.qps = 100000.0;
+    spec.virtualServers = 1;
+    spec.deadlineUs = 50;
+    spec.hotCacheEntries = 0;
+    return spec;
+}
+
+/** One server, a two-deep queue and a one-entry hot tier: rejections
+ *  and hot-tier evictions both happen. */
+LoadSpec
+backpressureSpec()
+{
+    LoadSpec spec = smallSpec();
+    spec.qps = 5000.0;
+    spec.virtualServers = 1;
+    spec.queueCapacity = 2;
+    spec.hotCacheEntries = 1;
+    return spec;
+}
+
+std::uint64_t
+reportHash(const LoadSpec &spec)
+{
+    return lab::fnv1a(runLoad(spec, 0).toJson(true).toString());
+}
+
 } // namespace
 
 TEST(ServeLoadgen, TraceIsDeterministic)
@@ -162,14 +193,10 @@ TEST(ServeLoadgen, SweepGatesOnTheTailContract)
 
 TEST(ServeLoadgen, DeadlinesCancelQueuedWork)
 {
-    LoadSpec spec = smallSpec();
     // One virtual server, a flood, and a 50us budget: queued requests
     // must cancel rather than execute late — and the books must still
     // balance.
-    spec.qps = 100000.0;
-    spec.virtualServers = 1;
-    spec.deadlineUs = 50;
-    spec.hotCacheEntries = 0;
+    const LoadSpec spec = deadlineSpec();
     const LoadReport report = runLoad(spec, 0);
     EXPECT_GT(report.all.cancelled, 0u);
     EXPECT_EQ(report.all.ok + report.all.cancelled +
@@ -178,4 +205,20 @@ TEST(ServeLoadgen, DeadlinesCancelQueuedWork)
     // A determinism spot-check on the stressed path too.
     const std::string once = report.toJson().toString();
     EXPECT_EQ(once, runLoad(spec, 4).toJson().toString());
+}
+
+TEST(ServeLoadgen, ReportBytesArePinned)
+{
+    // The tests above compare runs only with each other; these pin the
+    // serving policy itself. Each hash is the FNV-1a of the full report
+    // (distributions included), so a change to admission, coalescing,
+    // deadlines, the hot tier or the per-waiter accounting moves it.
+    // Re-pin only for an intended semantic change, and say why.
+    EXPECT_EQ(reportHash(smallSpec()), 3134703707077359385ull);
+    EXPECT_EQ(reportHash(deadlineSpec()), 17735510035020703664ull);
+
+    const LoadReport bp = runLoad(backpressureSpec(), 0);
+    EXPECT_GT(bp.all.rejected, 0u);
+    EXPECT_GT(bp.cache.evictions, 0u);
+    EXPECT_EQ(reportHash(backpressureSpec()), 7423097004869799233ull);
 }

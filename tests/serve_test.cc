@@ -3,7 +3,8 @@
  * Live async Server semantics: coalescing (N identical concurrent
  * requests -> one execution, N bit-identical responses, correct
  * counters), the hot tier, deadline cancellation that never poisons
- * the cache, queue backpressure, and graceful failure isolation.
+ * the cache, queue backpressure, and graceful failure isolation; and
+ * the Dispatcher's capacity and deadline boundaries in exact time.
  */
 
 #include <chrono>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "serve/backend.hh"
+#include "serve/dispatch.hh"
 #include "serve/server.hh"
 
 using namespace liquid;
@@ -42,6 +44,36 @@ Request
 blockerRequest()
 {
     return makeRequest(RequestClass::Simulate, "lu", 8);
+}
+
+/** Fresh servers a blocked-worker test may try before it gives up. */
+constexpr int blockedAttempts = 20;
+
+/**
+ * Occupy @p server's single worker with the blocker, then run
+ * @p probe. Returns true when the blocker was still running after the
+ * probe returned, so every submission the probe made met a busy
+ * worker. When the blocker finished first the worker was idle for
+ * some of them, and an idle worker admits one more request, so the
+ * run shows nothing and the caller retries on a fresh server.
+ */
+template <class Probe>
+bool
+probeWhileBlocked(Server &server, Probe &&probe)
+{
+    std::future<Response> blocker = server.submit(blockerRequest());
+    // Wait for the worker to dequeue the blocker (it then executes
+    // for milliseconds) so the probe sees an empty queue.
+    while (server.queueDepth() > 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    probe();
+    // The worker answers the blocker in the same critical section
+    // that frees its slot, so a blocker not yet answered here was
+    // still running when each probe submission took the lock.
+    const bool held = blocker.wait_for(std::chrono::seconds(0)) !=
+                      std::future_status::ready;
+    EXPECT_TRUE(blocker.get().ok());
+    return held;
 }
 
 } // namespace
@@ -188,27 +220,30 @@ TEST(Serve, QueueCapacityRejectsOverflow)
     ServerConfig config;
     config.workers = 1;
     config.queueCapacity = 1;
-    Server server(config);
-
-    std::future<Response> blocker = server.submit(blockerRequest());
-    // Wait for the worker to dequeue the blocker (it then executes
-    // for milliseconds) so the capacity probe sees an empty queue.
-    while (server.queueDepth() > 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    // One slot in the queue...
-    std::future<Response> queued =
-        server.submit(makeRequest(RequestClass::Scan, "fir", 4));
-    // ...and the next distinct key bounces at the door.
-    const Response rejected =
-        server.submit(makeRequest(RequestClass::Scan, "fft", 4)).get();
-    EXPECT_EQ(rejected.status, ResponseStatus::Rejected);
-    EXPECT_EQ(rejected.digest, 0u);
-
-    ASSERT_TRUE(blocker.get().ok());
-    ASSERT_TRUE(queued.get().ok());
-    server.stop();
-    EXPECT_EQ(server.stats().rejected, 1u);
-    EXPECT_EQ(server.stats().maxQueueDepth, 1u);
+    for (int attempt = 0; attempt < blockedAttempts; ++attempt) {
+        Server server(config);
+        std::future<Response> queued;
+        std::future<Response> bounced;
+        const bool held = probeWhileBlocked(server, [&]() {
+            // One slot in the queue...
+            queued =
+                server.submit(makeRequest(RequestClass::Scan, "fir", 4));
+            // ...and the next distinct key bounces at the door.
+            bounced =
+                server.submit(makeRequest(RequestClass::Scan, "fft", 4));
+        });
+        if (!held)
+            continue;
+        const Response rejected = bounced.get();
+        EXPECT_EQ(rejected.status, ResponseStatus::Rejected);
+        EXPECT_EQ(rejected.digest, 0u);
+        ASSERT_TRUE(queued.get().ok());
+        server.stop();
+        EXPECT_EQ(server.stats().rejected, 1u);
+        EXPECT_EQ(server.stats().maxQueueDepth, 1u);
+        return;
+    }
+    FAIL() << "the blocker never outlasted the probe";
 }
 
 TEST(Serve, BackendFailureIsIsolatedAndUncached)
@@ -254,4 +289,157 @@ TEST(Serve, StopDrainsAcceptedWork)
     const Response late =
         server.submit(makeRequest(RequestClass::Scan, "fir", 4)).get();
     EXPECT_EQ(late.status, ResponseStatus::Rejected);
+}
+
+TEST(Serve, ConcurrentRepeatsExecuteOnce)
+{
+    // Many clients hammer one cheap key. A worker that finishes the key
+    // ends coalescing and fills the hot tier in one step under the
+    // server lock, so every other submission either coalesces or hits:
+    // the backend runs exactly once.
+    ServerConfig config;
+    config.workers = 2;
+    Server server(config);
+    const Request req = makeRequest(RequestClass::Verify, "fir", 4);
+    constexpr int clients = 4;
+    constexpr int perClient = 200;
+    std::vector<std::thread> threads;
+    std::vector<std::vector<std::future<Response>>> futures(clients);
+    for (int c = 0; c < clients; ++c) {
+        threads.emplace_back([&server, &req, &mine = futures[c]]() {
+            for (int i = 0; i < perClient; ++i)
+                mine.push_back(server.submit(req));
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (auto &mine : futures)
+        for (auto &f : mine)
+            EXPECT_TRUE(f.get().ok());
+    server.stop();
+
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.executed, 1u);
+    EXPECT_EQ(stats.executed + stats.coalesced + stats.hotHits,
+              static_cast<std::uint64_t>(clients * perClient));
+    EXPECT_EQ(stats.completed,
+              static_cast<std::uint64_t>(clients * perClient));
+}
+
+TEST(Serve, ZeroQueueCapacityStillServesIdleSlots)
+{
+    // Capacity bounds the requests waiting for a slot, not the slots:
+    // with no queue at all, an idle worker still takes a request, and
+    // only a request that would have to wait is rejected.
+    ServerConfig config;
+    config.workers = 1;
+    config.queueCapacity = 0;
+    for (int attempt = 0; attempt < blockedAttempts; ++attempt) {
+        Server server(config);
+        const Response first =
+            server.submit(makeRequest(RequestClass::Verify, "fir", 4))
+                .get();
+        ASSERT_TRUE(first.ok()) << first.error;
+        EXPECT_EQ(first.source, ResponseSource::Executed);
+
+        std::future<Response> probe;
+        const bool held = probeWhileBlocked(server, [&]() {
+            probe =
+                server.submit(makeRequest(RequestClass::Scan, "fft", 4));
+        });
+        if (!held)
+            continue;
+        EXPECT_EQ(probe.get().status, ResponseStatus::Rejected);
+        server.stop();
+        EXPECT_EQ(server.stats().executed, 2u);
+        EXPECT_EQ(server.stats().rejected, 1u);
+        return;
+    }
+    FAIL() << "the blocker never outlasted the probe";
+}
+
+TEST(Serve, FailuresAreCountedPerWaiter)
+{
+    ServerConfig config;
+    config.workers = 1;
+    Server server(config);
+    // Three identical bad requests behind a blocker share one failing
+    // execution; each of them is a failed request, as each waiter on a
+    // cancelled leader is a cancelled one.
+    std::future<Response> blocker = server.submit(blockerRequest());
+    const Request bad =
+        makeRequest(RequestClass::Simulate, "no-such-workload", 4);
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < 3; ++i)
+        futures.push_back(server.submit(bad));
+    ASSERT_TRUE(blocker.get().ok());
+    for (auto &f : futures)
+        EXPECT_EQ(f.get().status, ResponseStatus::Failed);
+    server.stop();
+
+    EXPECT_EQ(server.stats().failed, 3u);
+    EXPECT_EQ(server.stats().completed, 4u);
+    EXPECT_EQ(server.hotCacheStats().insertions, 1u);
+}
+
+TEST(Dispatcher, CapacityCountsIdleSlots)
+{
+    // Two slots, one queue place: with both slots idle three leaders
+    // fit; once two of them hold the slots, one may wait and no more.
+    Dispatcher<int> d(2, 1, 0);
+    auto submit = [&d](const char *workload) {
+        int waiter = 0;
+        return d.submit(makeRequest(RequestClass::Scan, workload, 4),
+                        waiter, 0)
+            .how;
+    };
+    auto noCancel = [](const Response &, std::vector<int> &&) {
+        FAIL() << "nothing has a deadline";
+    };
+    EXPECT_EQ(submit("fir"), Admit::Queued);
+    EXPECT_EQ(submit("lu"), Admit::Queued);
+    EXPECT_EQ(submit("fft"), Admit::Queued);
+    EXPECT_EQ(submit("dct"), Admit::Rejected);
+    ASSERT_TRUE(d.next(0, noCancel));
+    ASSERT_TRUE(d.next(0, noCancel));
+    EXPECT_FALSE(d.next(0, noCancel));  // both slots busy
+    EXPECT_EQ(d.queued(), 1u);
+    EXPECT_EQ(submit("dct"), Admit::Rejected);
+    EXPECT_EQ(submit("fir"), Admit::Coalesced);
+}
+
+TEST(Dispatcher, DeadlineLapsesOnlyPastTheBudget)
+{
+    // One slot held from t=0 to t=10; two leaders queued at t=0 with
+    // a 10us budget. At t=10 the first has waited exactly its budget
+    // and runs; at t=11 the second has waited past it and cancels.
+    Dispatcher<int> d(1, 4, 0);
+    auto noCancel = [](const Response &, std::vector<int> &&) {
+        FAIL() << "cancelled within its budget";
+    };
+    int waiter = 0;
+    d.submit(makeRequest(RequestClass::Scan, "fir", 4), waiter, 0);
+    const auto blocker = d.next(0, noCancel);
+    ASSERT_TRUE(blocker);
+    Request onTime = makeRequest(RequestClass::Scan, "lu", 4);
+    onTime.deadlineUs = 10;
+    Request late = makeRequest(RequestClass::Scan, "fft", 4);
+    late.deadlineUs = 10;
+    d.submit(onTime, waiter, 0);
+    d.submit(late, waiter, 0);
+
+    d.complete(blocker->key, Response{});
+    const auto ran = d.next(10, noCancel);
+    ASSERT_TRUE(ran);
+    EXPECT_EQ(ran->key, onTime.key());
+
+    d.complete(ran->key, Response{});
+    int cancelled = 0;
+    EXPECT_FALSE(d.next(11, [&](const Response &resp,
+                                std::vector<int> &&waiters) {
+        EXPECT_EQ(resp.status, ResponseStatus::Cancelled);
+        cancelled += static_cast<int>(waiters.size());
+    }));
+    EXPECT_EQ(cancelled, 1);
+    EXPECT_TRUE(d.idle());
 }

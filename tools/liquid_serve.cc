@@ -49,21 +49,12 @@ namespace
 struct Options
 {
     std::string command;
-    std::vector<std::string> workloads;     ///< empty = spec default
-    std::vector<unsigned> widths;           ///< empty = spec default
-    std::vector<RequestClass> classes;      ///< empty = all five
+    /** Draw axes (empty = withDefaults), load and model knobs; the
+     *  run command reads its axes and queue/hot-tier sizes too. */
+    LoadSpec spec;
     unsigned jobs = 0;                      ///< 0 = hardware threads
-    std::uint64_t seed = 1;
     std::vector<double> qpsList{200.0};
-    std::uint64_t requests = 64;
-    std::uint64_t deadlineUs = 0;
-    unsigned servers = 4;
-    std::size_t queueCapacity = 64;
-    std::size_t hotCacheEntries = 256;
     std::string coldCacheDir;
-    std::uint64_t hitCostUs = 5;
-    std::uint64_t overheadUs = 20;
-    std::uint64_t unitsPerUs = 1000;
     std::uint64_t p99TargetUs = 0;          ///< 0 = no gate (loadgen)
     unsigned repeat = 2;                    ///< run: submission rounds
     bool distribution = false;
@@ -146,20 +137,20 @@ parseArgs(int argc, char **argv, Options &opts)
             const char *v = next();
             if (!v)
                 return false;
-            opts.workloads = cli::splitList(v);
+            opts.spec.workloads = cli::splitList(v);
         } else if (arg == "--widths") {
             const char *v = next();
             if (!v)
                 return false;
-            if (!cli::parseWidths(v, opts.widths))
+            if (!cli::parseWidths(v, opts.spec.widths))
                 return false;
         } else if (arg == "--classes") {
             const char *v = next();
             if (!v)
                 return false;
-            opts.classes.clear();
+            opts.spec.mix.clear();
             for (const auto &c : cli::splitList(v))
-                opts.classes.push_back(classFromName(c));
+                opts.spec.mix.push_back(classFromName(c));
         } else if (arg == "--jobs") {
             const char *v = next();
             if (!v)
@@ -167,7 +158,7 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.jobs = static_cast<unsigned>(
                 std::strtoul(v, nullptr, 10));
         } else if (arg == "--seed") {
-            if (!nextU64(opts.seed))
+            if (!nextU64(opts.spec.seed))
                 return false;
         } else if (arg == "--qps") {
             const char *v = next();
@@ -177,40 +168,40 @@ parseArgs(int argc, char **argv, Options &opts)
             for (const auto &q : cli::splitList(v))
                 opts.qpsList.push_back(std::strtod(q.c_str(), nullptr));
         } else if (arg == "--requests") {
-            if (!nextU64(opts.requests))
+            if (!nextU64(opts.spec.requests))
                 return false;
         } else if (arg == "--deadline-us") {
-            if (!nextU64(opts.deadlineUs))
+            if (!nextU64(opts.spec.deadlineUs))
                 return false;
         } else if (arg == "--servers") {
             const char *v = next();
             if (!v)
                 return false;
-            opts.servers = static_cast<unsigned>(
+            opts.spec.virtualServers = static_cast<unsigned>(
                 std::strtoul(v, nullptr, 10));
         } else if (arg == "--queue-capacity") {
             std::uint64_t n = 0;
             if (!nextU64(n))
                 return false;
-            opts.queueCapacity = n;
+            opts.spec.queueCapacity = n;
         } else if (arg == "--hot-cache") {
             std::uint64_t n = 0;
             if (!nextU64(n))
                 return false;
-            opts.hotCacheEntries = n;
+            opts.spec.hotCacheEntries = n;
         } else if (arg == "--cold-cache") {
             const char *v = next();
             if (!v)
                 return false;
             opts.coldCacheDir = v;
         } else if (arg == "--hit-cost-us") {
-            if (!nextU64(opts.hitCostUs))
+            if (!nextU64(opts.spec.hitCostUs))
                 return false;
         } else if (arg == "--overhead-us") {
-            if (!nextU64(opts.overheadUs))
+            if (!nextU64(opts.spec.overheadUs))
                 return false;
         } else if (arg == "--units-per-us") {
-            if (!nextU64(opts.unitsPerUs))
+            if (!nextU64(opts.spec.unitsPerUs))
                 return false;
         } else if (arg == "--p99-target-us") {
             if (!nextU64(opts.p99TargetUs))
@@ -244,26 +235,6 @@ parseArgs(int argc, char **argv, Options &opts)
         }
     }
     return true;
-}
-
-LoadSpec
-specFromOptions(const Options &opts)
-{
-    LoadSpec spec;
-    spec.seed = opts.seed;
-    spec.qps = opts.qpsList.front();
-    spec.requests = opts.requests;
-    spec.mix = opts.classes;
-    spec.workloads = opts.workloads;
-    spec.widths = opts.widths;
-    spec.deadlineUs = opts.deadlineUs;
-    spec.virtualServers = opts.servers;
-    spec.queueCapacity = opts.queueCapacity;
-    spec.hotCacheEntries = opts.hotCacheEntries;
-    spec.hitCostUs = opts.hitCostUs;
-    spec.overheadUs = opts.overheadUs;
-    spec.unitsPerUs = opts.unitsPerUs;
-    return spec;
 }
 
 void
@@ -303,21 +274,12 @@ printClassTable(const LoadReport &report)
 std::vector<Request>
 liveRequestSet(const Options &opts)
 {
-    std::vector<RequestClass> classes(opts.classes);
-    if (classes.empty())
-        classes.assign(std::begin(allRequestClasses),
-                       std::end(allRequestClasses));
-    std::vector<std::string> workloads(opts.workloads);
-    if (workloads.empty())
-        workloads = {"fir", "lu", "fft"};
-    std::vector<unsigned> widths(opts.widths);
-    if (widths.empty())
-        widths = {4, 8};
+    const LoadSpec axes = withDefaults(opts.spec);
 
     std::vector<Request> set;
-    for (RequestClass cls : classes) {
-        for (const std::string &workload : workloads) {
-            for (unsigned width : widths) {
+    for (RequestClass cls : axes.mix) {
+        for (const std::string &workload : axes.workloads) {
+            for (unsigned width : axes.widths) {
                 Request r;
                 r.cls = cls;
                 r.job.experiment = "serve";
@@ -336,8 +298,8 @@ cmdRun(const Options &opts)
 {
     ServerConfig config;
     config.workers = opts.jobs ? opts.jobs : 4;
-    config.queueCapacity = opts.queueCapacity;
-    config.hotCacheEntries = opts.hotCacheEntries;
+    config.queueCapacity = opts.spec.queueCapacity;
+    config.hotCacheEntries = opts.spec.hotCacheEntries;
     config.coldCacheDir = opts.coldCacheDir;
     Server server(config);
 
@@ -415,7 +377,9 @@ cmdLoadgen(const Options &opts)
                      "(use sweep for a list)\n";
         return 2;
     }
-    const LoadReport report = runLoad(specFromOptions(opts), opts.jobs);
+    LoadSpec spec = opts.spec;
+    spec.qps = opts.qpsList.front();
+    const LoadReport report = runLoad(spec, opts.jobs);
     emitReport(opts, report.toJson(opts.distribution));
     if (!opts.labOut.empty())
         toLabResults(report).writeFile(opts.labOut);
@@ -441,9 +405,8 @@ cmdLoadgen(const Options &opts)
 int
 cmdSweep(const Options &opts)
 {
-    const SweepReport sweep = runSweep(specFromOptions(opts),
-                                       opts.qpsList, opts.p99TargetUs,
-                                       opts.jobs);
+    const SweepReport sweep = runSweep(opts.spec, opts.qpsList,
+                                       opts.p99TargetUs, opts.jobs);
     emitReport(opts, sweep.toJson(opts.distribution));
     if (!opts.labOut.empty()) {
         // The lab-schema rendering carries the run at the highest
