@@ -8,90 +8,6 @@
 namespace liquid
 {
 
-namespace
-{
-
-// Saturation clamps the 32-bit *wrapped* sum/difference, not the
-// widened one: the architectural definition of qadd/qsub is the scalar
-// cmp/conditional-mov idiom the scalarizer emits (add, clamp to
-// [satMin, satMax]), and the translator rewrites that idiom to
-// Vqadd/Vqsub claiming bit-exact equivalence — which only holds if the
-// vector op reproduces the idiom's wraparound on 32-bit overflow.
-// (Found by liquid-proof translation validation and confirmed by the
-// chaos oracle: widen-then-clamp diverges at e.g. INT_MAX + 1.)
-
-Word
-satAdd(Word a, Word b)
-{
-    const SWord sum = static_cast<SWord>(a + b);
-    return static_cast<Word>(std::clamp<SWord>(sum, satMin, satMax));
-}
-
-Word
-satSub(Word a, Word b)
-{
-    const SWord diff = static_cast<SWord>(a - b);
-    return static_cast<Word>(std::clamp<SWord>(diff, satMin, satMax));
-}
-
-} // namespace
-
-Word
-evalScalarOp(Opcode op, Word a, Word b, bool use_float)
-{
-    if (use_float) {
-        const float fa = bitsToFloat(a);
-        const float fb = bitsToFloat(b);
-        switch (op) {
-          case Opcode::Add: return floatToBits(fa + fb);
-          case Opcode::Sub: return floatToBits(fa - fb);
-          case Opcode::Rsb: return floatToBits(fb - fa);
-          case Opcode::Mul: return floatToBits(fa * fb);
-          case Opcode::Min: return floatToBits(std::min(fa, fb));
-          case Opcode::Max: return floatToBits(std::max(fa, fb));
-          default:
-            break;  // bitwise and shifts fall through to raw handling
-        }
-    }
-
-    const SWord sa = static_cast<SWord>(a);
-    const SWord sb = static_cast<SWord>(b);
-    switch (op) {
-      case Opcode::Mov: return b;
-      case Opcode::Add: return a + b;
-      case Opcode::Sub: return a - b;
-      case Opcode::Rsb: return b - a;
-      case Opcode::Mul: return a * b;
-      case Opcode::And: return a & b;
-      case Opcode::Orr: return a | b;
-      case Opcode::Eor: return a ^ b;
-      case Opcode::Bic: return a & ~b;
-      case Opcode::Lsl: return b >= 32 ? 0 : a << (b & 31);
-      case Opcode::Lsr: return b >= 32 ? 0 : a >> (b & 31);
-      case Opcode::Asr:
-        return static_cast<Word>(sa >> std::min<Word>(b, 31));
-      case Opcode::Min: return static_cast<Word>(std::min(sa, sb));
-      case Opcode::Max: return static_cast<Word>(std::max(sa, sb));
-      case Opcode::Qadd: return satAdd(a, b);
-      case Opcode::Qsub: return satSub(a, b);
-      default:
-        panic("evalScalarOp: not a data-processing opcode: ", opName(op));
-    }
-}
-
-int
-evalCompare(Word a, Word b, bool use_float)
-{
-    if (use_float) {
-        const float fa = bitsToFloat(a);
-        const float fb = bitsToFloat(b);
-        return fa < fb ? -1 : (fa == fb ? 0 : 1);
-    }
-    const SWord sa = static_cast<SWord>(a);
-    const SWord sb = static_cast<SWord>(b);
-    return sa < sb ? -1 : (sa == sb ? 0 : 1);
-}
-
 VecValue
 evalVectorOp(Opcode op, const VecValue &a, const VecValue &b,
              unsigned width, bool use_float)

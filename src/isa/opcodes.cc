@@ -148,16 +148,14 @@ buildTable()
     return t;
 }
 
-const auto opTable = buildTable();
-
 } // namespace
 
-const OpInfo &
-opInfo(Opcode op)
+namespace detail
 {
-    LIQUID_ASSERT(op < Opcode::NumOpcodes);
-    return opTable[static_cast<std::size_t>(op)];
-}
+constinit const std::array<OpInfo, static_cast<std::size_t>(
+                                       Op::NumOpcodes)> opTable =
+    buildTable();
+} // namespace detail
 
 const char *
 condName(Cond cond)

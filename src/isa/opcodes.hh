@@ -7,8 +7,12 @@
 #ifndef LIQUID_ISA_OPCODES_HH
 #define LIQUID_ISA_OPCODES_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "common/logging.hh"
 
 namespace liquid
 {
@@ -117,8 +121,20 @@ struct OpInfo
     Opcode scalarEquiv;     ///< vector op -> scalar op (or Nop)
 };
 
+namespace detail
+{
+/** Per-opcode metadata, indexed by opcode; constant-initialised. */
+extern const std::array<OpInfo, static_cast<std::size_t>(
+                                    Opcode::NumOpcodes)> opTable;
+} // namespace detail
+
 /** Metadata lookup; valid for every opcode below NumOpcodes. */
-const OpInfo &opInfo(Opcode op);
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    LIQUID_ASSERT(op < Opcode::NumOpcodes);
+    return detail::opTable[static_cast<std::size_t>(op)];
+}
 
 /**
  * How the dynamic translator's partial decoder (paper Section 4.1)

@@ -15,51 +15,48 @@ Cache::Cache(std::string name, const CacheConfig &config)
                   "cache size/assoc mismatch");
     numSets_ = static_cast<unsigned>(num_lines / config_.assoc);
     LIQUID_ASSERT(isPowerOf2(numSets_));
-    lines_.resize(num_lines);
+    lineShift_ = log2i(config_.lineSize);
+    setShift_ = log2i(numSets_);
+    sets_.resize(numSets_);
+    tags_.resize(num_lines);
+    lastUse_.resize(num_lines);
+    dirty_.resize(num_lines);
 }
 
 bool
-Cache::access(Addr addr, bool is_write)
+Cache::accessSlow(unsigned set, Addr tag, bool is_write)
 {
-    ++useCounter_;
-    stats_.inc(ctr_.accesses);
-    if (is_write)
-        stats_.inc(ctr_.writes);
-
-    const Addr line_addr = addr / config_.lineSize;
-    const unsigned set = line_addr & (numSets_ - 1);
-    const Addr tag = line_addr >> log2i(numSets_);
-    Line *ways = &lines_[static_cast<std::size_t>(set) * config_.assoc];
-
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (ways[w].valid && ways[w].tag == tag) {
-            ways[w].lastUse = useCounter_;
-            ways[w].dirty = ways[w].dirty || is_write;
-            stats_.inc(ctr_.hits);
+    SetState &s = sets_[set];
+    const std::size_t base = wayIndex(set, 0);
+    for (unsigned w = 0; w < s.fill; ++w) {
+        if (tags_[base + w] == tag) {
+            touch(base + w, is_write);
+            s.mru = w;
             return true;
         }
     }
 
-    // Miss: fill into LRU (or first invalid) way.
+    // Miss: fill the next free way, or evict the LRU one (the smallest
+    // stamp; stamps are distinct, so the choice is unique).
     stats_.inc(ctr_.misses);
-    Line *victim = &ways[0];
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (!ways[w].valid) {
-            victim = &ways[w];
-            break;
+    unsigned victim = s.fill;
+    if (s.fill < config_.assoc) {
+        ++s.fill;
+    } else {
+        victim = 0;
+        for (unsigned w = 1; w < config_.assoc; ++w) {
+            if (lastUse_[base + w] < lastUse_[base + victim])
+                victim = w;
         }
-        if (ways[w].lastUse < victim->lastUse)
-            victim = &ways[w];
-    }
-    if (victim->valid) {
         stats_.inc(ctr_.evictions);
-        if (victim->dirty)
+        if (dirty_[base + victim])
             stats_.inc(ctr_.writebacks);
     }
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = tag;
-    victim->lastUse = useCounter_;
+    const std::size_t i = base + victim;
+    tags_[i] = tag;
+    lastUse_[i] = useCounter_;
+    dirty_[i] = is_write;
+    s.mru = victim;
     return false;
 }
 
@@ -67,10 +64,10 @@ unsigned
 Cache::accessRange(Addr addr, unsigned bytes, bool is_write)
 {
     unsigned misses = 0;
-    const Addr first = addr / config_.lineSize;
-    const Addr last = (addr + bytes - 1) / config_.lineSize;
+    const Addr first = addr >> lineShift_;
+    const Addr last = (addr + bytes - 1) >> lineShift_;
     for (Addr line = first; line <= last; ++line) {
-        if (!access(line * config_.lineSize, is_write))
+        if (!access(line << lineShift_, is_write))
             ++misses;
     }
     return misses;
@@ -79,8 +76,8 @@ Cache::accessRange(Addr addr, unsigned bytes, bool is_write)
 void
 Cache::flush()
 {
-    for (auto &line : lines_)
-        line = Line{};
+    for (auto &s : sets_)
+        s = SetState{};
 }
 
 } // namespace liquid

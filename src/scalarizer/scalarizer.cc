@@ -130,7 +130,18 @@ planFission(const Kernel &kernel)
             if (v.dst >= 0)
                 valueStage[v.dst] = stage;
             // Operands produced in earlier stages cross through tmps.
+            // A store whose operand is a store-fused permutation reads
+            // the permutation's operand instead (the permutation is
+            // realized by the store's offset indexing), so that is the
+            // value that must cross when a split separates the two.
             for (int opnd : {v.a, v.b}) {
+                if (v.k == OpK::Store && opnd >= 0) {
+                    const int def = plan.defIdx.at(opnd);
+                    auto pm = plan.permMode.find(def);
+                    if (pm != plan.permMode.end() &&
+                        pm->second == PermMode::StoreFused)
+                        opnd = body[def].a;
+                }
                 if (opnd >= 0 && valueStage[opnd] < stage &&
                     !plan.splitPermIdx.count(opnd))
                     plan.matPlain.insert(opnd);

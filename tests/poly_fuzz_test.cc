@@ -58,13 +58,8 @@ TEST(PolyFuzz, RandomKernelsMatchConcreteVerdicts)
             prog = buildGeneratedProgram(
                 g, dataRng, EmitOptions::Mode::Scalarized, 8);
         } catch (const FatalError &) {
-            // Register pressure: the kernel never scalarizes, so
-            // there is no verdict to compare.
-            ++skipped;
-            continue;
-        } catch (const PanicError &) {
-            // Staging aliasing — same story (see the differential
-            // verifier test for the generator limits).
+            // Register pressure or staging aliasing: the kernel never
+            // scalarizes, so there is no verdict to compare.
             ++skipped;
             continue;
         }

@@ -138,6 +138,28 @@ TEST(ScalarizerEdge, StoreFusedPermWithTwoStoreConsumers)
     runAndCheck(prog, k, {"c", "d"});
 }
 
+TEST(ScalarizerEdge, StoreFusedPermStoredAfterASplit)
+{
+    // Reduced from a generated kernel: the permutation p is store-fused
+    // (a store is its only consumer), but a later split permutation of
+    // the same value ends the stage before that store runs. The store
+    // realizes p by offset indexing, so it is p's operand, not p, that
+    // must cross the stage boundary through a tmp.
+    Program prog = arraysProgram(16);
+    Kernel k("k", 16);
+    const int va = k.load("a");
+    const int vb = k.load("b");
+    const int sum = k.bin(Opcode::Add, va, vb);
+    const int p = k.perm(sum, PermKind::RotUp, 4);
+    const int q = k.perm(sum, PermKind::Reverse, 4);  // split: a DP use
+    k.store("d", k.bin(Opcode::Add, q, vb));
+    k.store("c", p);
+
+    const EmitResult r = emitKernel(prog, k, EmitOptions{});
+    EXPECT_EQ(r.numStages, 2u);
+    runAndCheck(prog, k, {"c", "d"});
+}
+
 TEST(ScalarizerEdge, PermutationOfCrossStageValue)
 {
     Program prog = arraysProgram(16);

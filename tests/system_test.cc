@@ -40,6 +40,35 @@ TEST(MainMemory, OutOfBoundsIsFatal)
     EXPECT_NO_THROW(mem.readWord(60));
 }
 
+TEST(MainMemory, StraddlingTheEndIsFatal)
+{
+    // Every byte of an access is checked, not just its first: half and
+    // word accesses that start inside memory but end past it fail, and
+    // a failed write leaves memory untouched.
+    MainMemory mem(64);
+    for (Addr a : {61u, 62u, 63u}) {
+        EXPECT_THROW(mem.readWord(a), FatalError) << a;
+        EXPECT_THROW(mem.writeWord(a, 0xFFFFFFFFu), FatalError) << a;
+        EXPECT_THROW(mem.readElem(a, 4, false), FatalError) << a;
+        EXPECT_THROW(mem.writeElem(a, 4, 0xFFFFFFFFu), FatalError) << a;
+    }
+    EXPECT_THROW(mem.readHalf(63), FatalError);
+    EXPECT_THROW(mem.writeHalf(63, 0xFFFF), FatalError);
+    EXPECT_THROW(mem.readElem(63, 2, true), FatalError);
+    EXPECT_THROW(mem.writeElem(63, 2, 0xFFFF), FatalError);
+    EXPECT_THROW(mem.readHalf(64), FatalError);
+    EXPECT_THROW(mem.readByte(64), FatalError);
+    for (Addr a = 60; a < 64; ++a)
+        EXPECT_EQ(mem.readByte(a), 0u) << a;
+
+    EXPECT_NO_THROW(mem.readHalf(62));
+    EXPECT_NO_THROW(mem.writeHalf(62, 0xBEEF));
+    EXPECT_NO_THROW(mem.writeWord(60, 0x12345678));
+    EXPECT_EQ(mem.readWord(60), 0x12345678u);
+    // Wrapping a 32-bit address cannot reach back into memory.
+    EXPECT_THROW(mem.readWord(0xFFFFFFFEu), FatalError);
+}
+
 TEST(MainMemory, LoadsProgramImage)
 {
     Program prog;
