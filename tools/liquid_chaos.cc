@@ -28,10 +28,10 @@
  * core as the ground-truth generator.
  *
  * Exit status: 0 when every schedule preserves architectural state;
- * 1 on any oracle mismatch; 2 on usage errors.
+ * 1 on any oracle mismatch; 2 on usage errors, a bad schedule key and
+ * internal errors.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -69,7 +69,6 @@ const std::vector<std::string> smokeSchedules = {
 
 struct Options
 {
-    std::string command;
     unsigned width = 8;
     std::vector<std::string> workloads;  ///< empty = whole suite
     std::string schedule;                ///< run: schedule key
@@ -92,99 +91,6 @@ referenceMaker(const Options &opts)
                : makeReference;
 }
 
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-chaos smoke   [options]\n"
-        "       liquid-chaos explore [options]\n"
-        "       liquid-chaos run --schedule KEY [options]\n"
-        "  --width W        SIMD width (default 8)\n"
-        "  --workloads LIST comma-separated suite names"
-        " (default: all)\n"
-        "  --schedule KEY   fault schedule to replay, e.g."
-        " 'int@40+flush@80'\n"
-        "  --window N       explore: exhaustive single-event schedules\n"
-        "                   for each kind at retire 1..N (default 16)\n"
-        "  --trials N       explore: random multi-event schedules\n"
-        "                   (default 8)\n"
-        "  --seed S         explore: RNG seed (default 1)\n"
-        "  --reference TIER scalar ground-truth generator:\n"
-        "                   'functional' (default; fast interpreter)\n"
-        "                   or 'cycle' (the timing core)\n"
-        "  --json           machine-readable report on stdout\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opts)
-{
-    if (argc < 2)
-        return false;
-    opts.command = argv[1];
-    if (opts.command != "smoke" && opts.command != "explore" &&
-        opts.command != "run")
-        return false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--width") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.width = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (arg == "--workloads") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.workloads = cli::splitList(v);
-        } else if (arg == "--schedule") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.schedule = v;
-        } else if (arg == "--window") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.window = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--trials") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.trials = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--reference") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const std::string t = v;
-            if (t == "functional") {
-                opts.reference = fast::ExecTier::Functional;
-            } else if (t == "cycle") {
-                opts.reference = fast::ExecTier::Cycle;
-            } else {
-                std::cerr << "unknown reference tier '" << t
-                          << "' (expected 'functional' or 'cycle')\n";
-                return false;
-            }
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else {
-            return false;
-        }
-    }
-    if (opts.command == "run" && opts.schedule.empty())
-        return false;
-    return true;
-}
-
 /** The selected workloads, built Scalarized at the oracle width. */
 std::vector<std::pair<std::string, Workload::Build>>
 buildWorkloads(const Options &opts)
@@ -203,7 +109,7 @@ buildWorkloads(const Options &opts)
             wl->build(EmitOptions::Mode::Scalarized, opts.width));
     }
     if (builds.empty())
-        fatal("liquid-chaos: no matching workloads");
+        fatal("no matching workloads");
     return builds;
 }
 
@@ -359,19 +265,45 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage();
-        return 2;
-    }
-
-    try {
-        if (opts.command == "smoke")
+    const cli::Tool tool{
+        "liquid-chaos",
+        {
+            {"smoke", "[options]",
+             "every workload against the curated fault schedules", {}, 0},
+            {"explore", "[options]",
+             "exhaustive single-event plus random multi-event schedules",
+             {}, 0},
+            {"run", "--schedule KEY [options]",
+             "replay one schedule key", {}, 0},
+        },
+        {
+            cli::width({"--width"}, opts.width, "SIMD width (default 8)"),
+            cli::list({"--workloads"}, "LIST", opts.workloads,
+                      "comma-separated suite names (default: all)"),
+            cli::text({"--schedule"}, "KEY", opts.schedule,
+                      "fault schedule to replay, e.g. 'int@40+flush@80'"),
+            cli::number({"--window"}, "N", opts.window,
+                        "explore: exhaustive single-event schedules for "
+                        "each kind at retire 1..N (default 16)"),
+            cli::number({"--trials"}, "N", opts.trials,
+                        "explore: random multi-event schedules (default "
+                        "8)"),
+            cli::number({"--seed"}, "S", opts.seed,
+                        "explore: RNG seed (default 1)"),
+            cli::choice({"--reference"}, opts.reference,
+                        cli::tierChoices(),
+                        "scalar ground-truth generator: the timing core "
+                        "or the fast interpreter (default: functional)"),
+            cli::flag({"--json"}, opts.json,
+                      "machine-readable report on stdout"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        if (p.command == "smoke")
             return runCurated(opts, smokeSchedules, "smoke");
-        if (opts.command == "run")
-            return runCurated(opts, {opts.schedule}, "run");
-        return runExplore(opts);
-    } catch (const std::exception &e) {
-        std::cerr << "liquid-chaos: " << e.what() << '\n';
-        return 2;
-    }
+        if (p.command == "explore")
+            return runExplore(opts);
+        if (opts.schedule.empty())
+            throw cli::UsageError("run: --schedule KEY is required");
+        return runCurated(opts, {opts.schedule}, "run");
+    });
 }

@@ -24,11 +24,10 @@
  *
  * Exit status: 0 when every lockstep run is equal (and every sabotage
  * mutation is caught, and the bench gate holds); 1 otherwise; 2 on
- * usage errors.
+ * usage errors and internal errors.
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -76,110 +75,6 @@ struct Options
     std::string dumpDir;
     bool json = false;
 };
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-fast [options]\n"
-        "  --workloads LIST  comma-separated suite names (default: all)\n"
-        "  --modes LIST      scalar,native (default: both)\n"
-        "  --widths LIST     native SIMD widths (default: 8)\n"
-        "  --random N        also lockstep N random kernels\n"
-        "  --seed S          random-kernel RNG seed (default 1)\n"
-        "  --switch          force the portable switch dispatch loop\n"
-        "  --faults KEY      retire-keyed schedule for both tiers,\n"
-        "                    e.g. 'int@40+smc@100'\n"
-        "  --sabotage        self-test: seed each handler mutation and\n"
-        "                    require the lockstep compare to catch it\n"
-        "  --bench           measure retired-instructions/sec on both\n"
-        "                    tiers and write a results file\n"
-        "  --out FILE        bench output path (default BENCH_fast.json)\n"
-        "  --dump-dir DIR    write one divergence dump file per failing\n"
-        "                    lockstep run\n"
-        "  --json            machine-readable report on stdout\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opts)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--workloads") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.workloads = cli::splitList(v);
-        } else if (arg == "--modes") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.modes.clear();
-            for (const auto &m : cli::splitList(v)) {
-                if (m == "scalar") {
-                    opts.modes.push_back(ExecMode::ScalarBaseline);
-                } else if (m == "native") {
-                    opts.modes.push_back(ExecMode::NativeSimd);
-                } else {
-                    std::cerr << "unknown mode '" << m
-                              << "' (lockstep runs scalar and native; "
-                                 "liquid is covered by liquid-chaos)\n";
-                    return false;
-                }
-            }
-        } else if (arg == "--widths") {
-            const char *v = next();
-            if (!v)
-                return false;
-            if (!cli::parseWidths(v, opts.widths))
-                return false;
-        } else if (arg == "--random") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.random = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--switch") {
-            opts.switchDispatch = true;
-        } else if (arg == "--faults") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.faults = v;
-        } else if (arg == "--sabotage") {
-            opts.sabotage = true;
-        } else if (arg == "--bench") {
-            opts.bench = true;
-        } else if (arg == "--out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.out = v;
-        } else if (arg == "--dump-dir") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.dumpDir = v;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        }
-    }
-    return true;
-}
 
 const char *
 lockstepModeName(ExecMode mode)
@@ -275,7 +170,7 @@ selectWorkloads(const Options &opts)
         out.push_back(std::move(wl));
     }
     if (out.empty())
-        fatal("liquid-fast: no matching workloads");
+        fatal("no matching workloads");
     return out;
 }
 
@@ -527,7 +422,7 @@ runBench(const Options &opts)
 
     std::ofstream os(opts.out, std::ios::binary);
     if (!os)
-        fatal("liquid-fast: cannot write '", opts.out, "'");
+        fatal("cannot write '", opts.out, "'");
     os << v.toString();
 
     std::cout << "cycle tier:      " << static_cast<std::uint64_t>(
@@ -559,20 +454,43 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage();
-        return 2;
-    }
-
-    try {
-        if (opts.bench)
-            return runBench(opts);
-        return runLockstepSweep(opts);
-    } catch (const FatalError &e) {
-        std::cerr << "liquid-fast: " << e.what() << '\n';
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << "liquid-fast: " << e.what() << '\n';
-        return 1;
-    }
+    const cli::Tool tool{
+        "liquid-fast",
+        {{"", "[options]", "", {}, 0}},
+        {
+            cli::list({"--workloads"}, "LIST", opts.workloads,
+                      "comma-separated suite names (default: all)"),
+            cli::choiceList({"--modes"}, opts.modes,
+                            {{"scalar", ExecMode::ScalarBaseline},
+                             {"native", ExecMode::NativeSimd}},
+                            "lockstep modes (default: both; liquid is "
+                            "covered by liquid-chaos)"),
+            cli::widths({"--widths"}, opts.widths,
+                        "native SIMD widths (default: 8)"),
+            cli::number({"--random"}, "N", opts.random,
+                        "also lockstep N random kernels"),
+            cli::number({"--seed"}, "S", opts.seed,
+                        "random-kernel RNG seed (default 1)"),
+            cli::flag({"--switch"}, opts.switchDispatch,
+                      "force the portable switch dispatch loop"),
+            cli::text({"--faults"}, "KEY", opts.faults,
+                      "retire-keyed schedule for both tiers, e.g. "
+                      "'int@40+smc@100'"),
+            cli::flag({"--sabotage"}, opts.sabotage,
+                      "self-test: seed each handler mutation and require "
+                      "the lockstep compare to catch it"),
+            cli::flag({"--bench"}, opts.bench,
+                      "measure retired-instructions/sec on both tiers and "
+                      "write a results file"),
+            cli::text({"--out"}, "FILE", opts.out,
+                      "bench output path (default BENCH_fast.json)"),
+            cli::text({"--dump-dir"}, "DIR", opts.dumpDir,
+                      "write one divergence dump file per failing "
+                      "lockstep run"),
+            cli::flag({"--json"}, opts.json,
+                      "machine-readable report on stdout"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &) {
+        return opts.bench ? runBench(opts) : runLockstepSweep(opts);
+    });
 }

@@ -14,9 +14,14 @@
  * serves unchanged configurations from a content-addressed on-disk
  * cache. `diff` exits nonzero when a metric regressed past tolerance,
  * making it a CI gate.
+ *
+ * Exit status: 0 on success; 1 when `diff` finds a regression, `run
+ * --render` a table whose shape is off, or `render` a file it cannot
+ * render; 2 on usage errors, unreadable input and internal errors.
  */
 
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <regex>
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "chaos/fault_schedule.hh"
+#include "cli_args.hh"
 #include "fast/tier.hh"
 #include "lab/diff.hh"
 #include "lab/experiments.hh"
@@ -35,46 +41,6 @@ using namespace liquid::lab;
 
 namespace
 {
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-lab <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                       show campaigns, jobs, workloads\n"
-        "  run                        run experiments, write BENCH_*.json\n"
-        "  render <file>...           render paper tables from results\n"
-        "  diff <results> <baseline>  regression gate (nonzero on fail)\n"
-        "\n"
-        "run options:\n"
-        "  --experiment NAME   campaign to run (repeatable)\n"
-        "  --all               every campaign (default)\n"
-        "  --jobs N            worker threads (default: all cores)\n"
-        "  --out DIR           output directory (default: .)\n"
-        "  --cache DIR         result cache (default: OUT/.liquid-lab-cache)\n"
-        "  --no-cache          always simulate\n"
-        "  --smoke             reduced trip counts (the CI matrix)\n"
-        "  --filter REGEX      only jobs whose key matches\n"
-        "  --render            also print the paper tables\n"
-        "  --progress          one line per finished job\n"
-        "  --predict           tag liquid results with liquid-scan's\n"
-        "                      static speedup prediction\n"
-        "  --prove             with --predict: back each prediction\n"
-        "                      with the translation-validation prover\n"
-        "                      and tag its verdict\n"
-        "  --tier TIER         run every job on TIER (cycle|functional);\n"
-        "                      functional drops jobs that need the cycle\n"
-        "                      tier (liquid mode, warm-start, periodic\n"
-        "                      faults) with a note, and the results\n"
-        "                      carry no cycle counts (absent, not zero)\n"
-        "\n"
-        "diff options:\n"
-        "  --tol PCT           cycle tolerance in percent (default: 2)\n"
-        "  --counter NAME:PCT  also gate counter NAME (repeatable),\n"
-        "                      e.g. --counter fast.insts:0\n";
-}
 
 int
 cmdList(bool smoke)
@@ -290,108 +256,102 @@ cmdDiff(const std::string &currentFile, const std::string &baselineFile,
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty() || args[0] == "-h" || args[0] == "--help") {
-        usage();
-        return args.empty() ? 2 : 0;
-    }
-    const std::string cmd = args[0];
-
-    try {
-        auto value = [&](std::size_t &i) -> std::string {
-            if (i + 1 >= args.size())
-                fatal("missing value for ", args[i]);
-            return args[++i];
-        };
-
-        if (cmd == "list") {
-            bool smoke = false;
-            for (std::size_t i = 1; i < args.size(); ++i) {
-                if (args[i] == "--smoke")
-                    smoke = true;
-                else
-                    fatal("unknown option '", args[i], "'");
-            }
+    bool smoke = false;
+    RunOptions run;
+    double tolPct = 2.0;
+    std::map<std::string, double> counterTols;
+    const cli::Tool tool{
+        "liquid-lab",
+        {
+            {"list", "[--smoke]", "show campaigns, jobs and workloads",
+             {cli::flag({"--smoke"}, smoke, "list the CI-sized matrix")},
+             0},
+            {"run", "[options]", "run experiments, write BENCH_*.json",
+             {
+                 {{"--experiment"}, "NAME",
+                  "campaign to run (repeatable)",
+                  [&](const std::string &v) {
+                      run.experiments.push_back(v);
+                      return true;
+                  },
+                  ""},
+                 {{"--all"}, "", "every campaign (default)",
+                  [&](const std::string &) {
+                      run.experiments.clear();
+                      return true;
+                  },
+                  ""},
+                 cli::number({"--jobs"}, "N", run.jobs,
+                             "worker threads (default: all cores)"),
+                 cli::text({"--out"}, "DIR", run.out,
+                           "output directory (default: .)"),
+                 cli::text({"--cache"}, "DIR", run.cacheDir,
+                           "result cache (default: "
+                           "OUT/.liquid-lab-cache)"),
+                 cli::flag({"--no-cache"}, run.noCache,
+                           "always simulate"),
+                 cli::flag({"--smoke"}, run.smoke,
+                           "reduced trip counts (the CI matrix)"),
+                 cli::text({"--filter"}, "REGEX", run.filter,
+                           "only jobs whose key matches"),
+                 cli::flag({"--render"}, run.render,
+                           "also print the paper tables"),
+                 cli::flag({"--progress"}, run.progress,
+                           "one line per finished job"),
+                 cli::flag({"--predict"}, run.predict,
+                           "tag liquid results with liquid-scan's static "
+                           "speedup prediction"),
+                 cli::flag({"--prove"}, run.prove,
+                           "with --predict: back each prediction with "
+                           "the translation-validation prover and tag "
+                           "its verdict"),
+                 cli::choice({"--tier"}, run.tier,
+                             cli::tierChoices(),
+                             "run every job on this tier; functional "
+                             "drops jobs that need the cycle tier "
+                             "(liquid mode, warm-start, periodic faults) "
+                             "with a note, and the results carry no "
+                             "cycle counts (absent, not zero)"),
+             },
+             0},
+            {"render", "FILE...", "render paper tables from results", {},
+             SIZE_MAX},
+            {"diff", "RESULTS BASELINE [options]",
+             "regression gate: exit 1 when a metric regressed past "
+             "tolerance",
+             {
+                 cli::real({"--tol"}, "PCT", tolPct,
+                           "cycle tolerance in percent (default: 2)"),
+                 {{"--counter"}, "NAME:PCT",
+                  "also gate counter NAME (repeatable), e.g. --counter "
+                  "fast.insts:0",
+                  [&](const std::string &spec) {
+                      const auto colon = spec.rfind(':');
+                      double pct = 0;
+                      if (colon == std::string::npos || colon == 0 ||
+                          !cli::parseReal(spec.substr(colon + 1), pct))
+                          return false;
+                      counterTols[spec.substr(0, colon)] = pct / 100.0;
+                      return true;
+                  },
+                  "NAME:PCT with PCT a finite non-negative number"},
+             },
+             2},
+        },
+        {}};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        if (p.command == "list")
             return cmdList(smoke);
+        if (p.command == "run")
+            return cmdRun(run);
+        if (p.command == "render") {
+            if (p.positional.empty())
+                throw cli::UsageError("render: no input files");
+            return cmdRender(p.positional);
         }
-
-        if (cmd == "run") {
-            RunOptions opt;
-            for (std::size_t i = 1; i < args.size(); ++i) {
-                const std::string &a = args[i];
-                if (a == "--experiment")
-                    opt.experiments.push_back(value(i));
-                else if (a == "--all")
-                    opt.experiments.clear();
-                else if (a == "--jobs")
-                    opt.jobs =
-                        static_cast<unsigned>(std::stoul(value(i)));
-                else if (a == "--out")
-                    opt.out = value(i);
-                else if (a == "--cache")
-                    opt.cacheDir = value(i);
-                else if (a == "--no-cache")
-                    opt.noCache = true;
-                else if (a == "--smoke")
-                    opt.smoke = true;
-                else if (a == "--filter")
-                    opt.filter = value(i);
-                else if (a == "--render")
-                    opt.render = true;
-                else if (a == "--progress")
-                    opt.progress = true;
-                else if (a == "--predict")
-                    opt.predict = true;
-                else if (a == "--prove")
-                    opt.prove = true;
-                else if (a == "--tier")
-                    opt.tier = fast::tierFromName(value(i));
-                else
-                    fatal("unknown option '", a, "'");
-            }
-            return cmdRun(opt);
-        }
-
-        if (cmd == "render") {
-            std::vector<std::string> files(args.begin() + 1,
-                                           args.end());
-            if (files.empty())
-                fatal("render: no input files");
-            return cmdRender(files);
-        }
-
-        if (cmd == "diff") {
-            std::vector<std::string> files;
-            double tolPct = 2.0;
-            std::map<std::string, double> counterTols;
-            for (std::size_t i = 1; i < args.size(); ++i) {
-                if (args[i] == "--tol") {
-                    tolPct = std::stod(value(i));
-                } else if (args[i] == "--counter") {
-                    const std::string spec = value(i);
-                    const auto colon = spec.rfind(':');
-                    if (colon == std::string::npos || colon == 0)
-                        fatal("diff: --counter expects NAME:PCT, got '",
-                              spec, "'");
-                    counterTols[spec.substr(0, colon)] =
-                        std::stod(spec.substr(colon + 1)) / 100.0;
-                } else {
-                    files.push_back(args[i]);
-                }
-            }
-            if (files.size() != 2)
-                fatal("diff: expected <results> <baseline>");
-            return cmdDiff(files[0], files[1], tolPct, counterTols);
-        }
-
-        std::cerr << "unknown command '" << cmd << "'\n";
-        usage();
-        return 2;
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << e.what() << '\n';
-        return 1;
-    }
+        if (p.positional.size() != 2)
+            throw cli::UsageError("diff: expected <results> <baseline>");
+        return cmdDiff(p.positional[0], p.positional[1], tolPct,
+                       counterTols);
+    });
 }

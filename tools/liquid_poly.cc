@@ -17,24 +17,19 @@
  *   liquid-poly --sabotage        # seeded evaluator bugs must diverge
  *   liquid-poly --json             # machine-readable report
  *
- * --random honours LIQUID_POLY_TRIALS (count when N is omitted) and
- * LIQUID_POLY_SEED (generator seed).
- *
  * Exit status: 0 on success, 1 when a gate fails (any differential
  * mismatch, an uncaught sabotage mutation, no unbounded-N verdict in
- * --suite, or --werror with a Warn summary), 2 on usage/assembly
- * problems.
+ * --suite, or --werror with a Warn summary), 2 on usage errors,
+ * unreadable or unassemblable input, and internal errors.
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "cli_args.hh"
 #include "common/json.hh"
 #include "common/random.hh"
 #include "verifier/poly.hh"
@@ -54,7 +49,6 @@ constexpr const char *polyToolVersion = "1.0";
 
 struct Options
 {
-    std::string file;
     bool suite = false;
     bool sabotage = false;
     bool json = false;
@@ -62,84 +56,6 @@ struct Options
     unsigned random = 0;
     std::uint64_t seed = 0x9E3779B97F4A7C15ull;
 };
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-poly [options] program.s\n"
-        "       liquid-poly [options] --suite\n"
-        "       liquid-poly [options] --random [N]\n"
-        "       liquid-poly [options] --sabotage\n"
-        "  --suite          analyze the workload suite and the\n"
-        "                   dependence mini-kernels; every region must\n"
-        "                   pass the symbolic-vs-concrete differential\n"
-        "                   and elementwise regions must verify with an\n"
-        "                   unbounded-N verdict\n"
-        "  --random [N]     run N random kernels through the\n"
-        "                   differential gate (default "
-        "LIQUID_POLY_TRIALS or 25)\n"
-        "  --sabotage       seed each evaluator bug in turn; every\n"
-        "                   mutation must diverge from the concrete\n"
-        "                   verifier somewhere\n"
-        "  --seed S         random-kernel seed (or LIQUID_POLY_SEED)\n"
-        "  --werror         Warn-for-all-N summaries fail the run\n"
-        "  --json           machine-readable report on stdout\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    if (const char *env = std::getenv("LIQUID_POLY_SEED"))
-        opt.seed = std::strtoull(env, nullptr, 0);
-    bool randomMode = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--sabotage") {
-            opt.sabotage = true;
-        } else if (arg == "--random") {
-            randomMode = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                opt.random = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--seed") {
-            if (i + 1 >= argc) {
-                std::cerr << "--seed needs a value\n";
-                return false;
-            }
-            opt.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
-    }
-    if (randomMode && opt.random == 0) {
-        opt.random = 25;
-        if (const char *env = std::getenv("LIQUID_POLY_TRIALS"))
-            opt.random = static_cast<unsigned>(
-                std::strtoul(env, nullptr, 10));
-    }
-    if (opt.file.empty() && !opt.suite && !opt.sabotage &&
-        opt.random == 0) {
-        usage();
-        return false;
-    }
-    return true;
-}
 
 /**
  * Dependence mini-kernels with width-sensitive carried behaviour.
@@ -418,10 +334,36 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
-
-    try {
+    const cli::Tool tool{
+        "liquid-poly",
+        {{"",
+          "[options] program.s\n[options] --suite\n[options] --random N\n"
+          "[options] --sabotage",
+          "", {}, 1}},
+        {
+            cli::flag({"--suite"}, opt.suite,
+                      "analyze the workload suite and the dependence "
+                      "mini-kernels; every region must pass the "
+                      "symbolic-vs-concrete differential and elementwise "
+                      "regions must verify with an unbounded-N verdict"),
+            cli::number({"--random"}, "N", opt.random,
+                        "run N random kernels through the differential "
+                        "gate"),
+            cli::flag({"--sabotage"}, opt.sabotage,
+                      "seed each evaluator bug in turn; every mutation "
+                      "must diverge from the concrete verifier somewhere"),
+            cli::number({"--seed"}, "S", opt.seed,
+                        "random-kernel seed"),
+            cli::flag({"--werror"}, opt.werror,
+                      "Warn-for-all-N summaries fail the run"),
+            cli::flag({"--json"}, opt.json,
+                      "machine-readable report on stdout"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        if (p.positional.empty() && !opt.suite && !opt.sabotage &&
+            opt.random == 0)
+            throw cli::UsageError("expected program.s, --suite, "
+                                  "--random N or --sabotage");
         if (opt.sabotage) {
             // The honest evaluator must diff clean on the very
             // kernels the mutations are caught on.
@@ -472,15 +414,9 @@ main(int argc, char **argv)
         if (opt.suite || opt.random > 0) {
             outcomes = runPrograms(opt, 0, opt.suite, opt.suite);
         } else {
-            std::ifstream in(opt.file);
-            if (!in) {
-                std::cerr << "cannot open '" << opt.file << "'\n";
-                return 2;
-            }
-            std::ostringstream source;
-            source << in.rdbuf();
+            const std::string &file = p.positional.front();
             outcomes.push_back(
-                analyzeProgram(assemble(source.str()), opt.file));
+                analyzeProgram(cli::readProgram(file), file));
         }
 
         bool gateFailed = false;
@@ -534,12 +470,5 @@ main(int argc, char **argv)
             std::cout << (gateFailed ? "FAILED\n" : "passed\n");
         }
         return gateFailed ? 1 : 0;
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    }
-    return 0;
+    });
 }

@@ -21,17 +21,15 @@
  *
  * Exit status: 0 when nothing is Refuted (with --werror, nothing
  * Unknown either) and --sabotage scenarios all pass; 1 otherwise;
- * 2 on usage/assembly problems.
+ * 2 on usage errors, unreadable or unassemblable input, and internal
+ * errors.
  */
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "asm/assembler.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
 #include "verifier/proof.hh"
@@ -49,75 +47,12 @@ constexpr const char *proofToolVersion = "1.0";
 
 struct Options
 {
-    std::string file;
     bool suite = false;
     bool sabotage = false;
     bool json = false;
     bool werror = false;
     ProofOptions proof;
 };
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-proof [options] program.s\n"
-        "       liquid-proof [options] --suite\n"
-        "       liquid-proof [options] --sabotage\n"
-        "  --widths A,B,..  widths to prove, from 2/4/8/16 (all)\n"
-        "  --symbolic-n     attempt one width-generic proof before the\n"
-        "                   per-width proofs\n"
-        "  --no-replay      do not replay counterexamples through the\n"
-        "                   chaos oracle\n"
-        "  --werror         treat unknown verdicts as failures\n"
-        "  --json           machine-readable report on stdout\n"
-        "  --suite          prove every workload-suite kernel\n"
-        "  --sabotage       adversarial self-test: every sabotage mode\n"
-        "                   must be refuted or rejected\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--widths") {
-            if (i + 1 >= argc ||
-                !cli::parseWidths(argv[++i], opt.proof.widths))
-                return false;
-        } else if (arg == "--symbolic-n") {
-            opt.proof.symbolicN = true;
-        } else if (arg == "--no-replay") {
-            opt.proof.replay = false;
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--sabotage") {
-            opt.sabotage = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
-    }
-    const int modes = (opt.file.empty() ? 0 : 1) + (opt.suite ? 1 : 0) +
-                      (opt.sabotage ? 1 : 0);
-    if (modes != 1) {
-        usage();
-        return false;
-    }
-    return true;
-}
 
 json::Value
 ceJson(const Counterexample &ce)
@@ -268,7 +203,7 @@ struct Tally
 };
 
 int
-runProve(const Options &opt)
+runProve(const Options &opt, const std::string &file)
 {
     std::vector<std::pair<std::string, RegionProof>> regions;
 
@@ -281,21 +216,14 @@ runProve(const Options &opt)
                 regions.emplace_back(wl->name(), std::move(rp));
         }
     } else {
-        std::ifstream in(opt.file);
-        if (!in) {
-            std::cerr << "cannot open '" << opt.file << "'\n";
-            return 2;
-        }
-        std::ostringstream source;
-        source << in.rdbuf();
-        const Program prog = assemble(source.str());
+        const Program prog = cli::readProgram(file);
         ProgramProof pp = proveProgram(prog, opt.proof);
         if (pp.regions.empty() && !opt.json) {
             std::cout << "no hinted regions found\n";
             return 0;
         }
         for (RegionProof &rp : pp.regions)
-            regions.emplace_back(opt.file, std::move(rp));
+            regions.emplace_back(file, std::move(rp));
     }
 
     Tally tally;
@@ -396,15 +324,37 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
-    try {
-        return opt.sabotage ? runSabotage(opt) : runProve(opt);
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    }
+    const cli::Tool tool{
+        "liquid-proof",
+        {{"", "[options] program.s\n[options] --suite\n[options] --sabotage",
+          "", {}, 1}},
+        {
+            cli::widths({"--widths"}, opt.proof.widths,
+                        "widths to prove (default: all)"),
+            cli::flag({"--symbolic-n"}, opt.proof.symbolicN,
+                      "attempt one width-generic proof before the "
+                      "per-width proofs"),
+            cli::flag({"--no-replay"}, opt.proof.replay,
+                      "do not replay counterexamples through the chaos "
+                      "oracle",
+                      false),
+            cli::flag({"--werror"}, opt.werror,
+                      "treat unknown verdicts as failures"),
+            cli::flag({"--json"}, opt.json,
+                      "machine-readable report on stdout"),
+            cli::flag({"--suite"}, opt.suite,
+                      "prove every workload-suite kernel"),
+            cli::flag({"--sabotage"}, opt.sabotage,
+                      "adversarial self-test: every sabotage mode must be "
+                      "refuted or rejected"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        if (p.positional.size() + opt.suite + opt.sabotage != 1)
+            throw cli::UsageError(
+                "expected exactly one of program.s, --suite and "
+                "--sabotage");
+        return opt.sabotage
+                   ? runSabotage(opt)
+                   : runProve(opt, opt.suite ? "" : p.positional.front());
+    });
 }

@@ -24,12 +24,11 @@
  *
  * Exit status: 0 on success, 1 when a gate fails (oracle violation,
  * missed upgrade, uncaught sabotage, or --werror with a
- * facts-on Warn), 2 on usage/assembly problems.
+ * facts-on Warn), 2 on usage errors, unreadable or unassemblable
+ * input, and internal errors.
  */
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,7 +60,6 @@ constexpr const char *rangeToolVersion = "2.0";
 
 struct Options
 {
-    std::string file;
     std::vector<unsigned> widths{2, 4, 8, 16};
     bool suite = false;
     bool json = false;
@@ -70,70 +68,6 @@ struct Options
     bool oracle = true;
     bool prove = false;
 };
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-range [options] program.s\n"
-        "       liquid-range [options] --suite\n"
-        "       liquid-range [options] --sabotage\n"
-        "  --widths N,N,..  accelerator widths to verify (2,4,8,16)\n"
-        "  --suite          analyze the stress set and the workload\n"
-        "                   suite, enforcing the upgrade and oracle\n"
-        "                   gates\n"
-        "  --sabotage       seed each unsound-transfer mutation and\n"
-        "                   require the differential oracle to catch it\n"
-        "  --prove          also run the translation-validation prover\n"
-        "                   (range facts shrink its enumeration)\n"
-        "  --no-oracle      skip the dynamic differential oracle\n"
-        "  --werror         facts-on Warn verdicts fail the run\n"
-        "  --json           machine-readable report on stdout\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--widths") {
-            if (i + 1 >= argc || !cli::parseWidths(argv[++i], opt.widths))
-                return false;
-        } else if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--sabotage") {
-            opt.sabotage = true;
-        } else if (arg == "--prove") {
-            opt.prove = true;
-        } else if (arg == "--no-oracle") {
-            opt.oracle = false;
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
-    }
-    if (opt.file.empty() && !opt.suite && !opt.sabotage) {
-        usage();
-        return false;
-    }
-    if (!opt.file.empty() && (opt.suite || opt.sabotage)) {
-        std::cerr << "--suite/--sabotage do not take an input file\n";
-        return false;
-    }
-    return true;
-}
 
 /** One region verified at one width, facts-off vs facts-on. */
 struct RegionRow
@@ -337,10 +271,36 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
-
-    try {
+    const cli::Tool tool{
+        "liquid-range",
+        {{"", "[options] program.s\n[options] --suite\n[options] --sabotage",
+          "", {}, 1}},
+        {
+            cli::widths({"--widths"}, opt.widths,
+                        "accelerator widths to verify (2,4,8,16)"),
+            cli::flag({"--suite"}, opt.suite,
+                      "analyze the stress set and the workload suite, "
+                      "enforcing the upgrade and oracle gates"),
+            cli::flag({"--sabotage"}, opt.sabotage,
+                      "seed each unsound-transfer mutation and require "
+                      "the differential oracle to catch it"),
+            cli::flag({"--prove"}, opt.prove,
+                      "also run the translation-validation prover (range "
+                      "facts shrink its enumeration)"),
+            cli::flag({"--no-oracle"}, opt.oracle,
+                      "skip the dynamic differential oracle", false),
+            cli::flag({"--werror"}, opt.werror,
+                      "facts-on Warn verdicts fail the run"),
+            cli::flag({"--json"}, opt.json,
+                      "machine-readable report on stdout"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        if (p.positional.empty() && !opt.suite && !opt.sabotage)
+            throw cli::UsageError(
+                "expected program.s, --suite or --sabotage");
+        if (!p.positional.empty() && (opt.suite || opt.sabotage))
+            throw cli::UsageError(
+                "--suite/--sabotage do not take an input file");
         if (opt.sabotage) {
             const std::vector<SabotageRun> runs = runSabotage(opt);
             bool all = true;
@@ -405,15 +365,9 @@ main(int argc, char **argv)
                     analyzeProgram(build.prog, wl->name(), opt));
             }
         } else {
-            std::ifstream in(opt.file);
-            if (!in) {
-                std::cerr << "cannot open '" << opt.file << "'\n";
-                return 2;
-            }
-            std::ostringstream source;
-            source << in.rdbuf();
-            const Program prog = assemble(source.str());
-            outcomes.push_back(analyzeProgram(prog, opt.file, opt));
+            const std::string &file = p.positional.front();
+            const Program prog = cli::readProgram(file);
+            outcomes.push_back(analyzeProgram(prog, file, opt));
         }
 
         unsigned violations = 0;
@@ -460,12 +414,5 @@ main(int argc, char **argv)
             std::cout << (gateFailed ? "FAILED\n" : "passed\n");
         }
         return gateFailed ? 1 : 0;
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    }
-    return 0;
+    });
 }

@@ -25,16 +25,19 @@
  *   liquid-run --warmup 10000 prog.s       # functional fast-forward,
  *                                          # then hand off to the
  *                                          # cycle core
+ *
+ * Exit status: 0 on success, 1 when --filter matches no suite
+ * workload, 2 on usage errors, unreadable or unassemblable input, a
+ * run-time fatal() (such as the instruction watchdog) and internal
+ * errors.
  */
 
-#include <fstream>
 #include <iostream>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
 
-#include "asm/assembler.hh"
+#include "cli_args.hh"
 #include "fast/fast.hh"
 #include "fast/tier.hh"
 #include "fast/warmup.hh"
@@ -48,7 +51,6 @@ namespace
 
 struct Options
 {
-    std::string file;
     ExecMode mode = ExecMode::Liquid;
     unsigned width = 8;
     bool trace = false;
@@ -63,172 +65,41 @@ struct Options
     fast::ExecTier tier = fast::ExecTier::Cycle;
     /** Functional fast-forward checkpoint (retired insts); 0 = off. */
     std::uint64_t warmup = 0;
-    /** --mode was given explicitly (functional defaults to scalar). */
-    bool modeExplicit = false;
 };
 
+/**
+ * Refuse what the functional tier cannot do. Anything that needs the
+ * cycle clock (or the translator) is a hard error there: the stats it
+ * would report are absent, not zero, so silently running would
+ * mislead. Liquid is only the default mode for the cycle tier; the
+ * natural functional-tier default is the scalar ISA.
+ */
 void
-usage()
+checkFunctionalTier(Options &opt, bool modeGiven)
 {
-    std::cout <<
-        "usage: liquid-run [options] program.s\n"
-        "  --mode scalar|liquid|native   execution mode (liquid)\n"
-        "  -w, --width N                 SIMD lanes: 2/4/8/16 (8)\n"
-        "  --latency N                   translation cycles/inst (1)\n"
-        "  --pretranslate                offline binary translation\n"
-        "  --trace                       per-instruction trace\n"
-        "  --stats                       dump all statistic counters\n"
-        "  --ucode                       print translated microcode\n"
-        "  --listing                     print the assembled program\n"
-        "  --sweep                       run at widths 2/4/8/16\n"
-        "  --list                        print suite workload names\n"
-        "  --filter REGEX                run suite workloads matching\n"
-        "                                REGEX instead of a .s file\n"
-        "  --tier cycle|functional       execution tier (cycle); the\n"
-        "                                functional tier has no cycle\n"
-        "                                clock: cycle stats are absent\n"
-        "                                and cycle-only flags error\n"
-        "  --warmup N                    fast-forward the first N\n"
-        "                                retires on the functional\n"
-        "                                tier, then hand architectural\n"
-        "                                state to the cycle core\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << '\n';
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--mode") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const std::string m = v;
-            if (m == "scalar")
-                opt.mode = ExecMode::ScalarBaseline;
-            else if (m == "liquid")
-                opt.mode = ExecMode::Liquid;
-            else if (m == "native")
-                opt.mode = ExecMode::NativeSimd;
-            else {
-                std::cerr << "unknown mode '" << m << "'\n";
-                return false;
-            }
-            opt.modeExplicit = true;
-        } else if (arg == "-w" || arg == "--width") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.width = static_cast<unsigned>(std::stoul(v));
-        } else if (arg == "--latency") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.latency = std::stoull(v);
-        } else if (arg == "--trace") {
-            opt.trace = true;
-        } else if (arg == "--stats") {
-            opt.stats = true;
-        } else if (arg == "--ucode") {
-            opt.ucode = true;
-        } else if (arg == "--listing") {
-            opt.listing = true;
-        } else if (arg == "--pretranslate") {
-            opt.pretranslate = true;
-        } else if (arg == "--sweep") {
-            opt.sweep = true;
-        } else if (arg == "--list") {
-            opt.list = true;
-        } else if (arg == "--tier") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const std::string t = v;
-            if (t == "cycle") {
-                opt.tier = fast::ExecTier::Cycle;
-            } else if (t == "functional") {
-                opt.tier = fast::ExecTier::Functional;
-            } else {
-                std::cerr << "unknown tier '" << t
-                          << "' (expected 'cycle' or 'functional')\n";
-                return false;
-            }
-        } else if (arg == "--warmup") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.warmup = std::stoull(v);
-        } else if (arg == "--filter") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.filter = v;
-        } else if (arg.rfind("--filter=", 0) == 0) {
-            opt.filter = arg.substr(9);
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
+    const char *cycleOnly = opt.sweep          ? "--sweep"
+                            : opt.trace        ? "--trace"
+                            : opt.ucode        ? "--ucode"
+                            : opt.pretranslate ? "--pretranslate"
+                            : opt.warmup       ? "--warmup"
+                                               : nullptr;
+    if (cycleOnly) {
+        throw cli::UsageError(
+            std::string(cycleOnly) +
+            " requires the cycle tier: the functional tier has no cycle "
+            "clock, so the cycle-shaped results it would report are "
+            "absent (not zero); drop " + cycleOnly +
+            " or use --tier cycle");
     }
-    if (opt.file.empty() && !opt.list && opt.filter.empty()) {
-        usage();
-        return false;
+    if (opt.mode != ExecMode::Liquid)
+        return;
+    if (modeGiven) {
+        throw cli::UsageError(
+            "--tier functional cannot run liquid mode (no translator or "
+            "microcode cache); use --mode scalar or --mode native, or "
+            "--tier cycle");
     }
-    if (opt.tier == fast::ExecTier::Functional) {
-        // Anything that needs the cycle clock (or the translator) is a
-        // hard error under the functional tier — the stats it would
-        // report are absent there, not zero, so silently running would
-        // mislead.
-        const char *cycleOnly = nullptr;
-        if (opt.sweep)
-            cycleOnly = "--sweep";
-        else if (opt.trace)
-            cycleOnly = "--trace";
-        else if (opt.ucode)
-            cycleOnly = "--ucode";
-        else if (opt.pretranslate)
-            cycleOnly = "--pretranslate";
-        else if (opt.warmup)
-            cycleOnly = "--warmup";
-        if (cycleOnly) {
-            std::cerr << cycleOnly
-                      << " requires the cycle tier: the functional "
-                         "tier has no cycle clock, so the cycle-shaped "
-                         "results it would report are absent (not "
-                         "zero); drop "
-                      << cycleOnly << " or use --tier cycle\n";
-            return false;
-        }
-        if (opt.mode == ExecMode::Liquid) {
-            if (!opt.modeExplicit) {
-                // Liquid is only the default for the cycle tier; the
-                // natural functional-tier default is the scalar ISA.
-                opt.mode = ExecMode::ScalarBaseline;
-            } else {
-                std::cerr << "--tier functional cannot run liquid "
-                             "mode (no translator or microcode "
-                             "cache); use --mode scalar or --mode "
-                             "native, or --tier cycle\n";
-                return false;
-            }
-        }
-    }
-    return true;
+    opt.mode = ExecMode::ScalarBaseline;
 }
 
 /** Emission mode matching an execution mode. */
@@ -417,36 +288,62 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    const cli::Tool tool{
+        "liquid-run",
+        {{"", "[options] program.s\n[options] --filter REGEX\n--list", "",
+          {}, 1}},
+        {
+            cli::choice({"--mode"}, opt.mode,
+                        {{"scalar", ExecMode::ScalarBaseline},
+                         {"liquid", ExecMode::Liquid},
+                         {"native", ExecMode::NativeSimd}},
+                        "execution mode (liquid; scalar on the functional "
+                        "tier)"),
+            cli::width({"-w", "--width"}, opt.width,
+                       "SIMD lanes (8)"),
+            cli::number({"--latency"}, "N", opt.latency,
+                        "translation cycles/inst (1)"),
+            cli::flag({"--pretranslate"}, opt.pretranslate,
+                      "offline binary translation"),
+            cli::flag({"--trace"}, opt.trace, "per-instruction trace"),
+            cli::flag({"--stats"}, opt.stats,
+                      "dump all statistic counters"),
+            cli::flag({"--ucode"}, opt.ucode,
+                      "print translated microcode"),
+            cli::flag({"--listing"}, opt.listing,
+                      "print the assembled program"),
+            cli::flag({"--sweep"}, opt.sweep, "run at widths 2/4/8/16"),
+            cli::flag({"--list"}, opt.list,
+                      "print suite workload names"),
+            cli::text({"--filter"}, "REGEX", opt.filter,
+                      "run suite workloads matching REGEX instead of a "
+                      ".s file"),
+            cli::choice({"--tier"}, opt.tier,
+                        cli::tierChoices(),
+                        "execution tier (cycle); the functional tier has "
+                        "no cycle clock: cycle stats are absent and "
+                        "cycle-only flags error"),
+            cli::number({"--warmup"}, "N", opt.warmup,
+                        "fast-forward the first N retires on the "
+                        "functional tier, then hand architectural state "
+                        "to the cycle core"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        if (p.positional.empty() && !opt.list && opt.filter.empty())
+            throw cli::UsageError(
+                "expected program.s, --filter REGEX or --list");
+        if (opt.tier == fast::ExecTier::Functional)
+            checkFunctionalTier(opt, p.has("--mode"));
 
-    if (opt.list) {
-        for (const auto &wl : makeSuite())
-            std::cout << wl->name() << '\n';
-        return 0;
-    }
-    if (!opt.filter.empty()) {
-        try {
-            return runFiltered(opt);
-        } catch (const FatalError &e) {
-            std::cerr << e.what() << '\n';
-            return 1;
-        } catch (const PanicError &e) {
-            std::cerr << e.what() << '\n';
-            return 1;
+        if (opt.list) {
+            for (const auto &wl : makeSuite())
+                std::cout << wl->name() << '\n';
+            return 0;
         }
-    }
+        if (!opt.filter.empty())
+            return runFiltered(opt);
 
-    std::ifstream in(opt.file);
-    if (!in) {
-        std::cerr << "cannot open '" << opt.file << "'\n";
-        return 2;
-    }
-    std::ostringstream source;
-    source << in.rdbuf();
-
-    try {
-        Program prog = assemble(source.str());
+        const Program prog = cli::readProgram(p.positional.front());
         if (opt.listing)
             std::cout << prog.listing();
 
@@ -473,12 +370,6 @@ main(int argc, char **argv)
         }
 
         runOnce(prog, opt, opt.mode, opt.width, true);
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
-        return 1;
-    } catch (const PanicError &e) {
-        std::cerr << e.what() << '\n';
-        return 1;
-    }
-    return 0;
+        return 0;
+    });
 }

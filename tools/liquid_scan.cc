@@ -20,17 +20,15 @@
  *
  * Exit status: 0 when no region is Error-severity (and, with
  * --validate, predicted-vs-measured rankings agree); 1 otherwise;
- * 2 on usage/assembly problems.
+ * 2 on usage errors, unreadable or unassemblable input, and internal
+ * errors.
  */
 
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "asm/assembler.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
 #include "lab/predict.hh"
@@ -58,7 +56,6 @@ constexpr const char *scanToolVersion = "3.0";
 
 struct Options
 {
-    std::string file;
     std::vector<unsigned> widths{2, 4, 8, 16};
     bool fallback = true;
     bool predict = true;
@@ -69,89 +66,6 @@ struct Options
     bool json = false;
     std::string validateFile;
 };
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-scan [options] program.s\n"
-        "       liquid-scan [options] --suite\n"
-        "  --widths LIST    comma-separated prediction widths"
-        " (2,4,8,16)\n"
-        "  --no-fallback    do not retry failed widths at half width\n"
-        "  --no-predict     discovery and contract checks only\n"
-        "  --prove          back each prediction with the symbolic\n"
-        "                   translation-validation prover\n"
-        "  --ranges         seed discovery and the cost model with the\n"
-        "                   interprocedural value-range analysis\n"
-        "                   (trip-count bounds, access alignment)\n"
-        "  --werror         treat warn verdicts as errors\n"
-        "  --json           machine-readable report on stdout\n"
-        "  --suite          scan every suite workload, built without\n"
-        "                   scalarizer hints\n"
-        "  --validate FILE  join suite predictions against measured\n"
-        "                   liquid-lab results (implies --suite)\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << '\n';
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--widths") {
-            const char *v = value();
-            if (!v || !cli::parseWidths(v, opt.widths))
-                return false;
-        } else if (arg == "--no-fallback") {
-            opt.fallback = false;
-        } else if (arg == "--no-predict") {
-            opt.predict = false;
-        } else if (arg == "--prove") {
-            opt.prove = true;
-        } else if (arg == "--ranges") {
-            opt.ranges = true;
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--validate") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.validateFile = v;
-            opt.suite = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
-    }
-    if (opt.file.empty() && !opt.suite) {
-        usage();
-        return false;
-    }
-    if (!opt.file.empty() && opt.suite) {
-        std::cerr << "--suite does not take an input file\n";
-        return false;
-    }
-    return true;
-}
 
 json::Value
 regNames(const RegSet &set)
@@ -250,16 +164,48 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    const cli::Tool tool{
+        "liquid-scan",
+        {{"", "[options] program.s\n[options] --suite", "", {}, 1}},
+        {
+            cli::widths({"--widths"}, opt.widths,
+                        "comma-separated prediction widths (2,4,8,16)"),
+            cli::flag({"--no-fallback"}, opt.fallback,
+                      "do not retry failed widths at half width", false),
+            cli::flag({"--no-predict"}, opt.predict,
+                      "discovery and contract checks only", false),
+            cli::flag({"--prove"}, opt.prove,
+                      "back each prediction with the symbolic "
+                      "translation-validation prover"),
+            cli::flag({"--ranges"}, opt.ranges,
+                      "seed discovery and the cost model with the "
+                      "interprocedural value-range analysis (trip-count "
+                      "bounds, access alignment; docs/RANGE.md)"),
+            cli::flag({"--werror"}, opt.werror,
+                      "treat warn verdicts as errors"),
+            cli::flag({"--json"}, opt.json,
+                      "machine-readable report on stdout"),
+            cli::flag({"--suite"}, opt.suite,
+                      "scan every suite workload, built without "
+                      "scalarizer hints"),
+            cli::text({"--validate"}, "FILE", opt.validateFile,
+                      "join suite predictions against measured liquid-lab "
+                      "results (implies --suite)"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        if (!opt.validateFile.empty())
+            opt.suite = true;
+        if (opt.suite && !p.positional.empty())
+            throw cli::UsageError("--suite does not take an input file");
+        if (!opt.suite && p.positional.empty())
+            throw cli::UsageError("expected program.s or --suite");
 
-    ScanOptions sopts;
-    sopts.widths = opt.widths;
-    sopts.widthFallback = opt.fallback;
-    sopts.predict = opt.predict;
-    sopts.prove = opt.prove;
+        ScanOptions sopts;
+        sopts.widths = opt.widths;
+        sopts.widthFallback = opt.fallback;
+        sopts.predict = opt.predict;
+        sopts.prove = opt.prove;
 
-    try {
         // Per-program scan; --ranges solves the interprocedural
         // value-range analysis first and hands the facts to discovery,
         // depcheck and the cost model.
@@ -284,15 +230,8 @@ main(int argc, char **argv)
                 reports.emplace_back(wl->name(), scanOne(build.prog));
             }
         } else {
-            std::ifstream in(opt.file);
-            if (!in) {
-                std::cerr << "cannot open '" << opt.file << "'\n";
-                return 2;
-            }
-            std::ostringstream source;
-            source << in.rdbuf();
-            const Program prog = assemble(source.str());
-            reports.emplace_back(opt.file, scanOne(prog));
+            const std::string &file = p.positional.front();
+            reports.emplace_back(file, scanOne(cli::readProgram(file)));
         }
 
         unsigned regions = 0, candidates = 0;
@@ -381,14 +320,6 @@ main(int argc, char **argv)
             }
         }
 
-        if (error || (opt.werror && warn) || !validated)
-            return 1;
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    }
-    return 0;
+        return error || (opt.werror && warn) || !validated ? 1 : 0;
+    });
 }

@@ -23,10 +23,9 @@
  *
  * Exit status: 0 on success; 1 when the p99 target is violated (or no
  * sweep point meets it, or a live-server request fails); 2 on usage
- * errors.
+ * errors and internal errors.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -48,194 +47,20 @@ namespace
 
 struct Options
 {
-    std::string command;
     /** Draw axes (empty = withDefaults), load and model knobs; the
      *  run command reads its axes and queue/hot-tier sizes too. */
     LoadSpec spec;
     unsigned jobs = 0;                      ///< 0 = hardware threads
     std::vector<double> qpsList{200.0};
     std::string coldCacheDir;
-    std::uint64_t p99TargetUs = 0;          ///< 0 = no gate (loadgen)
+    /** 0 = no gate; sweep defaults to 4000 when it is not given. */
+    std::uint64_t p99TargetUs = 0;
     unsigned repeat = 2;                    ///< run: submission rounds
     bool distribution = false;
     bool json = false;
     std::string out;
     std::string labOut;
 };
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-serve <run|loadgen|sweep> [options]\n"
-        "common:\n"
-        "  --workloads LIST    suite names (default: fir,lu,fft)\n"
-        "  --widths LIST       SIMD widths (default: 4,8)\n"
-        "  --classes LIST      simulate,verify,scan,chaos,proof\n"
-        "                      (default: all five)\n"
-        "  --jobs N            execution threads (default: hardware)\n"
-        "  --json              machine-readable report on stdout\n"
-        "  --out FILE          also write the report to FILE\n"
-        "run (live async server):\n"
-        "  --queue-capacity N  backpressure limit (default 64)\n"
-        "  --hot-cache N       hot-tier entries (default 256)\n"
-        "  --cold-cache DIR    on-disk cold tier for simulate\n"
-        "  --repeat N          submission rounds over the request set\n"
-        "                      (default 2; round 2 hits the hot tier)\n"
-        "loadgen / sweep (deterministic virtual time):\n"
-        "  --seed S            trace seed (default 1)\n"
-        "  --qps LIST          offered load; one value for loadgen, a\n"
-        "                      comma list of sweep points (default 200)\n"
-        "  --requests N        trace length (default 64)\n"
-        "  --deadline-us N     per-request budget; 0 = none\n"
-        "  --servers N         virtual service slots (default 4)\n"
-        "  --queue-capacity N  rejection threshold (default 64)\n"
-        "  --hot-cache N       hot-tier entries (default 256)\n"
-        "  --hit-cost-us N     hot-hit service time (default 5)\n"
-        "  --overhead-us N     per-execution overhead (default 20)\n"
-        "  --units-per-us N    work units per virtual us (default 1000)\n"
-        "  --p99-target-us N   tail contract; loadgen exits 1 when the\n"
-        "                      overall p99 exceeds it, sweep exits 1\n"
-        "                      when no point meets it (sweep default\n"
-        "                      4000)\n"
-        "  --distribution      include per-class latency histograms\n"
-        "  --lab-out FILE      write the lab-schema results file\n"
-        "                      (BENCH_serve.json) for liquid-lab diff\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opts)
-{
-    if (argc < 2) {
-        return false;
-    }
-    opts.command = argv[1];
-    if (opts.command == "-h" || opts.command == "--help") {
-        usage();
-        std::exit(0);
-    }
-    if (opts.command != "run" && opts.command != "loadgen" &&
-        opts.command != "sweep") {
-        std::cerr << "unknown command '" << opts.command << "'\n";
-        return false;
-    }
-    if (opts.command == "sweep")
-        opts.p99TargetUs = 4000;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        auto nextU64 = [&](std::uint64_t &out) {
-            const char *v = next();
-            if (!v)
-                return false;
-            out = std::strtoull(v, nullptr, 10);
-            return true;
-        };
-        if (arg == "--workloads") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.spec.workloads = cli::splitList(v);
-        } else if (arg == "--widths") {
-            const char *v = next();
-            if (!v)
-                return false;
-            if (!cli::parseWidths(v, opts.spec.widths))
-                return false;
-        } else if (arg == "--classes") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.spec.mix.clear();
-            for (const auto &c : cli::splitList(v))
-                opts.spec.mix.push_back(classFromName(c));
-        } else if (arg == "--jobs") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--seed") {
-            if (!nextU64(opts.spec.seed))
-                return false;
-        } else if (arg == "--qps") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.qpsList.clear();
-            for (const auto &q : cli::splitList(v))
-                opts.qpsList.push_back(std::strtod(q.c_str(), nullptr));
-        } else if (arg == "--requests") {
-            if (!nextU64(opts.spec.requests))
-                return false;
-        } else if (arg == "--deadline-us") {
-            if (!nextU64(opts.spec.deadlineUs))
-                return false;
-        } else if (arg == "--servers") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.spec.virtualServers = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--queue-capacity") {
-            std::uint64_t n = 0;
-            if (!nextU64(n))
-                return false;
-            opts.spec.queueCapacity = n;
-        } else if (arg == "--hot-cache") {
-            std::uint64_t n = 0;
-            if (!nextU64(n))
-                return false;
-            opts.spec.hotCacheEntries = n;
-        } else if (arg == "--cold-cache") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.coldCacheDir = v;
-        } else if (arg == "--hit-cost-us") {
-            if (!nextU64(opts.spec.hitCostUs))
-                return false;
-        } else if (arg == "--overhead-us") {
-            if (!nextU64(opts.spec.overheadUs))
-                return false;
-        } else if (arg == "--units-per-us") {
-            if (!nextU64(opts.spec.unitsPerUs))
-                return false;
-        } else if (arg == "--p99-target-us") {
-            if (!nextU64(opts.p99TargetUs))
-                return false;
-        } else if (arg == "--repeat") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.repeat = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--distribution") {
-            opts.distribution = true;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "--out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.out = v;
-        } else if (arg == "--lab-out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.labOut = v;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        }
-    }
-    return true;
-}
 
 void
 emitReport(const Options &opts, const json::Value &report)
@@ -245,7 +70,7 @@ emitReport(const Options &opts, const json::Value &report)
     if (!opts.out.empty()) {
         std::ofstream os(opts.out, std::ios::binary);
         if (!os)
-            fatal("serve: cannot write '", opts.out, "'");
+            fatal("cannot write '", opts.out, "'");
         os << report.toString();
     }
 }
@@ -373,9 +198,8 @@ int
 cmdLoadgen(const Options &opts)
 {
     if (opts.qpsList.size() != 1) {
-        std::cerr << "loadgen takes a single --qps value "
-                     "(use sweep for a list)\n";
-        return 2;
+        throw cli::UsageError(
+            "loadgen takes a single --qps value (use sweep for a list)");
     }
     LoadSpec spec = opts.spec;
     spec.qps = opts.qpsList.front();
@@ -444,18 +268,81 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage();
-        return 2;
-    }
-    try {
-        if (opts.command == "run")
+    cli::Choices<RequestClass> classes;
+    for (const RequestClass cls : allRequestClasses)
+        classes.emplace_back(className(cls), cls);
+    const cli::Tool tool{
+        "liquid-serve",
+        {
+            {"run", "[options]",
+             "exercise the live async server (threads, futures); reads "
+             "the common options and --queue-capacity, --hot-cache, "
+             "--cold-cache and --repeat",
+             {}, 0},
+            {"loadgen", "[options]",
+             "deterministic virtual-time load run -> p50/p95/p99", {}, 0},
+            {"sweep", "[options]",
+             "saturation sweep against the tail-latency contract", {}, 0},
+        },
+        {
+            cli::list({"--workloads"}, "LIST", opts.spec.workloads,
+                      "suite names (default: fir,lu,fft)"),
+            cli::widths({"--widths"}, opts.spec.widths,
+                        "SIMD widths (default: 4,8)"),
+            cli::choiceList({"--classes"}, opts.spec.mix,
+                            std::move(classes),
+                            "request classes (default: all five)"),
+            cli::number({"--jobs"}, "N", opts.jobs,
+                        "execution threads (default: hardware; run: 4)"),
+            cli::flag({"--json"}, opts.json,
+                      "machine-readable report on stdout"),
+            cli::text({"--out"}, "FILE", opts.out,
+                      "also write the report to FILE"),
+            cli::number({"--queue-capacity"}, "N",
+                        opts.spec.queueCapacity,
+                        "backpressure limit / rejection threshold "
+                        "(default 64)"),
+            cli::number({"--hot-cache"}, "N", opts.spec.hotCacheEntries,
+                        "hot-tier entries (default 256)"),
+            cli::text({"--cold-cache"}, "DIR", opts.coldCacheDir,
+                      "run: on-disk cold tier for simulate"),
+            cli::number({"--repeat"}, "N", opts.repeat,
+                        "run: submission rounds over the request set "
+                        "(default 2; round 2 hits the hot tier)"),
+            cli::number({"--seed"}, "S", opts.spec.seed,
+                        "trace seed (default 1)"),
+            cli::reals({"--qps"}, "LIST", opts.qpsList,
+                       "offered load; one value for loadgen, a comma "
+                       "list of sweep points (default 200)"),
+            cli::number({"--requests"}, "N", opts.spec.requests,
+                        "trace length (default 64)"),
+            cli::number({"--deadline-us"}, "N", opts.spec.deadlineUs,
+                        "per-request budget; 0 = none"),
+            cli::number({"--servers"}, "N", opts.spec.virtualServers,
+                        "virtual service slots (default 4)"),
+            cli::number({"--hit-cost-us"}, "N", opts.spec.hitCostUs,
+                        "hot-hit service time (default 5)"),
+            cli::number({"--overhead-us"}, "N", opts.spec.overheadUs,
+                        "per-execution overhead (default 20)"),
+            cli::number({"--units-per-us"}, "N", opts.spec.unitsPerUs,
+                        "work units per virtual us (default 1000)"),
+            cli::number({"--p99-target-us"}, "N", opts.p99TargetUs,
+                        "tail contract; loadgen exits 1 when the overall "
+                        "p99 exceeds it, sweep exits 1 when no point "
+                        "meets it (sweep default 4000)"),
+            cli::flag({"--distribution"}, opts.distribution,
+                      "include per-class latency histograms"),
+            cli::text({"--lab-out"}, "FILE", opts.labOut,
+                      "write the lab-schema results file "
+                      "(BENCH_serve.json) for liquid-lab diff"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        if (p.command == "run")
             return cmdRun(opts);
-        if (opts.command == "loadgen")
+        if (p.command == "loadgen")
             return cmdLoadgen(opts);
+        if (!p.has("--p99-target-us"))
+            opts.p99TargetUs = 4000;
         return cmdSweep(opts);
-    } catch (const FatalError &e) {
-        std::cerr << "liquid-serve: " << e.what() << '\n';
-        return 2;
-    }
+    });
 }

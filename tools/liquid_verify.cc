@@ -15,19 +15,18 @@
  *   liquid-verify --suite               # verify the workload suite
  *   liquid-verify --json prog.s         # machine-readable verdicts
  *
- * Exit status: 0 when no region has an Error verdict, 1 otherwise,
- * 2 on usage/assembly problems.
+ * Exit status: 0 when no region has an Error verdict (with --werror,
+ * no Warn either), 1 otherwise, 2 on usage errors, unreadable or
+ * unassemblable input, and internal errors.
  */
 
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "asm/assembler.hh"
+#include "cli_args.hh"
 #include "common/json.hh"
 #include "verifier/range.hh"
 #include "verifier/verifier.hh"
@@ -58,7 +57,6 @@ constexpr const char *verifyToolVersion = "4.0";
 
 struct Options
 {
-    std::string file;
     unsigned width = 8;
     bool fallback = true;
     bool prove = false;
@@ -68,78 +66,6 @@ struct Options
     bool suite = false;
     bool json = false;
 };
-
-void
-usage()
-{
-    std::cout <<
-        "usage: liquid-verify [options] program.s\n"
-        "       liquid-verify [options] --suite\n"
-        "  -w, --width N    SIMD lanes to verify against: 2/4/8/16 (8)\n"
-        "  --no-fallback    do not retry failed regions at half width\n"
-        "  --prove          settle depcheck-unknown widths (and audit\n"
-        "                   commits) with the translation-validation\n"
-        "                   prover\n"
-        "  --ranges         seed the verifier with the interprocedural\n"
-        "                   value-range analysis (liquid-range facts)\n"
-        "  --poly           attach the width-polymorphic validity set\n"
-        "                   (liquid-poly): for which N does the region\n"
-        "                   verify?\n"
-        "  --werror         treat warn verdicts as errors\n"
-        "  --json           machine-readable per-region verdicts on"
-        " stdout\n"
-        "  --suite          verify every workload-suite kernel instead"
-        " of a file\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "-w" || arg == "--width") {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << '\n';
-                return false;
-            }
-            opt.width = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--no-fallback") {
-            opt.fallback = false;
-        } else if (arg == "--prove") {
-            opt.prove = true;
-        } else if (arg == "--ranges") {
-            opt.ranges = true;
-        } else if (arg == "--poly") {
-            opt.poly = true;
-        } else if (arg == "--suite") {
-            opt.suite = true;
-        } else if (arg == "--werror") {
-            opt.werror = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return false;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
-        } else {
-            std::cerr << "multiple input files\n";
-            return false;
-        }
-    }
-    if (opt.file.empty() && !opt.suite) {
-        usage();
-        return false;
-    }
-    if (!opt.file.empty() && opt.suite) {
-        std::cerr << "--suite does not take an input file\n";
-        return false;
-    }
-    return true;
-}
 
 const char *
 widthVerdictName(WidthVerdict::Kind kind)
@@ -288,11 +214,40 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    const cli::Tool tool{
+        "liquid-verify",
+        {{"", "[options] program.s\n[options] --suite", "", {}, 1}},
+        {
+            cli::width({"-w", "--width"}, opt.width,
+                       "SIMD lanes to verify against (default 8)"),
+            cli::flag({"--no-fallback"}, opt.fallback,
+                      "do not retry failed regions at half width", false),
+            cli::flag({"--prove"}, opt.prove,
+                      "settle depcheck-unknown widths (and audit commits) "
+                      "with the translation-validation prover"),
+            cli::flag({"--ranges"}, opt.ranges,
+                      "seed the verifier with the interprocedural "
+                      "value-range analysis (liquid-range facts)"),
+            cli::flag({"--poly"}, opt.poly,
+                      "attach the width-polymorphic validity set "
+                      "(liquid-poly): for which N does the region verify?"),
+            cli::flag({"--werror"}, opt.werror,
+                      "treat warn verdicts as errors"),
+            cli::flag({"--json"}, opt.json,
+                      "machine-readable per-region verdicts on stdout"),
+            cli::flag({"--suite"}, opt.suite,
+                      "verify every workload-suite kernel instead of a "
+                      "file"),
+        }};
+    return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        const std::string file =
+            p.positional.empty() ? "" : p.positional.front();
+        if (opt.suite && !file.empty())
+            throw cli::UsageError("--suite does not take an input file");
+        if (!opt.suite && file.empty())
+            throw cli::UsageError("expected program.s or --suite");
 
-    std::vector<std::pair<std::string, RegionReport>> regions;
-    try {
+        std::vector<std::pair<std::string, RegionReport>> regions;
         if (opt.suite) {
             for (const auto &wl : makeSuite()) {
                 const Workload::Build build = wl->build(
@@ -300,15 +255,8 @@ main(int argc, char **argv)
                 report(build.prog, wl->name(), opt, regions);
             }
         } else {
-            std::ifstream in(opt.file);
-            if (!in) {
-                std::cerr << "cannot open '" << opt.file << "'\n";
-                return 2;
-            }
-            std::ostringstream source;
-            source << in.rdbuf();
-            const Program prog = assemble(source.str());
-            report(prog, opt.file, opt, regions);
+            const Program prog = cli::readProgram(file);
+            report(prog, file, opt, regions);
             if (regions.empty() && !opt.json) {
                 std::cout << "no hinted regions found\n";
                 return 0;
@@ -350,14 +298,6 @@ main(int argc, char **argv)
                       << " ok, " << warn << " warn, " << error
                       << " error\n";
         }
-        if (error || (opt.werror && warn))
-            return 1;
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-    }
-    return 0;
+        return error || (opt.werror && warn) ? 1 : 0;
+    });
 }
