@@ -1,10 +1,11 @@
 /**
  * @file
  * Regression gate: compare a results file against a committed
- * baseline with per-metric relative tolerances. CI runs
- * `liquid-lab diff` after the smoke matrix; a cycle count that grew
- * past its tolerance, or a job missing from the new results, fails
- * the build.
+ * baseline with per-metric relative tolerances. The ctest pair
+ * lab_fig6_counters_exact{,_swapped} runs `liquid-lab diff` on the
+ * fig6 smoke matrix at zero tolerance; a cycle count that grew past
+ * its tolerance, or a job missing from the new results, fails the
+ * build.
  */
 
 #ifndef LIQUID_LAB_DIFF_HH

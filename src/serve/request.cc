@@ -23,17 +23,6 @@ className(RequestClass cls)
     panic("unknown RequestClass");
 }
 
-RequestClass
-classFromName(const std::string &name)
-{
-    for (RequestClass cls : allRequestClasses) {
-        if (name == className(cls))
-            return cls;
-    }
-    fatal("unknown request class '", name,
-          "' (simulate, verify, scan, chaos, proof)");
-}
-
 std::string
 Request::key() const
 {

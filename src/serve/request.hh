@@ -44,9 +44,6 @@ inline constexpr RequestClass allRequestClasses[] = {
 /** Canonical class name: "simulate", "verify", ... */
 const char *className(RequestClass cls);
 
-/** Parse a className(); fatal() on unknown names. */
-RequestClass classFromName(const std::string &name);
-
 /** One unit of service work. */
 struct Request
 {

@@ -2,11 +2,14 @@
 # its output (stdout and stderr together):
 #
 #   cmake -DEXPECT_EXIT=<status> [-DEXPECT_REGEX=<regex>]
+#         [-DREJECT_REGEX=<regex>] [-DSAVE=<file>]
 #         -P cli_expect.cmake -- <command> [args...]
 #
-# PASS_REGULAR_EXPRESSION alone ignores the exit status, so a tool that
-# printed the expected line and then crashed would still pass; this
-# checks both.
+# REJECT_REGEX must not match anywhere in the output. SAVE writes the
+# command's stdout to <file> whether or not the checks pass, so a
+# report can be kept. PASS_REGULAR_EXPRESSION alone ignores the exit
+# status, so a tool that printed the expected line and then crashed
+# would still pass; this checks both.
 
 set(cmd)
 set(after_separator FALSE)
@@ -21,6 +24,7 @@ endforeach()
 if(NOT cmd OR NOT DEFINED EXPECT_EXIT)
     message(FATAL_ERROR
         "usage: cmake -DEXPECT_EXIT=N [-DEXPECT_REGEX=R] "
+        "[-DREJECT_REGEX=R] [-DSAVE=F] "
         "-P cli_expect.cmake -- command [args...]")
 endif()
 
@@ -28,6 +32,9 @@ execute_process(COMMAND ${cmd}
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
+if(DEFINED SAVE)
+    file(WRITE "${SAVE}" "${out}")
+endif()
 set(output "${out}${err}")
 string(LENGTH "${output}" length)
 if(length GREATER 4000)
@@ -44,4 +51,8 @@ endif()
 if(DEFINED EXPECT_REGEX AND NOT output MATCHES "${EXPECT_REGEX}")
     message(FATAL_ERROR
         "output does not match '${EXPECT_REGEX}'\n${shown}")
+endif()
+if(DEFINED REJECT_REGEX AND output MATCHES "${REJECT_REGEX}")
+    message(FATAL_ERROR
+        "output matches '${REJECT_REGEX}': '${CMAKE_MATCH_0}'\n${shown}")
 endif()

@@ -8,7 +8,7 @@
  * all of them).
  *
  * Trial count and seed come from the environment so the nightly
- * poly-fuzz CI job can date-seed a deeper run:
+ * `ctest -L fuzz` run can date-seed a deeper sweep:
  *   LIQUID_POLY_TRIALS  number of kernels (default 300)
  *   LIQUID_POLY_SEED    base seed (default 0x9E3779B97F4A7C15)
  */

@@ -219,12 +219,10 @@ runLockstepSweep(const Options &opts)
             Rng rn(opts.seed ^ (0x9e3779b97f4a7c15ull + i));
             nativeProg = buildGeneratedProgram(
                 g, rn, EmitOptions::Mode::Native, 8);
-        } catch (const PanicError &) {
-            // Generator occasionally exceeds a scalarizer limit;
-            // such kernels never run on either tier.
-            ++skipped;
-            continue;
         } catch (const FatalError &) {
+            // Generator occasionally exceeds a scalarizer limit; such
+            // kernels never run on either tier. A PanicError is a bug
+            // and ends the run.
             ++skipped;
             continue;
         }
@@ -290,6 +288,7 @@ runLockstepSweep(const Options &opts)
               opts.switchDispatch ? "switch" : "computed-goto");
         v.set("checks", static_cast<std::uint64_t>(records.size()));
         v.set("failures", failures);
+        v.set("skipped", skipped);
         json::Value arr = json::Value::array();
         for (const auto &rec : records) {
             json::Value r = json::Value::object();
@@ -358,8 +357,8 @@ timeTier(double minSeconds, Body body)
 int
 runBench(const Options &opts)
 {
-    // Parity results via the lab (smoke-sized: the committed baseline
-    // must match what CI's smoke campaign produces).
+    // Parity results via the lab, smoke-sized as the committed
+    // bench/baseline/BENCH_fast.json was recorded.
     lab::Runner runner(0);
     lab::ResultSet results = runner.run(
         lab::campaignByName("fast", true).matrix.expand(), nullptr,

@@ -6,7 +6,7 @@
  *   liquid-lab list                        # campaigns and job counts
  *   liquid-lab run --all --jobs 8          # whole matrix -> BENCH_*.json
  *   liquid-lab run --experiment fig6 --render
- *   liquid-lab run --all --smoke           # CI-sized matrix
+ *   liquid-lab run --all --smoke           # 2-rep matrix
  *   liquid-lab render BENCH_fig6.json      # paper tables from JSON
  *   liquid-lab diff BENCH_fig6.json bench/baseline/BENCH_fig6.json
  *
@@ -264,7 +264,7 @@ main(int argc, char **argv)
         "liquid-lab",
         {
             {"list", "[--smoke]", "show campaigns, jobs and workloads",
-             {cli::flag({"--smoke"}, smoke, "list the CI-sized matrix")},
+             {cli::flag({"--smoke"}, smoke, "list the reduced 2-rep matrix")},
              0},
             {"run", "[options]", "run experiments, write BENCH_*.json",
              {
@@ -291,7 +291,8 @@ main(int argc, char **argv)
                  cli::flag({"--no-cache"}, run.noCache,
                            "always simulate"),
                  cli::flag({"--smoke"}, run.smoke,
-                           "reduced trip counts (the CI matrix)"),
+                           "2 reps per job (too few for the fig6 "
+                           "shape checks)"),
                  cli::text({"--filter"}, "REGEX", run.filter,
                            "only jobs whose key matches"),
                  cli::flag({"--render"}, run.render,

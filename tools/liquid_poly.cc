@@ -31,6 +31,7 @@
 #include "asm/assembler.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "verifier/poly.hh"
 #include "workloads/workload.hh"
@@ -257,9 +258,14 @@ printOutcome(const ProgramOutcome &out)
     }
 }
 
+/**
+ * Analyze the selected programs. A random kernel the scalarizer
+ * rejects (FatalError) is counted in @p skipped and left out; a
+ * PanicError is a bug and ends the run.
+ */
 std::vector<ProgramOutcome>
 runPrograms(const Options &opt, unsigned sabotage,
-            bool withSuite, bool withMinis)
+            bool withSuite, bool withMinis, unsigned &skipped)
 {
     std::vector<ProgramOutcome> outcomes;
     if (withMinis) {
@@ -281,8 +287,14 @@ runPrograms(const Options &opt, unsigned sabotage,
         Rng dataRng(opt.seed ^ 0xD1B54A32D192ED03ull);
         for (unsigned i = 0; i < opt.random; ++i) {
             const GeneratedKernel g = generateKernel(rng, i);
-            const Program prog = buildGeneratedProgram(
-                g, dataRng, EmitOptions::Mode::Scalarized, 8);
+            Program prog;
+            try {
+                prog = buildGeneratedProgram(
+                    g, dataRng, EmitOptions::Mode::Scalarized, 8);
+            } catch (const FatalError &) {
+                ++skipped;
+                continue;
+            }
             outcomes.push_back(analyzeProgram(
                 prog, "random" + std::to_string(i), sabotage));
         }
@@ -308,8 +320,9 @@ runSabotage(const Options &opt)
         runs.push_back({polySabotageName(sab), 1u << bit, false, ""});
     }
     for (SabotageRun &run : runs) {
+        unsigned skipped = 0;
         const std::vector<ProgramOutcome> outcomes =
-            runPrograms(opt, run.mode, false, true);
+            runPrograms(opt, run.mode, false, true, skipped);
         for (const ProgramOutcome &out : outcomes) {
             for (const PolyDiff &d : out.diffs) {
                 if (!d.mismatches.empty()) {
@@ -369,8 +382,9 @@ main(int argc, char **argv)
             // kernels the mutations are caught on.
             bool all = true;
             std::string honestFail;
+            unsigned skipped = 0;
             for (const ProgramOutcome &out :
-                 runPrograms(opt, 0, false, true)) {
+                 runPrograms(opt, 0, false, true, skipped)) {
                 if (out.mismatches != 0) {
                     all = false;
                     honestFail = out.name;
@@ -411,8 +425,9 @@ main(int argc, char **argv)
         }
 
         std::vector<ProgramOutcome> outcomes;
+        unsigned skipped = 0;
         if (opt.suite || opt.random > 0) {
-            outcomes = runPrograms(opt, 0, opt.suite, opt.suite);
+            outcomes = runPrograms(opt, 0, opt.suite, opt.suite, skipped);
         } else {
             const std::string &file = p.positional.front();
             outcomes.push_back(
@@ -454,6 +469,7 @@ main(int argc, char **argv)
             for (const ProgramOutcome &out : outcomes)
                 arr.push(outcomeJson(out));
             root.set("programs", std::move(arr));
+            root.set("skipped", skipped);
             json::Value gate = json::Value::object();
             gate.set("passed", !gateFailed);
             json::Value fails = json::Value::array();
@@ -465,6 +481,10 @@ main(int argc, char **argv)
         } else {
             for (const ProgramOutcome &out : outcomes)
                 printOutcome(out);
+            if (skipped) {
+                std::cout << skipped << " random kernel(s) skipped "
+                             "(scalarizer limits)\n";
+            }
             for (const std::string &s : gateFailures)
                 std::cout << "GATE: " << s << '\n';
             std::cout << (gateFailed ? "FAILED\n" : "passed\n");
