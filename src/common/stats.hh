@@ -22,6 +22,12 @@
  * dump() only once it has been touched, exactly as with the by-name
  * call.
  *
+ * The hottest counts (one bump per simulated instruction or cache
+ * access) are plain members of their component instead, folded in by
+ * publish() when the component's stats are read: a bump through a
+ * slot is a store the compiler must assume may alias the component's
+ * other 64-bit state, which costs the simulators ~10% each.
+ *
  * A handle caches a pointer to a std::map node. Nodes never move and
  * StatGroup never erases them (reset() zeroes in place), and moving a
  * StatGroup transfers its nodes, so a component that moves its group
@@ -121,6 +127,18 @@ class StatGroup
         if (!slot) [[unlikely]]
             slot = &resolve(f.prefix_, f.nameOf_(k));
         *slot += delta;
+    }
+
+    /**
+     * Fold in a count kept outside the group: set counter @p stat to
+     * @p value once it is nonzero, so it appears exactly when a
+     * counter bumped by one per event would have.
+     */
+    void
+    publish(const char *stat, std::uint64_t value)
+    {
+        if (value)
+            counters_[stat] = value;
     }
 
     /** Overwrite counter @p stat. */

@@ -9,14 +9,23 @@
  * executed and charged its cycle cost in program order. Retired
  * instructions are exposed on a retire bus (RetireSink) that the
  * post-retirement dynamic translator listens to.
+ *
+ * The core runs predecoded ops (cpu/decode.hh): the program is decoded
+ * once when the core is built, each microcode region once when the
+ * microcode cache commits it. What remains here is the timing policy:
+ * I-fetch and D-cache charges, the load-use interlock, branch and float
+ * latencies, the retire bus, and the watchdog and fault-schedule checks
+ * between instructions.
  */
 
 #ifndef LIQUID_CPU_CORE_HH
 #define LIQUID_CPU_CORE_HH
 
+#include <array>
 #include <functional>
+#include <limits>
 #include <map>
-#include <optional>
+#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -24,6 +33,7 @@
 #include "chaos/fault_schedule.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "cpu/decode.hh"
 #include "cpu/regfile.hh"
 #include "memory/cache.hh"
 #include "memory/main_memory.hh"
@@ -110,9 +120,10 @@ class Core
     /**
      * Front-end microcode lookup: given an outlined function's entry
      * address and the current cycle, return ready microcode or null.
+     * The core latches the returned region until it completes.
      */
     using UcodeLookup =
-        std::function<const UcodeEntry *(Addr, Cycles)>;
+        std::function<std::shared_ptr<const DecodedUcode>(Addr, Cycles)>;
     void setUcodeLookup(UcodeLookup lookup) { ucodeLookup_ = lookup; }
 
     /**
@@ -175,8 +186,19 @@ class Core
     Cache &icache() { return icache_; }
     Cache &dcache() { return dcache_; }
 
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
+    /** Counters; the per-retire counts are folded in on each access. */
+    StatGroup &
+    stats()
+    {
+        publishCounts();
+        return stats_;
+    }
+    const StatGroup &
+    stats() const
+    {
+        publishCounts();
+        return stats_;
+    }
 
     /**
      * Cycle of each bl to each target (first few per target) — drives
@@ -202,35 +224,72 @@ class Core
     const CoreConfig &config() const { return config_; }
 
   private:
-    void execute(const Inst &inst);
-    void executeVector(const Inst &inst);
-    void chargeScalarMem(const Inst &inst, Addr ea);
+    void execute(const DecodedOp &op);
+    void executeVector(const DecodedOp &op);
+    void chargeScalarMem(Addr ea, bool is_write);
     void chargeVectorMem(Addr ea, unsigned bytes, bool is_write);
-    bool readsReg(const Inst &inst, RegId reg) const;
-    const ConstVec &resolveCvec(const Inst &inst) const;
-    void retire(const RetireInfo &info);
-    Addr memEA(const Inst &inst) const;
+    const ConstVec &resolveCvec(const DecodedOp &op) const;
+    void traceRetire(const DecodedOp &op);
+
+    /** Report a retired program-mode op on the retire bus. */
+    void
+    retire(const DecodedOp &op, bool executed, Word value = 0,
+           Addr mem_addr = invalidAddr, bool taken = false)
+    {
+        if (sink_ && !ucode_) {
+            sink_->onRetire(RetireInfo{op.inst, pc_, executed, value,
+                                       mem_addr, taken},
+                            cycles_);
+        }
+    }
+
+    /** Fall through to the next program or microcode instruction. */
+    void
+    advance()
+    {
+        if (ucode_)
+            ++upc_;
+        else
+            ++pc_;
+    }
+
+    /** Watchdog, then due fault events, in the order step() owes them. */
+    void deliverEvents();
+    /** Retire count at which deliverEvents() next has work. */
+    void armEventCheck();
     void raiseFault(const FaultEvent &event);
+    void publishCounts() const;
 
     CoreConfig config_;
     const Program &prog_;
     MainMemory &mem_;
+    std::vector<DecodedOp> ops_;  ///< the program, predecoded
+    /** ops_.size(), kept so the per-step range check needs no divide. */
+    std::size_t numOps_;
+    /** Extra cycles per FloatLatency class, from the config. */
+    std::array<Cycles, 3> floatLatency_{};
     RegFile regs_;
     Cache icache_;
     Cache dcache_;
-    StatGroup stats_;
+    /** Written by publishCounts() from const accessors too. */
+    mutable StatGroup stats_;
 
-    /** Counters of stats_, bound on first use. */
+    /** Per-retire counts, folded into stats_ by stats() (stats.hh). */
+    struct RetireCounts
+    {
+        std::uint64_t insts = 0;
+        std::uint64_t scalarInsts = 0;
+        std::uint64_t vectorInsts = 0;
+        std::uint64_t ucodeInsts = 0;
+        std::uint64_t loadUseStalls = 0;
+        std::uint64_t branches = 0;
+        std::uint64_t takenBranches = 0;
+    } counts_;
+
+    /** The rarer counters of stats_, bound on first use. */
     struct Counters
     {
-        StatGroup::Counter insts{"insts"};
-        StatGroup::Counter scalarInsts{"scalarInsts"};
-        StatGroup::Counter vectorInsts{"vectorInsts"};
-        StatGroup::Counter ucodeInsts{"ucodeInsts"};
-        StatGroup::Counter loadUseStalls{"loadUseStalls"};
         StatGroup::Counter dcacheMissCycles{"dcacheMissCycles"};
-        StatGroup::Counter branches{"branches"};
-        StatGroup::Counter takenBranches{"takenBranches"};
         StatGroup::Counter calls{"calls"};
         StatGroup::Counter ucodeDispatches{"ucodeDispatches"};
         StatGroup::Counter interrupts{"interrupts"};
@@ -254,19 +313,27 @@ class Core
     Cycles cycles_ = 0;
     std::uint64_t instsRetired_ = 0;
 
-    // Microcode execution state. The dispatched entry is latched by
-    // value — modelling the hardware microcode execution buffer — so
-    // cache flushes or evictions mid-region (chaos fault events) never
-    // affect the instructions already being executed.
-    std::optional<UcodeEntry> ucode_;
+    // Microcode execution state. The dispatched region is latched —
+    // modelling the hardware microcode execution buffer — and shared
+    // with the cache only immutably, so cache flushes or evictions
+    // mid-region (chaos fault events) never affect the instructions
+    // already being executed.
+    std::shared_ptr<const DecodedUcode> ucode_;
     unsigned upc_ = 0;
     int ucodeReturn_ = 0;
 
-    // Load-use interlock tracking.
-    RegId pendingLoadDst_;
+    /**
+     * Load-use interlock: the DecodedOp::reads bit of the last load's
+     * destination (its RegId::flat()), or 0.
+     */
+    std::uint64_t pendingLoad_ = 0;
 
-    Cycles nextInterrupt_ = 0;
+    static constexpr std::uint64_t never =
+        std::numeric_limits<std::uint64_t>::max();
+    Cycles nextInterrupt_ = never;  ///< never without a period
     std::size_t nextFault_ = 0;  ///< index into config_.faults.events
+    /** min(watchdog limit, next event's atRetire). */
+    std::uint64_t eventCheckAt_ = 0;
     std::map<Addr, std::vector<Cycles>> callLog_;
     std::ostream *trace_ = nullptr;
 };

@@ -25,6 +25,25 @@ inline constexpr unsigned maxSimdWidth = 16;
 /** One vector register's lanes. */
 using VecValue = std::array<Word, maxSimdWidth>;
 
+/** Does @p cond hold for condition state @p cmp (sign of a cmp)? */
+inline bool
+condHolds(Cond cond, int cmp)
+{
+    // Most instructions are unconditional: test that before the switch.
+    if (cond == Cond::AL)
+        return true;
+    switch (cond) {
+      case Cond::AL: return true;
+      case Cond::EQ: return cmp == 0;
+      case Cond::NE: return cmp != 0;
+      case Cond::LT: return cmp < 0;
+      case Cond::LE: return cmp <= 0;
+      case Cond::GT: return cmp > 0;
+      case Cond::GE: return cmp >= 0;
+    }
+    return true;
+}
+
 /** Architectural register file. */
 class RegFile
 {
@@ -68,6 +87,14 @@ class RegFile
         vectors_[vectorIndex(reg)] = value;
     }
 
+    // Flat-index access for predecoded operands (cpu/decode.hh): the
+    // decoder has already checked each operand's class, so these skip
+    // the per-access class asserts above.
+
+    Word &scalarAt(unsigned flat) { return scalars_[flat]; }
+    const Word *scalarData() const { return scalars_.data(); }
+    VecValue &vectorAt(unsigned flat) { return vectors_[flat]; }
+
     /** Condition state from the last cmp: sign of (src1 - src2). */
     int cmpState() const { return cmpState_; }
     void setCmpState(int s) { cmpState_ = s; }
@@ -76,16 +103,7 @@ class RegFile
     bool
     condHolds(Cond cond) const
     {
-        switch (cond) {
-          case Cond::AL: return true;
-          case Cond::EQ: return cmpState_ == 0;
-          case Cond::NE: return cmpState_ != 0;
-          case Cond::LT: return cmpState_ < 0;
-          case Cond::LE: return cmpState_ <= 0;
-          case Cond::GT: return cmpState_ > 0;
-          case Cond::GE: return cmpState_ >= 0;
-        }
-        return true;
+        return liquid::condHolds(cond, cmpState_);
     }
 
   private:

@@ -74,6 +74,14 @@ Cache::accessRange(Addr addr, unsigned bytes, bool is_write)
 }
 
 void
+Cache::publishCounts() const
+{
+    stats_.publish("accesses", counts_.accesses);
+    stats_.publish("writes", counts_.writes);
+    stats_.publish("hits", counts_.hits);
+}
+
+void
 Cache::flush()
 {
     for (auto &s : sets_)

@@ -52,9 +52,8 @@ class Cache
     access(Addr addr, bool is_write)
     {
         ++useCounter_;
-        stats_.inc(ctr_.accesses);
-        if (is_write)
-            stats_.inc(ctr_.writes);
+        ++counts_.accesses;
+        counts_.writes += is_write;
 
         const Addr line_addr = addr >> lineShift_;
         const unsigned set = line_addr & (numSets_ - 1);
@@ -80,8 +79,19 @@ class Cache
     unsigned lineSize() const { return config_.lineSize; }
     unsigned numSets() const { return numSets_; }
 
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
+    /** Counters; the per-access counts are folded in on each access. */
+    const StatGroup &
+    stats() const
+    {
+        publishCounts();
+        return stats_;
+    }
+    StatGroup &
+    stats()
+    {
+        publishCounts();
+        return stats_;
+    }
 
   private:
     /** Per-set state: valid ways are [0, fill); mru is one of them. */
@@ -103,11 +113,13 @@ class Cache
     {
         lastUse_[i] = useCounter_;
         dirty_[i] |= is_write;
-        stats_.inc(ctr_.hits);
+        ++counts_.hits;
     }
 
     /** The MRU way missed: scan the set's valid prefix, fill on miss. */
     bool accessSlow(unsigned set, Addr tag, bool is_write);
+
+    void publishCounts() const;
 
     CacheConfig config_;
     unsigned numSets_ = 0;
@@ -120,14 +132,20 @@ class Cache
     std::vector<std::uint64_t> lastUse_;
     std::vector<std::uint8_t> dirty_;
     std::uint64_t useCounter_ = 0;
-    StatGroup stats_;
+    /** Written by publishCounts() from const accessors too. */
+    mutable StatGroup stats_;
 
-    /** Counters bumped by every access, bound on first use. */
+    /** Per-access counts, folded into stats_ by stats() (stats.hh). */
+    struct AccessCounts
+    {
+        std::uint64_t accesses = 0;
+        std::uint64_t writes = 0;
+        std::uint64_t hits = 0;
+    } counts_;
+
+    /** Counters bumped on misses, bound on first use. */
     struct Counters
     {
-        StatGroup::Counter accesses{"accesses"};
-        StatGroup::Counter writes{"writes"};
-        StatGroup::Counter hits{"hits"};
         StatGroup::Counter misses{"misses"};
         StatGroup::Counter evictions{"evictions"};
         StatGroup::Counter writebacks{"writebacks"};

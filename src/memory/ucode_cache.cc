@@ -21,7 +21,7 @@ UcodeCache::insert(UcodeEntry entry)
 
     // Replace any stale translation of the same region.
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->entryAddr == entry.entryAddr) {
+        if ((*it)->entryAddr == entry.entryAddr) {
             entries_.erase(it);
             stats_.inc(ctr_.replacements);
             break;
@@ -32,24 +32,25 @@ UcodeCache::insert(UcodeEntry entry)
         entries_.pop_back();  // LRU lives at the tail
         stats_.inc(ctr_.evictions);
     }
-    entries_.push_front(std::move(entry));
+    entries_.push_front(
+        std::make_shared<const DecodedUcode>(std::move(entry)));
     stats_.inc(ctr_.inserts);
 }
 
-const UcodeEntry *
-UcodeCache::lookup(Addr entry_addr, Cycles now)
+std::shared_ptr<const DecodedUcode>
+UcodeCache::fetch(Addr entry_addr, Cycles now)
 {
     stats_.inc(ctr_.lookups);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->entryAddr != entry_addr)
+        if ((*it)->entryAddr != entry_addr)
             continue;
-        if (it->readyAt > now) {
+        if ((*it)->readyAt > now) {
             stats_.inc(ctr_.notReadyMisses);
             return nullptr;
         }
         stats_.inc(ctr_.hits);
         entries_.splice(entries_.begin(), entries_, it);
-        return &entries_.front();
+        return entries_.front();
     }
     stats_.inc(ctr_.misses);
     return nullptr;
@@ -59,7 +60,7 @@ bool
 UcodeCache::contains(Addr entry_addr) const
 {
     for (const auto &e : entries_) {
-        if (e.entryAddr == entry_addr)
+        if (e->entryAddr == entry_addr)
             return true;
     }
     return false;
@@ -77,7 +78,7 @@ bool
 UcodeCache::invalidate(Addr entry_addr)
 {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->entryAddr == entry_addr) {
+        if ((*it)->entryAddr == entry_addr) {
             entries_.erase(it);
             stats_.inc("invalidations");
             return true;
@@ -91,9 +92,9 @@ UcodeCache::invalidateRange(Addr lo, Addr hi)
 {
     std::vector<Addr> removed;
     for (auto it = entries_.begin(); it != entries_.end();) {
-        const Addr begin = it->entryAddr;
-        const Addr end = it->codeEnd != invalidAddr
-                             ? std::max(it->codeEnd, begin + 4)
+        const Addr begin = (*it)->entryAddr;
+        const Addr end = (*it)->codeEnd != invalidAddr
+                             ? std::max((*it)->codeEnd, begin + 4)
                              : begin + 4;
         if (lo < end && hi > begin) {
             removed.push_back(begin);
@@ -112,28 +113,33 @@ UcodeCache::entryAddrs() const
     std::vector<Addr> addrs;
     addrs.reserve(entries_.size());
     for (const auto &e : entries_)
-        addrs.push_back(e.entryAddr);
+        addrs.push_back(e->entryAddr);
     return addrs;
 }
 
 Addr
 UcodeCache::lruEntryAddr() const
 {
-    return entries_.empty() ? invalidAddr : entries_.back().entryAddr;
+    return entries_.empty() ? invalidAddr : entries_.back()->entryAddr;
 }
 
 Addr
 UcodeCache::mruEntryAddr() const
 {
-    return entries_.empty() ? invalidAddr : entries_.front().entryAddr;
+    return entries_.empty() ? invalidAddr : entries_.front()->entryAddr;
 }
 
 void
 UcodeCache::warmStartFrom(const UcodeCache &other)
 {
-    entries_ = other.entries_;
-    for (auto &entry : entries_)
-        entry.readyAt = 0;
+    // Committed regions are immutable: commit a ready copy of each.
+    entries_.clear();
+    for (const auto &e : other.entries_) {
+        UcodeEntry ready = *e;
+        ready.readyAt = 0;
+        entries_.push_back(
+            std::make_shared<const DecodedUcode>(std::move(ready)));
+    }
 }
 
 } // namespace liquid

@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "cpu/decode.hh"
 #include "isa/instruction.hh"
 
 namespace liquid
@@ -36,6 +38,26 @@ struct UcodeEntry
      * the range degrades to the entry instruction alone.
      */
     Addr codeEnd = invalidAddr;
+};
+
+/**
+ * A committed region: the entry plus its microcode, predecoded once
+ * when the cache commits it and never changed after. The cache and a
+ * core executing the region share it, so a flush, evict or replacement
+ * in mid-region leaves the region in flight intact (the hardware's
+ * microcode execution buffer). Copying out the UcodeEntry part drops
+ * the ops, whose Inst pointers refer to this object's insts.
+ */
+struct DecodedUcode : UcodeEntry
+{
+    explicit DecodedUcode(UcodeEntry entry)
+        : UcodeEntry(std::move(entry)), ops(decodeAll(insts))
+    {
+    }
+    DecodedUcode(const DecodedUcode &) = delete;
+    DecodedUcode &operator=(const DecodedUcode &) = delete;
+
+    const std::vector<DecodedOp> ops;  ///< ops[i] decodes insts[i]
 };
 
 /** Geometry of the microcode cache. */
@@ -63,7 +85,17 @@ class UcodeCache
      * when the entry is not yet ready at cycle @p now.
      * A hit refreshes LRU order.
      */
-    const UcodeEntry *lookup(Addr entry_addr, Cycles now);
+    const UcodeEntry *lookup(Addr entry_addr, Cycles now)
+    {
+        return fetch(entry_addr, now).get();
+    }
+
+    /**
+     * lookup() for the core's dispatch path: the committed region
+     * with its predecoded microcode, shared so the core can latch it.
+     */
+    std::shared_ptr<const DecodedUcode> fetch(Addr entry_addr,
+                                              Cycles now);
 
     /** True if the address is present, ready or not. No LRU update. */
     bool contains(Addr entry_addr) const;
@@ -108,7 +140,7 @@ class UcodeCache
   private:
     UcodeCacheConfig config_;
     /** MRU-first list of entries. */
-    std::list<UcodeEntry> entries_;
+    std::list<std::shared_ptr<const DecodedUcode>> entries_;
     StatGroup stats_;
 
     /** Counters bumped by lookup() and insert(), bound on first use. */

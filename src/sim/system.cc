@@ -49,7 +49,7 @@ System::System(const SystemConfig &config, const Program &prog)
                                          ucache_);
         core_->setRetireSink(translator_.get());
         core_->setUcodeLookup([this](Addr entry, Cycles now) {
-            return ucache_.lookup(entry, now);
+            return ucache_.fetch(entry, now);
         });
     }
 }

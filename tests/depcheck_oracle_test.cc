@@ -18,9 +18,10 @@
  * any oracle disagreement dumps the offending program listing to
  * $LIQUID_ORACLE_DUMP_DIR (default oracle_failures/) for triage.
  *
- * The randomized section scales with LIQUID_ORACLE_TRIALS and derives
- * its generator seed from LIQUID_ORACLE_SEED, so the nightly CI fuzz
- * job can run a 10x sweep on a date-derived seed without a rebuild.
+ * The randomized section scales with LIQUID_DEPCHECK_ORACLE_TRIALS (its
+ * own knob: the range oracle has another) and derives its generator
+ * seed from LIQUID_ORACLE_SEED, so the nightly CI fuzz job can run a
+ * 10x sweep on a date-derived seed without a rebuild.
  */
 
 #include <gtest/gtest.h>
@@ -215,7 +216,7 @@ TEST(DepcheckOracle, CleanKernelsNeverDiverge)
 TEST(DepcheckOracle, RandomizedKernelsAndLayouts)
 {
     using Sabotage = EmitOptions::Sabotage;
-    const unsigned trials = envUnsigned("LIQUID_ORACLE_TRIALS", 15);
+    const unsigned trials = envUnsigned("LIQUID_DEPCHECK_ORACLE_TRIALS", 15);
     const unsigned seed = envUnsigned("LIQUID_ORACLE_SEED", 811);
 
     Rng rng(seed);

@@ -14,9 +14,10 @@
  * and requires the oracle to CATCH each one on the stress set: the
  * oracle itself is under test, not just the analysis.
  *
- * The randomized section scales with LIQUID_ORACLE_TRIALS and derives
- * its generator seed from LIQUID_ORACLE_SEED, so the nightly CI fuzz
- * job can run a wide sweep on a date-derived seed without a rebuild.
+ * The randomized section scales with LIQUID_RANGE_ORACLE_TRIALS (its
+ * own knob: the depcheck oracle has another) and derives its generator
+ * seed from LIQUID_ORACLE_SEED, so the nightly CI fuzz job can run a
+ * wide sweep on a date-derived seed without a rebuild.
  */
 
 #include <gtest/gtest.h>
@@ -98,7 +99,7 @@ TEST(RangeOracle, WorkloadSuiteIsViolationFree)
 
 TEST(RangeOracle, RandomizedKernelsAreViolationFree)
 {
-    const unsigned trials = envUnsigned("LIQUID_ORACLE_TRIALS", 10);
+    const unsigned trials = envUnsigned("LIQUID_RANGE_ORACLE_TRIALS", 10);
     const unsigned seed = envUnsigned("LIQUID_ORACLE_SEED", 919);
 
     Rng rng(seed);

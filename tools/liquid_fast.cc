@@ -331,19 +331,24 @@ struct TierTiming
     double seconds = 0;
 };
 
-/** Repeat @p body until ~minSeconds of wall-clock accumulates. */
+/**
+ * Run @p body once for each of @p pairs (workload, mode) pairs, then
+ * keep cycling over the pairs until ~budgetSeconds of wall clock have
+ * accumulated: one budget per tier, however many pairs there are.
+ */
 template <typename Body>
 TierTiming
-timeTier(double minSeconds, Body body)
+timeTier(double budgetSeconds, std::size_t pairs, Body body)
 {
     TierTiming t;
     const auto t0 = std::chrono::steady_clock::now();
-    do {
-        t.insts += body();
+    for (std::size_t run = 0; run < pairs || t.seconds < budgetSeconds;
+         ++run) {
+        t.insts += body(run % pairs);
         t.seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    } while (t.seconds < minSeconds);
+    }
     return t;
 }
 
@@ -365,37 +370,44 @@ runBench(const Options &opts)
         nullptr, nullptr);
 
     // Throughput: full-sized workloads, both modes, both tiers.
-    TierTiming cycle, functional;
+    struct Pair
+    {
+        Workload::Build build;
+        SystemConfig config;
+        fast::FastConfig fc;
+    };
+    std::vector<Pair> pairs;
     for (const auto &wl : selectWorkloads(opts)) {
         for (ExecMode mode : opts.modes) {
-            const auto build = wl->build(
-                mode == ExecMode::ScalarBaseline
-                    ? EmitOptions::Mode::Scalarized
-                    : EmitOptions::Mode::Native,
-                8);
-            const SystemConfig config = SystemConfig::make(mode, 8);
-            const auto c = timeTier(0.05, [&]() -> std::uint64_t {
-                System sys(config, build.prog);
-                sys.run();
-                return sys.core().stats().get("insts");
-            });
-            cycle.insts += c.insts;
-            cycle.seconds += c.seconds;
-
-            fast::FastConfig fc;
-            fc.simdWidth =
-                mode == ExecMode::ScalarBaseline ? 0 : config.simdWidth;
-            fc.switchDispatch = opts.switchDispatch;
-            const auto f = timeTier(0.05, [&]() -> std::uint64_t {
-                MainMemory mem = MainMemory::forProgram(build.prog);
-                fast::FastInterp interp(fc, build.prog, mem);
-                interp.run();
-                return interp.retired();
-            });
-            functional.insts += f.insts;
-            functional.seconds += f.seconds;
+            Pair p{wl->build(mode == ExecMode::ScalarBaseline
+                                 ? EmitOptions::Mode::Scalarized
+                                 : EmitOptions::Mode::Native,
+                             8),
+                   SystemConfig::make(mode, 8), {}};
+            p.fc.simdWidth =
+                mode == ExecMode::ScalarBaseline ? 0 : p.config.simdWidth;
+            p.fc.switchDispatch = opts.switchDispatch;
+            pairs.push_back(std::move(p));
         }
     }
+
+    constexpr double budgetSeconds = 0.3;
+    const TierTiming cycle =
+        timeTier(budgetSeconds, pairs.size(),
+                 [&](std::size_t i) -> std::uint64_t {
+                     System sys(pairs[i].config, pairs[i].build.prog);
+                     sys.run();
+                     return sys.core().stats().get("insts");
+                 });
+    const TierTiming functional =
+        timeTier(budgetSeconds, pairs.size(),
+                 [&](std::size_t i) -> std::uint64_t {
+                     const Program &prog = pairs[i].build.prog;
+                     MainMemory mem = MainMemory::forProgram(prog);
+                     fast::FastInterp interp(pairs[i].fc, prog, mem);
+                     interp.run();
+                     return interp.retired();
+                 });
 
     const double cycleRate =
         static_cast<double>(cycle.insts) / cycle.seconds;
