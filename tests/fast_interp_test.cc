@@ -16,6 +16,7 @@
 
 #include "asm/assembler.hh"
 #include "chaos/fault_schedule.hh"
+#include "common/logging.hh"
 #include "fast/fast.hh"
 #include "fast/tier.hh"
 #include "lab/results.hh"
@@ -185,6 +186,41 @@ TEST(FastFaults, WatchdogIsFatalOnRunaway)
         },
         FatalError);
     EXPECT_EQ(stepper.retired(), 100u);
+}
+
+TEST(FastIllegal, WrongClassPanicsOnlyWhereTheCoreDoes)
+{
+    // Functional twin of Core.IllegalDestinationIsHarmlessWhenPredicatedOff,
+    // on both dispatch loops.
+    for (const bool switch_dispatch : {false, true}) {
+        FastConfig config;
+        config.switchDispatch = switch_dispatch;
+        const Program skipped = assemble(R"(
+            .words buf 1 2 3 4
+            main:
+                mov r1, #1
+                cmp r1, #1
+                movne v1, #1
+                addne vf2, f2, f3
+                ldwne v3, [buf + r1]
+                vaddne v1, r2, v3
+                halt
+        )");
+        MainMemory mem = MainMemory::forProgram(skipped);
+        FastInterp interp(config, skipped, mem);
+        EXPECT_NO_THROW(interp.run());
+        EXPECT_EQ(interp.retired(), 7u);
+
+        for (const char *reached : {"moveq v1, #1", "movne r2, v1",
+                                    "vaddeq v1, r2, v3"}) {
+            const Program prog = assemble(
+                std::string("main:\n mov r1, #1\n cmp r1, #1\n ") +
+                reached + "\n halt\n");
+            MainMemory prog_mem = MainMemory::forProgram(prog);
+            FastInterp panics(config, prog, prog_mem);
+            EXPECT_THROW(panics.run(), PanicError) << reached;
+        }
+    }
 }
 
 TEST(FastLabTier, FunctionalTagsTheJobKey)
