@@ -14,8 +14,8 @@
 # NEW_TOOLS, directly or through tests/cli_expect.cmake, is run on both
 # builds. Paths into that tree's source and build directories become
 # relative: each side runs from its own WORK_DIR/{old,new} directory,
-# where `examples` and `bench` link to the source tree. --quick skips
-# the nightly-sized sweeps (the 500-kernel fuzz runs).
+# where `examples`, `bench` and `tests` link to the source tree.
+# --quick skips the nightly-sized sweeps (the 500-kernel fuzz runs).
 #
 # Masked before comparing, because they are wall clock or thread
 # scheduling and differ between two runs of the same binary:
@@ -49,6 +49,7 @@ for side in old new; do
     mkdir -p "$WORK/$side/fast_failures"
     ln -s "$SRC/examples" "$WORK/$side/examples"
     ln -s "$SRC/bench" "$WORK/$side/bench"
+    ln -s "$SRC/tests" "$WORK/$side/tests"
 done
 mkdir -p "$WORK/out"
 
@@ -146,8 +147,6 @@ done <<< "$cases"
 if [ $QUICK = 0 ]; then
     run fast_fuzz liquid-fast --random 500 --seed $SEED \
         --dump-dir fast_failures
-    run fast_fuzz_switch liquid-fast --random 500 --seed $SEED \
-        --switch --dump-dir fast_failures
     run fast_fuzz_faults liquid-fast \
         --faults "int@50+smc@123+flush@400" --random 250 --seed $SEED \
         --dump-dir fast_failures
@@ -156,9 +155,11 @@ fi
 
 # ---- files the runs wrote ---------------------------------------------------
 files=$(cd "$WORK/old" && find . -path ./examples -prune -o \
-            -path ./bench -prune -o -type f -print | sort)
+            -path ./bench -prune -o -path ./tests -prune -o \
+            -type f -print | sort)
 newFiles=$(cd "$WORK/new" && find . -path ./examples -prune -o \
-               -path ./bench -prune -o -type f -print | sort)
+               -path ./bench -prune -o -path ./tests -prune -o \
+               -type f -print | sort)
 if [ "$files" != "$newFiles" ]; then
     echo "DIFF written file sets:"
     diff <(echo "$files") <(echo "$newFiles") | head -10

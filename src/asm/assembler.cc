@@ -450,6 +450,8 @@ handleInstruction(AsmContext &ctx, const std::string &line)
         break;
     }
 
+    if (const char *bad = operandClassError(inst))
+        ctx.error("'", line, "': ", bad);
     ctx.prog.addInst(std::move(inst));
 }
 

@@ -122,8 +122,8 @@ Core::step()
         ++counts_.ucodeInsts;
     } else {
         // A negative pc_ wraps past any program size.
-        LIQUID_ASSERT(static_cast<unsigned>(pc_) < numOps_,
-                      "pc out of range: ", pc_);
+        if (static_cast<unsigned>(pc_) >= numOps_) [[unlikely]]
+            fatalPcOutOfRange(pc_, numOps_);
         op = &ops_[static_cast<std::size_t>(pc_)];
         // Microcode is fetched from its own SRAM; only program-mode
         // instructions touch the i-cache.
@@ -347,7 +347,8 @@ Core::execute(const DecodedOp &op)
 
       case HRet: {
         LIQUID_ASSERT(!ucode_, "ret inside microcode");
-        LIQUID_ASSERT(!callStack_.empty(), "ret with empty call stack");
+        if (callStack_.empty()) [[unlikely]]
+            fatalTopLevelRet(pc_);
         cycles_ += config_.takenBranchPenalty;
         const int return_to = callStack_.back();
         callStack_.pop_back();
@@ -401,17 +402,8 @@ Core::execute(const DecodedOp &op)
         return;
       }
 
-      case HIllegalDst:
-        if (executed)
-            illegalOperands(op);
-        // The legal shape leaves the destination alone when its
-        // condition fails; it counts the instruction again.
-        --counts_.scalarInsts;
-        execute(decodeSkippedDst(op));
-        return;
-
       default:
-        illegalOperands(op);
+        panic("unhandled scalar handler ", static_cast<unsigned>(op.handler));
     }
 
     retire(op, executed);
@@ -490,9 +482,6 @@ Core::executeVector(const DecodedOp &op)
         regs_.vectorAt(op.dst) = out;
         return;
       }
-
-      case HVIllegal:
-        illegalOperands(op);
 
       default:
         panic("unhandled vector handler ", static_cast<unsigned>(op.handler));

@@ -16,51 +16,18 @@ regBit(RegId reg)
     return reg.isValid() ? std::uint64_t{1} << reg.flat() : 0;
 }
 
-/**
- * Builds one op. An operand of the wrong class makes it HIllegal (a
- * source), HIllegalDst (only the destination) or HVIllegal (any operand
- * of a vector op).
- */
+/** Builds one op from an instruction that keeps the class rule. */
 struct Decoder
 {
     const Inst &inst;
     DecodedOp op;
-    bool illegal = false;     ///< a bad source, or no handler
-    bool illegalDst = false;  ///< a bad destination
 
-    std::uint8_t
-    scalar(RegId reg)
+    /** @p reg's index in its file (regfile.hh: floats at regsPerClass). */
+    static std::uint8_t
+    fileIndex(RegId reg)
     {
-        return scalarOr(reg, illegal);
-    }
-
-    /** A scalar op's destination, written only when it executes. */
-    std::uint8_t
-    scalarDst(RegId reg)
-    {
-        return scalarOr(reg, illegalDst);
-    }
-
-    std::uint8_t
-    scalarOr(RegId reg, bool &bad)
-    {
-        if (!reg.isScalar()) {
-            bad = true;
-            return 0;
-        }
         return static_cast<std::uint8_t>(
-            (reg.cls() == RegClass::Flt ? regsPerClass : 0) + reg.idx());
-    }
-
-    std::uint8_t
-    vector(RegId reg)
-    {
-        if (!reg.isVector()) {
-            illegal = true;
-            return 0;
-        }
-        return static_cast<std::uint8_t>(
-            (reg.cls() == RegClass::VFlt ? regsPerClass : 0) + reg.idx());
+            (reg.isFloat() ? regsPerClass : 0) + reg.idx());
     }
 
     void
@@ -70,7 +37,7 @@ struct Decoder
         op.memBase = inst.mem.base;
         op.memDisp = inst.mem.disp;
         if (inst.mem.index.isValid())
-            op.memIndex = scalar(inst.mem.index);
+            op.memIndex = fileIndex(inst.mem.index);
         if (inst.info().memSigned)
             op.flags |= DecodedOp::flagSigned;
     }
@@ -102,25 +69,25 @@ Decoder::decodeVector()
     const OpInfo &info = inst.info();
     if (info.isLoad) {
         op.handler = HVLoad;
-        op.dst = vector(inst.dst);
+        op.dst = fileIndex(inst.dst);
         mem();
     } else if (info.isStore) {
         op.handler = HVStore;
-        op.src1 = vector(inst.src1);
+        op.src1 = fileIndex(inst.src1);
         mem();
     } else if (info.isReduction) {
         op.handler = HVRed;
-        op.dst = scalar(inst.dst);
-        op.src1 = scalar(inst.src1);
-        op.src2 = vector(inst.src2);
+        op.dst = fileIndex(inst.dst);
+        op.src1 = fileIndex(inst.src1);
+        op.src2 = fileIndex(inst.src2);
         floatIf(inst.dst.isFloat());
     } else if (inst.op == Opcode::Vperm || inst.op == Opcode::Vmask) {
         op.handler = inst.op == Opcode::Vperm ? HVPerm : HVMask;
-        op.dst = vector(inst.dst);
-        op.src1 = vector(inst.src1);
+        op.dst = fileIndex(inst.dst);
+        op.src1 = fileIndex(inst.src1);
     } else if (info.isDataProc) {
-        op.dst = vector(inst.dst);
-        op.src1 = vector(inst.src1);
+        op.dst = fileIndex(inst.dst);
+        op.src1 = fileIndex(inst.src1);
         floatIf(inst.dst.isFloat());
         floatLatencyIf(inst.dst.isFloat(), Opcode::Vmul);
         if (inst.cvec != noCvec) {
@@ -130,10 +97,8 @@ Decoder::decodeVector()
             op.imm = inst.imm;
         } else {
             op.handler = HVDpRR;
-            op.src2 = vector(inst.src2);
+            op.src2 = fileIndex(inst.src2);
         }
-    } else {
-        illegal = true;
     }
 }
 
@@ -149,24 +114,24 @@ Decoder::decodeScalar()
         op.handler = HHalt;
         return;
       case Opcode::Mov:
-        op.dst = scalarDst(inst.dst);
+        op.dst = fileIndex(inst.dst);
         if (inst.hasImm) {
             op.handler = HMovImm;
             op.imm = inst.imm;
         } else {
             op.handler = HMovReg;
-            op.src1 = scalar(inst.src1);
+            op.src1 = fileIndex(inst.src1);
         }
         return;
       case Opcode::Cmp:
-        op.src1 = scalar(inst.src1);
+        op.src1 = fileIndex(inst.src1);
         floatIf(inst.src1.isFloat());
         if (inst.hasImm) {
             op.handler = HCmpRI;
             op.imm = inst.imm;
         } else {
             op.handler = HCmpRR;
-            op.src2 = scalar(inst.src2);
+            op.src2 = fileIndex(inst.src2);
         }
         return;
       case Opcode::B:
@@ -187,15 +152,15 @@ Decoder::decodeScalar()
 
     if (info.isLoad) {
         op.handler = HLoad;
-        op.dst = scalarDst(inst.dst);
+        op.dst = fileIndex(inst.dst);
         mem();
     } else if (info.isStore) {
         op.handler = HStore;
-        op.src1 = scalar(inst.src1);
+        op.src1 = fileIndex(inst.src1);
         mem();
     } else if (info.isDataProc) {
-        op.dst = scalarDst(inst.dst);
-        op.src1 = scalar(inst.src1);
+        op.dst = fileIndex(inst.dst);
+        op.src1 = fileIndex(inst.src1);
         floatIf(inst.dst.isFloat());
         floatLatencyIf(inst.dst.isFloat(), Opcode::Mul);
         if (inst.hasImm) {
@@ -203,10 +168,8 @@ Decoder::decodeScalar()
             op.imm = inst.imm;
         } else {
             op.handler = HDpRR;
-            op.src2 = scalar(inst.src2);
+            op.src2 = fileIndex(inst.src2);
         }
-    } else {
-        illegal = true;
     }
 }
 
@@ -215,6 +178,8 @@ Decoder::decodeScalar()
 DecodedOp
 decodeInst(const Inst &inst)
 {
+    if (const char *bad = operandClassError(inst)) [[unlikely]]
+        panic("decode of '", inst.toString(), "': ", bad);
     Decoder d{inst, {}};
     DecodedOp &op = d.op;
     const OpInfo &info = inst.info();
@@ -239,23 +204,8 @@ decodeInst(const Inst &inst)
         d.decodeVector();
     else
         d.decodeScalar();
-    if (d.illegal)
-        op.handler = info.isVector ? HVIllegal : HIllegal;
-    else if (d.illegalDst)
-        op.handler = HIllegalDst;
-    return op;
-}
-
-DecodedOp
-decodeSkippedDst(const DecodedOp &o)
-{
-    Inst legal = *o.inst;
-    legal.dst = legal.dst.isVector() ? legal.dst.toScalar()
-                                     : RegId(RegClass::Int, 0);
-    DecodedOp op = decodeInst(legal);
-    LIQUID_ASSERT(op.handler != HIllegal && op.handler != HIllegalDst,
-                  "not a destination-only illegal op");
-    op.inst = o.inst;
+    LIQUID_ASSERT(op.handler != HInvalid, "no handler for '",
+                  inst.toString(), "'");
     return op;
 }
 
@@ -270,9 +220,17 @@ decodeAll(const std::vector<Inst> &code)
 }
 
 void
-illegalOperands(const DecodedOp &o)
+fatalTopLevelRet(int pc)
 {
-    panic("illegal operand register class in '", o.inst->toString(), "'");
+    fatal("ret at pc ", pc, " with an empty call stack: a top-level "
+          "ret has no caller to return to (end the program with halt)");
+}
+
+void
+fatalPcOutOfRange(int pc, std::size_t size)
+{
+    fatal("pc ", pc, " is outside the program text of ", size,
+          " instruction(s): the program ran off its end without a halt");
 }
 
 } // namespace liquid

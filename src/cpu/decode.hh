@@ -16,6 +16,7 @@
 #ifndef LIQUID_CPU_DECODE_HH
 #define LIQUID_CPU_DECODE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,22 +26,10 @@
 namespace liquid
 {
 
-/** Handler ids (the functional tier's dispatch-table order). */
+/** Handler ids. */
 enum OpHandler : std::uint8_t
 {
     HInvalid,   ///< not decoded yet (functional tier's dispatch cache)
-    /**
-     * A register the op reads whether or not its condition holds has
-     * the wrong class, or the opcode has no scalar handler: panics
-     * whenever it is reached.
-     */
-    HIllegal,
-    /**
-     * Only the destination has the wrong class. It is written only when
-     * the condition holds, so the op panics then; otherwise it runs as
-     * decodeSkippedDst() decodes it.
-     */
-    HIllegalDst,
     HNop,
     HHalt,
     HStaleNop,  ///< functional-tier sabotage only: drops the effect
@@ -64,13 +53,6 @@ enum OpHandler : std::uint8_t
     HVDpRR,
     HVDpImm,
     HVDpCvec,
-    /**
-     * A vector op with an operand of the wrong class (or no handler):
-     * skipped like any vector op when its condition fails, panics when
-     * it holds.
-     */
-    HVIllegal,
-    HNumHandlers,
 };
 
 /** Extra float cycles an op costs on the cycle core (CoreConfig). */
@@ -127,18 +109,11 @@ struct DecodedOp
 static_assert(sizeof(DecodedOp) <= 40, "DecodedOp grew past 40 bytes");
 
 /**
- * Decode @p inst. Never throws: an operand of the wrong register class
- * decodes to HIllegal, HIllegalDst or HVIllegal, which panic only where
- * the op would touch that operand.
+ * Decode @p inst, which keeps the register-class rule
+ * (operandClassError): the assembler rejects a line that breaks it, so
+ * an instruction that reaches here breaking it is a simulator bug.
  */
 DecodedOp decodeInst(const Inst &inst);
-
-/**
- * The op an HIllegalDst op @p o runs as when its condition fails: @p o
- * decoded with its destination moved to the scalar class of the same
- * index and float-ness, which the not-executed op never writes.
- */
-DecodedOp decodeSkippedDst(const DecodedOp &o);
 
 /** Decode a whole code sequence (a program or a microcode region). */
 std::vector<DecodedOp> decodeAll(const std::vector<Inst> &code);
@@ -153,8 +128,13 @@ effectiveAddr(const DecodedOp &o, const Word *scalars)
     return o.memBase + static_cast<Addr>(index * o.esize);
 }
 
-/** Panic for an illegal op that touches its wrong-class operand. */
-[[noreturn]] void illegalOperands(const DecodedOp &o);
+// User errors both tiers report, with one text so that lockstep sees
+// a program that fails the same way on both as agreeing.
+
+/** A ret at @p pc with no call to return to. */
+[[noreturn]] void fatalTopLevelRet(int pc);
+/** @p pc is outside a program text of @p size instructions. */
+[[noreturn]] void fatalPcOutOfRange(int pc, std::size_t size);
 
 } // namespace liquid
 

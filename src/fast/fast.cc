@@ -217,170 +217,7 @@ FastInterp::raiseFault(const FaultEvent &event)
     panic("bad fault kind");
 }
 
-// ---- handlers ----------------------------------------------------------
-
-void
-FastInterp::hIllegalDst(const DecodedOp &o)
-{
-    if (execCond(o))
-        illegalOperands(o);
-    execOne(decodeSkippedDst(o));
-}
-
-void
-FastInterp::hNop(const DecodedOp &o)
-{
-    ++retired_;
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hHalt(const DecodedOp &o)
-{
-    ++retired_;
-    halted_ = true;
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hStaleNop(const DecodedOp &o)
-{
-    // Sabotage only: the instruction retires but its effect is gone.
-    ++retired_;
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hMovImm(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o))
-        scalars_[o.dst] = static_cast<Word>(o.imm);
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hMovReg(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o))
-        scalars_[o.dst] = scalars_[o.src1];
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hCmpRR(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
-        const Word a = scalars_[o.src1];
-        const Word b = scalars_[o.src2];
-        const bool use_float = (o.flags & DecodedOp::flagFloat) != 0;
-        cmp_ = config_.sabotage == Sabotage::WrongFlagUpdate
-                   ? evalCompare(b, a, use_float)
-                   : evalCompare(a, b, use_float);
-    }
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hCmpRI(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
-        const Word a = scalars_[o.src1];
-        const Word b = static_cast<Word>(o.imm);
-        const bool use_float = (o.flags & DecodedOp::flagFloat) != 0;
-        cmp_ = config_.sabotage == Sabotage::WrongFlagUpdate
-                   ? evalCompare(b, a, use_float)
-                   : evalCompare(a, b, use_float);
-    }
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hBranch(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o))
-        pc_ = o.imm;
-    else
-        pc_ += o.pcBump;
-}
-
-void
-FastInterp::hBl(const DecodedOp &o)
-{
-    // Like the cycle core, bl and ret ignore the condition field.
-    ++retired_;
-    ++calls_;
-    ++callCounts_[o.memBase];
-    lastCallTarget_ = o.imm;
-    callStack_.push_back(pc_ + 1);
-    pc_ = o.imm;
-}
-
-void
-FastInterp::hRet(const DecodedOp &o)
-{
-    ++retired_;
-    LIQUID_ASSERT(!callStack_.empty(), "ret with empty call stack");
-    pc_ = callStack_.back();
-    callStack_.pop_back();
-    static_cast<void>(o);
-}
-
-void
-FastInterp::hLoad(const DecodedOp &o)
-{
-    ++retired_;
-    const Addr ea = memEA(o);
-    // The cycle core reads memory regardless of the condition and
-    // gates only the register write; mirror that exactly.
-    const Word value =
-        mem_.readElem(ea, o.esize, (o.flags & DecodedOp::flagSigned) != 0);
-    if (execCond(o))
-        scalars_[o.dst] = value;
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hStore(const DecodedOp &o)
-{
-    ++retired_;
-    const Addr ea = memEA(o);
-    const Word value = scalars_[o.src1];
-    ++storesSeen_;
-    if (execCond(o) &&
-        (config_.sabotage != Sabotage::SkippedStore ||
-         storesSeen_ % 17 != 0))
-        mem_.writeElem(ea, o.esize, value);
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hDpRR(const DecodedOp &o)
-{
-    ++retired_;
-    const Word value =
-        evalScalarOp(o.op, scalars_[o.src1], scalars_[o.src2],
-                     (o.flags & DecodedOp::flagFloat) != 0);
-    if (execCond(o))
-        scalars_[o.dst] = value;
-    pc_ += o.pcBump;
-}
-
-void
-FastInterp::hDpRI(const DecodedOp &o)
-{
-    ++retired_;
-    const Word value =
-        evalScalarOp(o.op, scalars_[o.src1], static_cast<Word>(o.imm),
-                     (o.flags & DecodedOp::flagFloat) != 0);
-    if (execCond(o))
-        scalars_[o.dst] = value;
-    pc_ += o.pcBump;
-}
+// ---- dispatch ----------------------------------------------------------
 
 unsigned
 FastInterp::vectorWidth(const DecodedOp &o) const
@@ -393,282 +230,179 @@ FastInterp::vectorWidth(const DecodedOp &o) const
 }
 
 void
-FastInterp::hVLoad(const DecodedOp &o)
+FastInterp::dispatch(std::uint64_t stop)
 {
-    ++retired_;
-    if (execCond(o)) {
-        const unsigned width = vectorWidth(o);
+    while (retired_ < stop) {
+        if (!pcInRange()) [[unlikely]]
+            fatalPcOutOfRange(pc_, numOps_);
+        const DecodedOp &o = ops_[static_cast<std::size_t>(pc_)];
+        if (o.handler == HInvalid) {
+            decodeBlock(pc_);
+            continue;
+        }
+        // The one retire count: an op retires before its effect, as on
+        // the cycle core, so a user error leaves both counts equal.
+        ++retired_;
+        const bool is_float = (o.flags & DecodedOp::flagFloat) != 0;
+        switch (o.handler) {
+          case HNop:
+          case HStaleNop:  // sabotage: the op retires, its effect is gone
+            break;
+
+          case HHalt:
+            halted_ = true;
+            pc_ += o.pcBump;
+            return;
+
+          case HMovImm:
+            if (execCond(o))
+                scalars_[o.dst] = static_cast<Word>(o.imm);
+            break;
+
+          case HMovReg:
+            if (execCond(o))
+                scalars_[o.dst] = scalars_[o.src1];
+            break;
+
+          case HCmpRR:
+          case HCmpRI:
+            if (execCond(o)) {
+                const Word a = scalars_[o.src1];
+                const Word b = o.handler == HCmpRI
+                                   ? static_cast<Word>(o.imm)
+                                   : scalars_[o.src2];
+                cmp_ = config_.sabotage == Sabotage::WrongFlagUpdate
+                           ? evalCompare(b, a, is_float)
+                           : evalCompare(a, b, is_float);
+            }
+            break;
+
+          case HBranch:
+            if (execCond(o)) {
+                pc_ = o.imm;
+                continue;
+            }
+            break;
+
+          case HBl:
+            // Like the cycle core, bl and ret ignore the condition field.
+            ++calls_;
+            ++callCounts_[o.memBase];
+            lastCallTarget_ = o.imm;
+            callStack_.push_back(pc_ + 1);
+            pc_ = o.imm;
+            continue;
+
+          case HRet:
+            if (callStack_.empty()) [[unlikely]]
+                fatalTopLevelRet(pc_);
+            pc_ = callStack_.back();
+            callStack_.pop_back();
+            continue;
+
+          case HLoad: {
+            // The cycle core reads memory regardless of the condition
+            // and gates only the register write; mirror that exactly.
+            const Word value = mem_.readElem(
+                memEA(o), o.esize, (o.flags & DecodedOp::flagSigned) != 0);
+            if (execCond(o))
+                scalars_[o.dst] = value;
+            break;
+          }
+
+          case HStore: {
+            const Addr ea = memEA(o);
+            ++storesSeen_;
+            if (execCond(o) &&
+                (config_.sabotage != Sabotage::SkippedStore ||
+                 storesSeen_ % 17 != 0))
+                mem_.writeElem(ea, o.esize, scalars_[o.src1]);
+            break;
+          }
+
+          case HDpRR:
+          case HDpRI: {
+            const Word b = o.handler == HDpRI ? static_cast<Word>(o.imm)
+                                              : scalars_[o.src2];
+            const Word value =
+                evalScalarOp(o.op, scalars_[o.src1], b, is_float);
+            if (execCond(o))
+                scalars_[o.dst] = value;
+            break;
+          }
+
+          default:
+            // Vector ops are skipped whole when their condition fails.
+            if (execCond(o))
+                execVector(o, is_float);
+            break;
+        }
+        pc_ += o.pcBump;
+    }
+}
+
+void
+FastInterp::execVector(const DecodedOp &o, bool is_float)
+{
+    const unsigned width = vectorWidth(o);
+    switch (o.handler) {
+      case HVLoad: {
         const Addr ea = memEA(o);
         const bool sign = (o.flags & DecodedOp::flagSigned) != 0;
         VecValue value{};
         for (unsigned l = 0; l < width; ++l)
             value[l] = mem_.readElem(ea + l * o.esize, o.esize, sign);
         vectors_[o.dst] = value;
-    }
-    pc_ += o.pcBump;
-}
+        return;
+      }
 
-void
-FastInterp::hVStore(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
-        const unsigned width = vectorWidth(o);
+      case HVStore: {
         const Addr ea = memEA(o);
         const VecValue &value = vectors_[o.src1];
         for (unsigned l = 0; l < width; ++l)
             mem_.writeElem(ea + l * o.esize, o.esize, value[l]);
-    }
-    pc_ += o.pcBump;
-}
+        return;
+      }
 
-void
-FastInterp::hVRed(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
-        scalars_[o.dst] = evalReduction(
-            o.op, scalars_[o.src1], vectors_[o.src2], vectorWidth(o),
-            (o.flags & DecodedOp::flagFloat) != 0);
-    }
-    pc_ += o.pcBump;
-}
+      case HVRed:
+        scalars_[o.dst] = evalReduction(o.op, scalars_[o.src1],
+                                        vectors_[o.src2], width, is_float);
+        return;
 
-void
-FastInterp::hVPerm(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
-        vectors_[o.dst] =
-            evalPerm(vectors_[o.src1], o.inst->permKind,
-                     o.inst->permBlock, vectorWidth(o));
-    }
-    pc_ += o.pcBump;
-}
+      case HVPerm:
+        vectors_[o.dst] = evalPerm(vectors_[o.src1], o.inst->permKind,
+                                   o.inst->permBlock, width);
+        return;
 
-void
-FastInterp::hVMask(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
-        vectors_[o.dst] =
-            evalMask(vectors_[o.src1], o.inst->maskBits,
-                     o.inst->maskBlock, vectorWidth(o));
-    }
-    pc_ += o.pcBump;
-}
+      case HVMask:
+        vectors_[o.dst] = evalMask(vectors_[o.src1], o.inst->maskBits,
+                                   o.inst->maskBlock, width);
+        return;
 
-void
-FastInterp::hVDpRR(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
-        vectors_[o.dst] = evalVectorOp(
-            o.op, vectors_[o.src1], vectors_[o.src2], vectorWidth(o),
-            (o.flags & DecodedOp::flagFloat) != 0);
-    }
-    pc_ += o.pcBump;
-}
+      case HVDpRR:
+        vectors_[o.dst] = evalVectorOp(o.op, vectors_[o.src1],
+                                       vectors_[o.src2], width, is_float);
+        return;
 
-void
-FastInterp::hVDpImm(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
+      case HVDpImm: {
         VecValue imm{};
         imm.fill(static_cast<Word>(o.imm));
-        vectors_[o.dst] = evalVectorOp(
-            o.op, vectors_[o.src1], imm, vectorWidth(o),
-            (o.flags & DecodedOp::flagFloat) != 0);
-    }
-    pc_ += o.pcBump;
-}
+        vectors_[o.dst] =
+            evalVectorOp(o.op, vectors_[o.src1], imm, width, is_float);
+        return;
+      }
 
-void
-FastInterp::hVDpCvec(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o)) {
-        vectors_[o.dst] = evalVectorConstOp(
-            o.op, vectors_[o.src1], prog_.cvec(o.inst->cvec),
-            vectorWidth(o), (o.flags & DecodedOp::flagFloat) != 0);
-    }
-    pc_ += o.pcBump;
-}
+      case HVDpCvec:
+        vectors_[o.dst] = evalVectorConstOp(o.op, vectors_[o.src1],
+                                            prog_.cvec(o.inst->cvec),
+                                            width, is_float);
+        return;
 
-void
-FastInterp::hVIllegal(const DecodedOp &o)
-{
-    ++retired_;
-    if (execCond(o))
-        illegalOperands(o);
-    pc_ += o.pcBump;
-}
-
-// ---- dispatch ----------------------------------------------------------
-
-void
-FastInterp::execOne(const DecodedOp &o)
-{
-    switch (o.handler) {
-      case HIllegal: illegalOperands(o);
-      case HIllegalDst: hIllegalDst(o); return;
-      case HNop: hNop(o); return;
-      case HHalt: hHalt(o); return;
-      case HStaleNop: hStaleNop(o); return;
-      case HMovImm: hMovImm(o); return;
-      case HMovReg: hMovReg(o); return;
-      case HCmpRR: hCmpRR(o); return;
-      case HCmpRI: hCmpRI(o); return;
-      case HBranch: hBranch(o); return;
-      case HBl: hBl(o); return;
-      case HRet: hRet(o); return;
-      case HLoad: hLoad(o); return;
-      case HStore: hStore(o); return;
-      case HDpRR: hDpRR(o); return;
-      case HDpRI: hDpRI(o); return;
-      case HVLoad: hVLoad(o); return;
-      case HVStore: hVStore(o); return;
-      case HVRed: hVRed(o); return;
-      case HVPerm: hVPerm(o); return;
-      case HVMask: hVMask(o); return;
-      case HVDpRR: hVDpRR(o); return;
-      case HVDpImm: hVDpImm(o); return;
-      case HVDpCvec: hVDpCvec(o); return;
-      case HVIllegal: hVIllegal(o); return;
       default:
-        panic("fast: dispatch of undecoded handler ",
+        panic("fast: dispatch of unhandled handler ",
               static_cast<unsigned>(o.handler));
     }
 }
-
-void
-FastInterp::dispatchSwitch(std::uint64_t stop)
-{
-    while (!halted_ && retired_ < stop) {
-        LIQUID_ASSERT(pcInRange(), "pc out of range: ", pc_);
-        const DecodedOp &o = ops_[static_cast<std::size_t>(pc_)];
-        if (o.handler == HInvalid) {
-            decodeBlock(pc_);
-            continue;
-        }
-        execOne(o);
-    }
-}
-
-// Computed-goto threaded dispatch (GNU labels-as-values): every handler
-// site ends in its own indirect jump, so the branch predictor can learn
-// per-opcode successor patterns — the point of threaded dispatch.
-// NOLINTBEGIN(cppcoreguidelines-avoid-goto,hicpp-avoid-goto)
-void
-FastInterp::dispatchGoto(std::uint64_t stop)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    static const void *const table[] = {
-        &&L_Invalid, &&L_Illegal, &&L_IllegalDst, &&L_Nop,
-        &&L_Halt,    &&L_StaleNop, &&L_MovImm,    &&L_MovReg,
-        &&L_CmpRR,   &&L_CmpRI,    &&L_Branch,    &&L_Bl,
-        &&L_Ret,     &&L_Load,     &&L_Store,     &&L_DpRR,
-        &&L_DpRI,    &&L_VLoad,    &&L_VStore,    &&L_VRed,
-        &&L_VPerm,   &&L_VMask,    &&L_VDpRR,     &&L_VDpImm,
-        &&L_VDpCvec, &&L_VIllegal,
-    };
-    static_assert(sizeof(table) / sizeof(table[0]) == HNumHandlers,
-                  "dispatch table out of sync with OpHandler");
-
-#define LIQUID_FAST_NEXT()                                              \
-    do {                                                                \
-        if (halted_ || retired_ >= stop)                                \
-            return;                                                     \
-        LIQUID_ASSERT(pcInRange(), "pc out of range: ", pc_);           \
-        goto *table[ops_[static_cast<std::size_t>(pc_)].handler];       \
-    } while (0)
-
-    LIQUID_FAST_NEXT();
-L_Invalid:
-    decodeBlock(pc_);
-    LIQUID_FAST_NEXT();
-L_Illegal:
-    illegalOperands(ops_[static_cast<std::size_t>(pc_)]);
-L_IllegalDst:
-    hIllegalDst(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_Nop:
-    hNop(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_Halt:
-    hHalt(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_StaleNop:
-    hStaleNop(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_MovImm:
-    hMovImm(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_MovReg:
-    hMovReg(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_CmpRR:
-    hCmpRR(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_CmpRI:
-    hCmpRI(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_Branch:
-    hBranch(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_Bl:
-    hBl(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_Ret:
-    hRet(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_Load:
-    hLoad(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_Store:
-    hStore(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_DpRR:
-    hDpRR(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_DpRI:
-    hDpRI(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VLoad:
-    hVLoad(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VStore:
-    hVStore(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VRed:
-    hVRed(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VPerm:
-    hVPerm(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VMask:
-    hVMask(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VDpRR:
-    hVDpRR(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VDpImm:
-    hVDpImm(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VDpCvec:
-    hVDpCvec(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-L_VIllegal:
-    hVIllegal(ops_[static_cast<std::size_t>(pc_)]);
-    LIQUID_FAST_NEXT();
-
-#undef LIQUID_FAST_NEXT
-#else
-    dispatchSwitch(stop);
-#endif
-}
-// NOLINTEND(cppcoreguidelines-avoid-goto,hicpp-avoid-goto)
 
 // ---- run loops ---------------------------------------------------------
 
@@ -687,10 +421,7 @@ FastInterp::runUntil(std::uint64_t target)
         std::uint64_t stop = std::min(target, config_.maxInsts);
         if (nextFault_ < events.size())
             stop = std::min(stop, events[nextFault_].atRetire);
-        if (config_.switchDispatch)
-            dispatchSwitch(stop);
-        else
-            dispatchGoto(stop);
+        dispatch(stop);
     }
     return halted_;
 }
@@ -704,16 +435,7 @@ FastInterp::run()
 bool
 FastInterp::step()
 {
-    if (halted_)
-        return false;
-    if (retired_ >= config_.maxInsts)
-        fatal("instruction watchdog exceeded (", config_.maxInsts, ")");
-    fireDueFaults();
-    LIQUID_ASSERT(pcInRange(), "pc out of range: ", pc_);
-    if (ops_[static_cast<std::size_t>(pc_)].handler == HInvalid)
-        decodeBlock(pc_);
-    execOne(ops_[static_cast<std::size_t>(pc_)]);
-    return !halted_;
+    return !runUntil(retired_ + 1);
 }
 
 // ---- state import/export and stats -------------------------------------

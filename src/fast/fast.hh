@@ -1,14 +1,14 @@
 /**
  * @file
- * The functional execution tier: a threaded-dispatch interpreter that
+ * The functional execution tier: a predecoding interpreter that
  * retires the same architectural state as the cycle core (cpu/core.hh)
  * with no cycle clock, no caches, no translator and no microcode.
  *
  * Instructions are predecoded per straight-line block into a dispatch
  * cache of DecodedOp records — the shared decoder's DecodedOp
  * (cpu/decode.hh, the same ops the cycle core runs) plus a block
- * anchor — and executed by computed-goto handler chaining (GNU
- * labels-as-values, libriscv-style) with a portable switch fallback.
+ * anchor — and executed by one switch loop, which run(), runUntil()
+ * and the lockstep harness's step() all go through.
  * The dispatch cache is invalidated on the same external events that
  * invalidate the microcode cache in the cycle model: UcodeFlush drops
  * everything, UcodeEvict drops one region's blocks, SmcStore drops the
@@ -75,9 +75,6 @@ struct FastConfig
     /** Watchdog: fatal() after this many retired instructions. */
     std::uint64_t maxInsts = 2'000'000'000ull;
 
-    /** Force the portable switch dispatch loop (differential tests). */
-    bool switchDispatch = false;
-
     Sabotage sabotage = Sabotage::None;
 };
 
@@ -99,7 +96,11 @@ class FastInterp
      */
     bool runUntil(std::uint64_t target);
 
-    /** Retire a single instruction; returns false once halted. */
+    /**
+     * Retire a single instruction: runUntil(retired() + 1), the same
+     * loop, watchdog, fault and decode order as run(). Returns false
+     * once halted.
+     */
     bool step();
 
     bool halted() const { return halted_; }
@@ -168,39 +169,13 @@ class FastInterp
 
     unsigned vectorWidth(const DecodedOp &o) const;
 
-    // Handler bodies (shared by both dispatch loops and step()).
-    void hIllegalDst(const DecodedOp &o);
-    void hNop(const DecodedOp &o);
-    void hHalt(const DecodedOp &o);
-    void hStaleNop(const DecodedOp &o);
-    void hMovImm(const DecodedOp &o);
-    void hMovReg(const DecodedOp &o);
-    void hCmpRR(const DecodedOp &o);
-    void hCmpRI(const DecodedOp &o);
-    void hBranch(const DecodedOp &o);
-    void hBl(const DecodedOp &o);
-    void hRet(const DecodedOp &o);
-    void hLoad(const DecodedOp &o);
-    void hStore(const DecodedOp &o);
-    void hDpRR(const DecodedOp &o);
-    void hDpRI(const DecodedOp &o);
-    void hVLoad(const DecodedOp &o);
-    void hVStore(const DecodedOp &o);
-    void hVRed(const DecodedOp &o);
-    void hVPerm(const DecodedOp &o);
-    void hVMask(const DecodedOp &o);
-    void hVDpRR(const DecodedOp &o);
-    void hVDpImm(const DecodedOp &o);
-    void hVDpCvec(const DecodedOp &o);
-    void hVIllegal(const DecodedOp &o);
-
-    /** Execute the already-decoded op at pc_ (single-step slow path). */
-    void execOne(const DecodedOp &o);
-
-    // Dispatch loops: retire until @p stop retires, halt or an
-    // undecoded block (HInvalid decodes in-loop and re-dispatches).
-    void dispatchGoto(std::uint64_t stop);
-    void dispatchSwitch(std::uint64_t stop);
+    /**
+     * The dispatch loop run(), runUntil() and step() all share: retire
+     * until @p stop retires or halt, decoding each block on first entry.
+     */
+    void dispatch(std::uint64_t stop);
+    /** Execute vector op @p o, whose condition holds. */
+    void execVector(const DecodedOp &o, bool is_float);
 
     /** Predecode the straight-line block starting at @p start. */
     void decodeBlock(int start);

@@ -50,7 +50,6 @@ runLockstep(const Program &prog, ExecMode mode, unsigned width,
     fast_config.simdWidth = core_config.simdWidth;
     fast_config.faults = opts.faults;
     fast_config.maxInsts = opts.maxRetires;
-    fast_config.switchDispatch = opts.switchDispatch;
     fast_config.sabotage = opts.sabotage;
     FastInterp interp(fast_config, prog, fast_mem);
 

@@ -36,8 +36,6 @@ struct LockstepOptions
 {
     /** Retire-keyed fault events delivered to BOTH tiers. */
     FaultSchedule faults{};
-    /** Drive the functional side through the switch fallback loop. */
-    bool switchDispatch = false;
     /** Seed a deliberate functional-side bug (self-test). */
     Sabotage sabotage = Sabotage::None;
     /** Watchdog for both tiers. */

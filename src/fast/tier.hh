@@ -4,7 +4,7 @@
  * lockstep harness.
  *
  * The cycle tier is the five-stage pipeline model (cpu/core.hh); the
- * functional tier is the threaded-dispatch interpreter (fast/fast.hh),
+ * functional tier is the predecoding interpreter (fast/fast.hh),
  * which retires the same architectural state with no cycle clock, no
  * caches and no translator. Anything cycle-shaped is *absent* under the
  * functional tier — never reported as zero.
@@ -24,7 +24,7 @@ namespace liquid::fast
 enum class ExecTier
 {
     Cycle,       ///< five-stage pipeline model with timing
-    Functional,  ///< threaded-dispatch interpreter, arch state only
+    Functional,  ///< predecoding interpreter, arch state only
 };
 
 /** Canonical tier name used in CLI flags and results JSON. */

@@ -41,6 +41,68 @@ memString(const Inst &inst)
 
 } // namespace
 
+const char *
+operandClassError(const Inst &inst)
+{
+    const OpInfo &info = inst.info();
+    if ((info.isLoad || info.isStore) && inst.mem.index.isValid() &&
+        !inst.mem.index.isScalar())
+        return "memory index must be a scalar register (r or f)";
+
+    switch (inst.op) {
+      case Opcode::Nop:
+      case Opcode::Halt:
+      case Opcode::B:
+      case Opcode::Bl:
+      case Opcode::Ret:
+        return nullptr;
+      case Opcode::Cmp:
+        if (!inst.src1.isScalar() ||
+            (!inst.hasImm && !inst.src2.isScalar()))
+            return "source must be a scalar register (r or f)";
+        return nullptr;
+      default:
+        break;
+    }
+
+    if (info.isReduction) {
+        if (!inst.dst.isScalar() || !inst.src1.isScalar()) {
+            return "reduction accumulator must be a scalar register "
+                   "(r or f)";
+        }
+        if (!inst.src2.isVector())
+            return "reduction source must be a vector register (v or vf)";
+        return nullptr;
+    }
+
+    const bool vec = info.isVector;
+    auto fits = [vec](RegId reg) {
+        return vec ? reg.isVector() : reg.isScalar();
+    };
+    const char *bad_src = vec ? "source must be a vector register (v or vf)"
+                              : "source must be a scalar register (r or f)";
+    if (info.isStore)
+        return fits(inst.src1) ? nullptr : bad_src;
+    if (!fits(inst.dst)) {
+        return vec ? "destination must be a vector register (v or vf)"
+                   : "destination must be a scalar register (r or f)";
+    }
+    if (info.isLoad)
+        return nullptr;
+
+    // mov, vperm, vmask and the data-processing ops. A mov's immediate
+    // replaces its source; a vector op's constant vector, like any
+    // immediate, replaces the second source.
+    const bool reg_src1 = inst.op != Opcode::Mov || !inst.hasImm;
+    const bool reg_src2 = inst.op != Opcode::Mov &&
+                          inst.op != Opcode::Vperm &&
+                          inst.op != Opcode::Vmask && !inst.hasImm &&
+                          !(vec && inst.cvec != noCvec);
+    if ((reg_src1 && !fits(inst.src1)) || (reg_src2 && !fits(inst.src2)))
+        return bad_src;
+    return nullptr;
+}
+
 std::string
 Inst::toString() const
 {

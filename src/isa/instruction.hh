@@ -134,6 +134,17 @@ struct Inst
 };
 
 /**
+ * The register-class rule every executable instruction keeps: each
+ * register operand is scalar (r, f) or vector (v, vf) as its opcode
+ * requires. Int and float mix freely; scalar and vector never do, and
+ * a missing register where one is required breaks the rule too. The
+ * assembler rejects a line that breaks it and the decoder asserts it.
+ * Returns nullptr when @p inst keeps the rule, else which operand
+ * breaks it (e.g. "destination must be a scalar register (r or f)").
+ */
+const char *operandClassError(const Inst &inst);
+
+/**
  * A per-lane constant vector (paper Table 1 category 3 and lane masks).
  * `lanes.size()` is the pattern period; a width-W vector op applies
  * lanes[i % period] to lane i and requires period <= W.

@@ -59,7 +59,7 @@ buildMode(ExecMode mode)
 }
 
 /**
- * Functional-tier job execution: run the threaded-dispatch interpreter
+ * Functional-tier job execution: run the functional interpreter
  * (fast/fast.hh) instead of a System. Retire-keyed fault events still
  * fire; everything cycle-shaped is absent from the outcome
  * (hasCycles = false), not zero.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "asm/assembler.hh"
 #include "common/bitfield.hh"
 
@@ -167,6 +169,77 @@ TEST(Assembler, Errors)
     EXPECT_THROW(assemble("mov r0"), FatalError);
     EXPECT_THROW(assemble(".data x"), FatalError);
     EXPECT_THROW(assemble("x: x: halt"), FatalError);
+}
+
+/** The message assembling @p src fails with; "" if it assembles. */
+std::string
+asmError(const std::string &src)
+{
+    try {
+        assemble(src);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Assembler, WrongRegisterClassIsFatal)
+{
+    // Scalar and vector operands never mix: each shape fails assembly
+    // with a message naming the line and the operand, not a panic when
+    // the instruction runs.
+    const struct
+    {
+        const char *line;
+        const char *says;
+    } cases[] = {
+        // scalar destination
+        {"add v1, r2, r3", "destination must be a scalar register"},
+        {"movne v1, #1", "destination must be a scalar register"},
+        {"ldw v3, [buf + r1]", "destination must be a scalar register"},
+        // scalar source
+        {"add r1, r2, v3", "source must be a scalar register"},
+        {"movne r2, v1", "source must be a scalar register"},
+        {"cmp r1, vf2", "source must be a scalar register"},
+        {"stw [buf + r1], v2", "source must be a scalar register"},
+        {"add r1, r2, cv:k", "source must be a scalar register"},
+        // memory index
+        {"ldw r1, [buf + v0]", "memory index must be a scalar register"},
+        {"vstw [buf + vf1], v2", "memory index must be a scalar register"},
+        // vector operand
+        {"vadd v1, r2, v3", "source must be a vector register"},
+        {"vadd r1, v2, v3", "destination must be a vector register"},
+        {"vldw r1, [buf + r0]", "destination must be a vector register"},
+        {"vstw [buf + r0], f1", "source must be a vector register"},
+        {"vperm.bfly8 v1, r1", "source must be a vector register"},
+        {"vmask r3, v3, #0xF0/8", "destination must be a vector register"},
+        // the reduction's scalar operands, and its vector source
+        {"vredadd v1, v2",
+         "reduction accumulator must be a scalar register"},
+        {"vredmin r1, r2", "reduction source must be a vector register"},
+    };
+    for (const auto &c : cases) {
+        const std::string msg =
+            asmError(std::string(".words buf 1 2 3 4\n.cvec k 1 2\n"
+                                 "main:\n    ") +
+                     c.line + "\n    halt\n");
+        EXPECT_NE(msg.find(std::string("fatal: asm line 4: '") + c.line +
+                           "': " + c.says),
+                  std::string::npos)
+            << c.line << " -> '" << msg << "'";
+    }
+
+    // Int and float classes mix freely.
+    EXPECT_EQ(asmError(R"(
+        .words buf 1 2 3 4
+        add f1, r2, f3
+        ldw f1, [buf + r0]
+        vadd vf1, v2, vf3
+        vldw vf2, [buf + r1]
+        vredadd f1, vf2
+        vperm.bfly8 v1, vf1
+    )"),
+              "");
 }
 
 TEST(Program, ListingRoundTripMentionsLabels)

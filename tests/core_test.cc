@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "asm/assembler.hh"
 #include "common/bitfield.hh"
 #include "cpu/core.hh"
@@ -223,91 +225,35 @@ TEST(Core, OutOfBoundsAccessIsFatal)
     EXPECT_THROW(r.core.run(), FatalError);
 }
 
-TEST(Core, IllegalOperandClassPanicsOnlyWhenExecuted)
+/** The FatalError text running @p src throws; "" if none. */
+std::string
+runError(const std::string &src)
 {
-    // The core predecodes the whole program when it is built; an
-    // operand of the wrong register class must not fail that, only the
-    // execution of the instruction that carries it.
-    TestRun unreached(
-      R"(
-        main:
-            mov r1, #1
-            halt
-            add v1, r2, r3
-    )");
-    EXPECT_NO_THROW(unreached.core.run());
-
-    TestRun reached(
-      R"(
-        main:
-            add v1, r2, r3
-            halt
-    )");
-    EXPECT_THROW(reached.core.run(), PanicError);
+    TestRun r(src);
+    try {
+        r.core.run();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
 }
 
-TEST(Core, IllegalDestinationIsHarmlessWhenPredicatedOff)
+TEST(Core, TopLevelRetIsFatal)
 {
-    // A wrong-class destination is written only when the condition
-    // holds, and a vector op is skipped whole when it fails; so these
-    // retire exactly like the same ops with legal registers.
-    const char *bad = R"(
-        .words buf 1 2 3 4
-        main:
-            mov r1, #1
-            cmp r1, #1
-            movne v1, #1
-            addne v1, r2, r3
-            addne vf2, f2, f3
-            ldwne v3, [buf + r1]
-            vaddne v1, r2, v3
-            halt
-    )";
-    const char *good = R"(
-        .words buf 1 2 3 4
-        main:
-            mov r1, #1
-            cmp r1, #1
-            movne r1, #1
-            addne r1, r2, r3
-            addne f4, f2, f3
-            ldwne r3, [buf + r1]
-            vaddne v1, v2, v3
-            halt
-    )";
-    TestRun skipped(bad);
-    EXPECT_NO_THROW(skipped.core.run());
-    TestRun legal(good);
-    legal.core.run();
-    EXPECT_EQ(skipped.core.instsRetired(), 8u);
-    EXPECT_EQ(skipped.core.cycles(), legal.core.cycles());
-    EXPECT_EQ(skipped.core.stats().get("scalarInsts"),
-              legal.core.stats().get("scalarInsts"));
-    EXPECT_EQ(skipped.core.stats().get("vectorInsts"), 1u);
-    EXPECT_EQ(skipped.core.dcache().stats().get("accesses"),
-              legal.core.dcache().stats().get("accesses"));
+    // A ret with no caller is a user error, reported with the text the
+    // functional tier uses (fast_interp_test's FastUserErrors).
+    EXPECT_EQ(runError("main:\n  ret\n"),
+              "fatal: ret at pc 0 with an empty call stack: a top-level "
+              "ret has no caller to return to (end the program with "
+              "halt)");
+}
 
-    // The same destination panics once the condition holds.
-    TestRun executed(
-      R"(
-        main:
-            mov r1, #1
-            cmp r1, #1
-            moveq v1, #1
-            halt
-    )");
-    EXPECT_THROW(executed.core.run(), PanicError);
-
-    // A wrong-class source is read whether or not the condition holds.
-    TestRun source(
-      R"(
-        main:
-            mov r1, #1
-            cmp r1, #1
-            movne r2, v1
-            halt
-    )");
-    EXPECT_THROW(source.core.run(), PanicError);
+TEST(Core, RunningOffTheTextIsFatal)
+{
+    EXPECT_EQ(runError("main:\n  nop\n"),
+              "fatal: pc 1 is outside the program text of 1 "
+              "instruction(s): the program ran off its end without a "
+              "halt");
 }
 
 TEST(CoreTiming, CacheMissesCost)

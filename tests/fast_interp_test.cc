@@ -188,39 +188,80 @@ TEST(FastFaults, WatchdogIsFatalOnRunaway)
     EXPECT_EQ(stepper.retired(), 100u);
 }
 
-TEST(FastIllegal, WrongClassPanicsOnlyWhereTheCoreDoes)
+TEST(FastDispatch, StepsEndWhereOneRunEnds)
 {
-    // Functional twin of Core.IllegalDestinationIsHarmlessWhenPredicatedOff,
-    // on both dispatch loops.
-    for (const bool switch_dispatch : {false, true}) {
+    // step() is runUntil(retired() + 1): the lockstep harness drives the
+    // same loop run() does, so N steps and one run leave the same state,
+    // dispatch cache included.
+    for (const auto mode :
+         {EmitOptions::Mode::Scalarized, EmitOptions::Mode::Native}) {
+        const auto build = firBuild(mode, 8);
         FastConfig config;
-        config.switchDispatch = switch_dispatch;
-        const Program skipped = assemble(R"(
-            .words buf 1 2 3 4
-            main:
-                mov r1, #1
-                cmp r1, #1
-                movne v1, #1
-                addne vf2, f2, f3
-                ldwne v3, [buf + r1]
-                vaddne v1, r2, v3
-                halt
-        )");
-        MainMemory mem = MainMemory::forProgram(skipped);
-        FastInterp interp(config, skipped, mem);
-        EXPECT_NO_THROW(interp.run());
-        EXPECT_EQ(interp.retired(), 7u);
+        config.simdWidth = mode == EmitOptions::Mode::Native ? 8 : 0;
+        Rig stepped(build, config);
+        std::uint64_t steps = 0;
+        while (stepped.interp.step())
+            ++steps;
+        Rig ran(build, config);
+        ran.interp.run();
 
-        for (const char *reached : {"moveq v1, #1", "movne r2, v1",
-                                    "vaddeq v1, r2, v3"}) {
-            const Program prog = assemble(
-                std::string("main:\n mov r1, #1\n cmp r1, #1\n ") +
-                reached + "\n halt\n");
-            MainMemory prog_mem = MainMemory::forProgram(prog);
-            FastInterp panics(config, prog, prog_mem);
-            EXPECT_THROW(panics.run(), PanicError) << reached;
+        EXPECT_EQ(steps + 1, ran.interp.retired());
+        EXPECT_EQ(stepped.interp.retired(), ran.interp.retired());
+        EXPECT_EQ(stepped.interp.pc(), ran.interp.pc());
+        EXPECT_EQ(stepped.interp.cmpState(), ran.interp.cmpState());
+        EXPECT_EQ(stepped.interp.scalars(), ran.interp.scalars());
+        EXPECT_EQ(stepped.interp.vectors(), ran.interp.vectors());
+        EXPECT_EQ(stepped.interp.blocksDecoded(), ran.interp.blocksDecoded());
+        EXPECT_EQ(stepped.interp.stats().get("decodedInsts"),
+                  ran.interp.stats().get("decodedInsts"));
+        ASSERT_EQ(stepped.mem.size(), ran.mem.size());
+        unsigned differing = 0;
+        for (Addr a = Program::dataBase; a + 4 <= ran.mem.size(); a += 4)
+            differing += stepped.mem.readWord(a) != ran.mem.readWord(a);
+        EXPECT_EQ(differing, 0u);
+    }
+}
+
+/** The FatalError text @p src throws on run() and on step(). */
+std::array<std::string, 2>
+runErrors(const std::string &src)
+{
+    const Program prog = assemble(src);
+    std::array<std::string, 2> errors;
+    for (std::size_t stepping = 0; stepping < 2; ++stepping) {
+        MainMemory mem = MainMemory::forProgram(prog);
+        FastInterp interp(FastConfig{}, prog, mem);
+        try {
+            if (stepping) {
+                while (interp.step()) {
+                }
+            } else {
+                interp.run();
+            }
+        } catch (const FatalError &e) {
+            errors[stepping] = e.what();
         }
     }
+    return errors;
+}
+
+TEST(FastUserErrors, TopLevelRetIsFatal)
+{
+    // The cycle core's text (core_test's Core.TopLevelRetIsFatal).
+    const std::string text =
+        "fatal: ret at pc 0 with an empty call stack: a top-level ret has "
+        "no caller to return to (end the program with halt)";
+    EXPECT_EQ(runErrors("main:\n  ret\n"),
+              (std::array<std::string, 2>{text, text}));
+}
+
+TEST(FastUserErrors, RunningOffTheTextIsFatal)
+{
+    const std::string text =
+        "fatal: pc 1 is outside the program text of 1 instruction(s): the "
+        "program ran off its end without a halt";
+    EXPECT_EQ(runErrors("main:\n  nop\n"),
+              (std::array<std::string, 2>{text, text}));
 }
 
 TEST(FastLabTier, FunctionalTagsTheJobKey)

@@ -3,7 +3,7 @@
  * Lockstep differential tests for the functional execution tier: the
  * interpreter must retire exactly the architectural state the cycle
  * core retires, instruction for instruction, across the whole workload
- * suite, randomized kernels, both dispatch loops and fault injection —
+ * suite, randomized kernels, shared user errors and fault injection —
  * and the sabotage self-test proves the compare actually bites.
  *
  * Random-kernel count defaults to 200 and can be raised for fuzz runs
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "asm/assembler.hh"
 #include "chaos/fault_schedule.hh"
 #include "chaos/oracle.hh"
 #include "common/random.hh"
@@ -111,26 +112,17 @@ TEST(FastLockstep, RandomKernels)
     EXPECT_GE(checked, kernels * 9 / 10);
 }
 
-/** The portable switch loop must agree wherever computed-goto does. */
-TEST(FastLockstep, SwitchDispatchAgrees)
+/**
+ * A program that fails the same way on both tiers agrees: a top-level
+ * ret and running off the text are user errors with one text on both.
+ */
+TEST(FastLockstep, SharedUserErrorsAgree)
 {
-    LockstepOptions opts;
-    opts.switchDispatch = true;
-    for (const auto &wl : makeSuite()) {
-        if (wl->name() != "fir" && wl->name() != "fft" &&
-            wl->name() != "179.art") {
-            continue;
-        }
-        const auto scalar = wl->build(EmitOptions::Mode::Scalarized, 8);
-        const LockstepResult rs = runLockstep(
-            scalar.prog, ExecMode::ScalarBaseline, 0, opts);
-        EXPECT_TRUE(rs.equal)
-            << wl->name() << ": " << firstDivergence(rs);
-        const auto native = wl->build(EmitOptions::Mode::Native, 8);
-        const LockstepResult rn =
-            runLockstep(native.prog, ExecMode::NativeSimd, 8, opts);
-        EXPECT_TRUE(rn.equal)
-            << wl->name() << ": " << firstDivergence(rn);
+    for (const char *src : {"main:\n  ret\n", "main:\n  nop\n"}) {
+        const Program prog = assemble(src);
+        const LockstepResult r =
+            runLockstep(prog, ExecMode::ScalarBaseline, 0);
+        EXPECT_TRUE(r.equal) << src << ": " << firstDivergence(r);
     }
 }
 

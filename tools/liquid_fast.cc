@@ -11,7 +11,6 @@
  *   liquid-fast --random 200               # + randomized kernels
  *   liquid-fast --sabotage                 # self-test: seeded handler
  *                                          # bugs must be CAUGHT
- *   liquid-fast --switch                   # portable dispatch loop
  *   liquid-fast --bench --out BENCH_fast.json
  *                                          # retired-instructions/sec
  *                                          # per tier, each gated by a
@@ -52,7 +51,7 @@ namespace
 {
 
 /** JSON output format identifier; bump on breaking layout changes. */
-constexpr const char *fastSchema = "liquid-fast-v1";
+constexpr const char *fastSchema = "liquid-fast-v2";
 /** Tool revision carried in the JSON header for drift detection. */
 constexpr const char *fastToolVersion = "1.0";
 /** Bench floors, retired instructions/sec: loose, one per tier. */
@@ -67,7 +66,6 @@ struct Options
     std::vector<unsigned> widths{8};     ///< native widths
     unsigned random = 0;                 ///< extra random kernels
     std::uint64_t seed = 1;
-    bool switchDispatch = false;
     std::string faults;                  ///< schedule key for both tiers
     bool sabotage = false;
     bool bench = false;
@@ -130,7 +128,6 @@ checkOne(const Options &opts, std::vector<LockstepRecord> &records,
          unsigned width, Sabotage sabotage = Sabotage::None)
 {
     fast::LockstepOptions lopts;
-    lopts.switchDispatch = opts.switchDispatch;
     lopts.sabotage = sabotage;
     if (!opts.faults.empty())
         lopts.faults = FaultSchedule::parse(opts.faults);
@@ -284,8 +281,6 @@ runLockstepSweep(const Options &opts)
 
     if (opts.json) {
         json::Value v = json::toolReport(fastSchema, fastToolVersion);
-        v.set("dispatch",
-              opts.switchDispatch ? "switch" : "computed-goto");
         v.set("checks", static_cast<std::uint64_t>(records.size()));
         v.set("failures", failures);
         v.set("skipped", skipped);
@@ -386,7 +381,6 @@ runBench(const Options &opts)
                    SystemConfig::make(mode, 8), {}};
             p.fc.simdWidth =
                 mode == ExecMode::ScalarBaseline ? 0 : p.config.simdWidth;
-            p.fc.switchDispatch = opts.switchDispatch;
             pairs.push_back(std::move(p));
         }
     }
@@ -418,8 +412,6 @@ runBench(const Options &opts)
     json::Value v = results.toJson();
     json::Value thr = json::Value::object();
     thr.set("schema", fastSchema);
-    thr.set("dispatch",
-            opts.switchDispatch ? "switch" : "computed-goto");
     json::Value cyc = json::Value::object();
     cyc.set("insts", cycle.insts);
     cyc.set("retiredPerSec", cycleRate);
@@ -482,8 +474,6 @@ main(int argc, char **argv)
                         "also lockstep N random kernels"),
             cli::number({"--seed"}, "S", opts.seed,
                         "random-kernel RNG seed (default 1)"),
-            cli::flag({"--switch"}, opts.switchDispatch,
-                      "force the portable switch dispatch loop"),
             cli::text({"--faults"}, "KEY", opts.faults,
                       "retire-keyed schedule for both tiers, e.g. "
                       "'int@40+smc@100'"),

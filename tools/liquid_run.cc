@@ -21,7 +21,7 @@
  * The functional execution tier (src/fast/) runs the same program with
  * no cycle clock — architectural results and retire counts only:
  *
- *   liquid-run --tier functional prog.s    # threaded-dispatch interp
+ *   liquid-run --tier functional prog.s    # functional interpreter
  *   liquid-run --warmup 10000 prog.s       # functional fast-forward,
  *                                          # then hand off to the
  *                                          # cycle core
@@ -118,7 +118,7 @@ emitModeFor(ExecMode mode)
 }
 
 /**
- * Functional-tier run: the threaded-dispatch interpreter, architectural
+ * Functional-tier run: the functional interpreter, architectural
  * results and retire counts only. Returns instructions retired.
  */
 std::uint64_t
