@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Compare two builds of the command-line tools on every tool command
 # line that ctest runs, plus the nightly date-seeded sweeps: stdout,
-# exit status, every --json report and every file a run writes
+# stderr, exit status, every --json report and every file a run writes
 # (BENCH_*.json, --out, --lab-out, lab result sets) must match byte for
 # byte. Use it to show that a change to the tools leaves their
-# behaviour alone.
+# behaviour alone, error texts included (a panic that became a fatal
+# exits 2 with empty stdout either way).
 #
 #   scripts/cli_compare.sh OLD_TOOLS NEW_TOOLS [WORK_DIR] [--quick]
 #
@@ -26,13 +27,15 @@
 #   - liquid-serve run --json: the live server's per-response source
 #     and its stats/cache counters (hot hits and coalescing depend on
 #     when worker threads finish).
+# All of these are on stdout; stderr carries no wall-clock text and is
+# compared as written.
 #
 # Exit status: 0 when every compared output matches, 1 otherwise.
 
 set -u
 
 if [ $# -lt 2 ]; then
-    sed -n '2,30p' "$0"
+    sed -n '2,33p' "$0"
     exit 2
 fi
 OLD=$(cd "$1" && pwd)
@@ -92,8 +95,8 @@ EOF
     esac
 }
 
-# run NAME TOOL ARGS...: run TOOL on both sides and compare stdout and
-# exit status.
+# run NAME TOOL ARGS...: run TOOL on both sides and compare stdout,
+# stderr and exit status.
 run()
 {
     local name=$1 tool=$2
@@ -108,7 +111,7 @@ run()
          mask "$WORK/out/$name.$side.stdout" "$tool" "$@")
     done
     compared=$((compared + 1))
-    for part in stdout status; do
+    for part in stdout stderr status; do
         if ! cmp -s "$WORK/out/$name.old.$part" \
                     "$WORK/out/$name.new.$part"; then
             echo "DIFF $name ($part): $tool $*"

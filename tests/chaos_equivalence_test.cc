@@ -20,30 +20,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "chaos/oracle.hh"
-#include "common/logging.hh"
 #include "fast/reference.hh"
-#include "random_kernels.hh"
+#include "test_env.hh"
+#include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
 
 namespace liquid
 {
 namespace
 {
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-}
 
 /**
  * Scalar ground truth. The functional tier computes it at a fraction
@@ -59,20 +48,6 @@ reference(const Program &prog, unsigned width)
     if (v && std::string(v) == "cycle")
         return makeReference(prog, width);
     return fast::makeFunctionalReference(prog, width);
-}
-
-void
-dumpFailure(const Program &prog, const std::string &name,
-            const std::string &schedule_key)
-{
-    const char *dir_env = std::getenv("LIQUID_CHAOS_DUMP_DIR");
-    const std::filesystem::path dir =
-        dir_env && *dir_env ? dir_env : "chaos_failures";
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    std::ofstream out(dir / (name + ".s"));
-    out << "; failing fault schedule: " << schedule_key << "\n"
-        << prog.listing();
 }
 
 /** Build the named suite workload, Scalarized at @p width. */
@@ -206,11 +181,11 @@ TEST(ChaosOracle, CatchesSabotagedInterruptFallback)
     // A generated kernel keeps each run small enough to sweep every
     // retire index; the sabotage only bites when the interrupt lands
     // while microcode is executing, so the sweep must be dense.
-    Rng rng(11);
+    KernelCorpus corpus(11);
+    corpus.next();
     Rng data_rng(12);
-    const GeneratedKernel g = generateKernel(rng, 0);
-    const Program prog = buildGeneratedProgram(
-        g, data_rng, EmitOptions::Mode::Scalarized, 8);
+    const Program prog =
+        corpus.mustBuild(data_rng, EmitOptions::Mode::Scalarized, 8);
     const ChaosReference ref = reference(prog, 8);
 
     unsigned caught = 0;
@@ -249,26 +224,24 @@ TEST(ChaosOracle, SabotageWithoutInterruptIsInert)
  */
 TEST(ChaosProperty, RandomKernelsUnderRandomSchedules)
 {
-    const unsigned trials = envUnsigned("LIQUID_CHAOS_TRIALS", 300);
-    const unsigned seed = envUnsigned("LIQUID_CHAOS_SEED", 1);
-    Rng rng(seed);
+    const unsigned trials = envNumber("LIQUID_CHAOS_TRIALS", 300u);
+    const unsigned seed = envNumber("LIQUID_CHAOS_SEED", 1u);
+    KernelCorpus corpus(seed);
+    Rng &rng = corpus.rng();
     Rng data_rng(seed ^ 0x9e3779b9u);
 
+    // A kernel the scalarizer rejects is not chaos-relevant; draw
+    // another without burning a trial.
     for (unsigned done = 0, t = 0; done < trials; ++t) {
-        ASSERT_LT(t, 4 * trials) << "generator keeps hitting register "
-                                    "pressure; loosen the skip path";
-        const GeneratedKernel g = generateKernel(rng, t);
+        ASSERT_LT(t, 4 * trials)
+            << "too many scalarizer rejects: " << corpus.skipSummary();
+        corpus.next();
         const unsigned width = rng.chance(0.5) ? 8 : 4;
-        Program prog;
-        try {
-            prog = buildGeneratedProgram(
-                g, data_rng, EmitOptions::Mode::Scalarized, width);
-        } catch (const FatalError &) {
-            // Rare: the generator exceeded the scalar register pool
-            // (many accumulators). Not a chaos-relevant kernel; draw
-            // another without burning a trial.
+        const std::optional<Program> built = corpus.build(
+            data_rng, EmitOptions::Mode::Scalarized, width);
+        if (!built)
             continue;
-        }
+        const Program &prog = *built;
         ++done;
 
         const ChaosReference ref = reference(prog, width);
@@ -285,8 +258,9 @@ TEST(ChaosProperty, RandomKernelsUnderRandomSchedules)
         for (const auto &m : report.mismatches)
             ADD_FAILURE() << "  " << m;
         if (!report.equal)
-            dumpFailure(prog, "chaos_trial" + std::to_string(t),
-                        sched.key());
+            dumpListing("LIQUID_CHAOS_DUMP_DIR", "chaos_failures",
+                        "chaos_trial" + std::to_string(t), prog,
+                        "; failing fault schedule: " + sched.key() + "\n");
     }
 }
 
@@ -296,11 +270,11 @@ TEST(ChaosProperty, RandomKernelsUnderRandomSchedules)
  */
 TEST(ChaosProperty, ExplorerCoversEveryKindWithoutFailures)
 {
-    Rng rng(42);
+    KernelCorpus corpus(42);
+    corpus.next();
     Rng data_rng(43);
-    const GeneratedKernel g = generateKernel(rng, 0);
-    const Program prog = buildGeneratedProgram(
-        g, data_rng, EmitOptions::Mode::Scalarized, 8);
+    const Program prog =
+        corpus.mustBuild(data_rng, EmitOptions::Mode::Scalarized, 8);
 
     ExploreOptions opts;
     opts.window = 8;

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "asm/assembler.hh"
@@ -21,21 +20,14 @@
 #include "common/random.hh"
 #include "fast/lockstep.hh"
 #include "fast/reference.hh"
-#include "random_kernels.hh"
+#include "test_env.hh"
+#include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
 
 namespace liquid::fast
 {
 namespace
 {
-
-unsigned
-envCount(const char *name, unsigned fallback)
-{
-    const char *v = std::getenv(name);
-    return v ? static_cast<unsigned>(std::strtoul(v, nullptr, 10))
-             : fallback;
-}
 
 std::string
 firstDivergence(const LockstepResult &r)
@@ -77,39 +69,31 @@ TEST(FastLockstep, SuiteNativeSimd)
  */
 TEST(FastLockstep, RandomKernels)
 {
-    const unsigned kernels = envCount("LIQUID_LOCKSTEP_KERNELS", 200);
-    Rng rng(7);
+    const unsigned kernels = envNumber("LIQUID_LOCKSTEP_KERNELS", 200u);
+    KernelCorpus corpus(7);
     unsigned checked = 0;
     for (unsigned i = 0; i < kernels; ++i) {
-        const GeneratedKernel g = generateKernel(rng, i);
-        Program scalarProg;
-        Program nativeProg;
-        try {
-            Rng rs(0x9e3779b97f4a7c15ull + i);
-            scalarProg = buildGeneratedProgram(
-                g, rs, EmitOptions::Mode::Scalarized, 8);
-            Rng rn(0x9e3779b97f4a7c15ull + i);
-            nativeProg = buildGeneratedProgram(
-                g, rn, EmitOptions::Mode::Native, 8);
-        } catch (const FatalError &) {
-            // The generator occasionally exceeds a scalarizer limit
-            // (register pressure / staging aliasing); such kernels
-            // never run on either tier. A PanicError is a scalarizer
-            // bug and fails the test.
+        const GeneratedKernel &g = corpus.next();
+        Rng scalarData(0x9e3779b97f4a7c15ull + i);
+        const auto scalarProg =
+            corpus.build(scalarData, EmitOptions::Mode::Scalarized, 8);
+        Rng nativeData(0x9e3779b97f4a7c15ull + i);
+        const auto nativeProg =
+            corpus.build(nativeData, EmitOptions::Mode::Native, 8);
+        if (!scalarProg || !nativeProg)
             continue;
-        }
         ++checked;
         const LockstepResult rs =
-            runLockstep(scalarProg, ExecMode::ScalarBaseline, 0);
+            runLockstep(*scalarProg, ExecMode::ScalarBaseline, 0);
         EXPECT_TRUE(rs.equal)
             << g.kernel.name() << " (scalar): " << firstDivergence(rs);
         const LockstepResult rn =
-            runLockstep(nativeProg, ExecMode::NativeSimd, 8);
+            runLockstep(*nativeProg, ExecMode::NativeSimd, 8);
         EXPECT_TRUE(rn.equal)
             << g.kernel.name() << " (native): " << firstDivergence(rn);
     }
     // The skip path must stay the exception, not the rule.
-    EXPECT_GE(checked, kernels * 9 / 10);
+    EXPECT_GE(checked, kernels * 9 / 10) << corpus.skipSummary();
 }
 
 /**

@@ -13,57 +13,37 @@
  *   LIQUID_POLY_SEED    base seed (default 0x9E3779B97F4A7C15)
  */
 
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
-#include "common/random.hh"
+#include "test_env.hh"
 #include "translator/translator.hh"
 #include "verifier/poly.hh"
-
-#include "random_kernels.hh"
+#include "workloads/kernel_corpus.hh"
 
 using namespace liquid;
 
 namespace
 {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 0);
-}
-
 TEST(PolyFuzz, RandomKernelsMatchConcreteVerdicts)
 {
-    const std::uint64_t trials = envU64("LIQUID_POLY_TRIALS", 300);
+    const unsigned trials = envNumber("LIQUID_POLY_TRIALS", 300u);
     const std::uint64_t seed =
-        envU64("LIQUID_POLY_SEED", 0x9E3779B97F4A7C15ull);
-    Rng rng(seed);
+        envNumber<std::uint64_t>("LIQUID_POLY_SEED", 0x9E3779B97F4A7C15ull);
+    KernelCorpus corpus(seed);
     Rng dataRng(seed ^ 0xD1B54A32D192ED03ull);
     const TranslatorConfig config;
 
     std::uint64_t regions = 0;
-    std::uint64_t skipped = 0;
-    for (std::uint64_t i = 0; i < trials; ++i) {
-        const GeneratedKernel g =
-            generateKernel(rng, static_cast<unsigned>(i));
-        Program prog;
-        try {
-            prog = buildGeneratedProgram(
-                g, dataRng, EmitOptions::Mode::Scalarized, 8);
-        } catch (const FatalError &) {
-            // Register pressure or staging aliasing: the kernel never
-            // scalarizes, so there is no verdict to compare.
-            ++skipped;
+    for (unsigned i = 0; i < trials; ++i) {
+        corpus.next();
+        const std::optional<Program> prog =
+            corpus.build(dataRng, EmitOptions::Mode::Scalarized, 8);
+        if (!prog)
             continue;
-        }
-        for (const PolyDiff &d : diffProgram(prog, config)) {
+        for (const PolyDiff &d : diffProgram(*prog, config)) {
             ++regions;
             for (const PolyMismatch &m : d.mismatches) {
                 ADD_FAILURE()
@@ -76,9 +56,9 @@ TEST(PolyFuzz, RandomKernelsMatchConcreteVerdicts)
         }
     }
     RecordProperty("trials", static_cast<int>(trials));
-    RecordProperty("skipped", static_cast<int>(skipped));
+    RecordProperty("skipped", static_cast<int>(corpus.skipped()));
     // The skip path must stay the exception, not the rule.
-    EXPECT_LT(skipped * 10, trials);
+    EXPECT_LT(corpus.skipped() * 10, trials) << corpus.skipSummary();
     EXPECT_GT(regions, 0u);
 }
 

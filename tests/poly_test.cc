@@ -19,19 +19,36 @@
 
 #include "asm/assembler.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "verifier/cfg.hh"
 #include "verifier/poly.hh"
 #include "verifier/verifier.hh"
+#include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
-
-#include "random_kernels.hh"
 
 using namespace liquid;
 
 namespace
 {
+
+/**
+ * The random kernels the three differential sweeps below share, with
+ * their corpus index; a kernel the scalarizer rejects is left out.
+ */
+std::vector<std::pair<unsigned, Program>>
+randomPrograms()
+{
+    KernelCorpus corpus(0xC0FFEEull);
+    Rng dataRng(0xF00Dull);
+    std::vector<std::pair<unsigned, Program>> progs;
+    for (unsigned i = 0; i < 25; ++i) {
+        corpus.next();
+        auto prog = corpus.build(dataRng, EmitOptions::Mode::Scalarized, 8);
+        if (prog)
+            progs.emplace_back(i, std::move(*prog));
+    }
+    return progs;
+}
 
 /** Mixed element sizes (ldh vs stw) give overlapping carried pairs at
  *  non-uniform distances — the dep-scan stressor. */
@@ -302,22 +319,9 @@ TEST(Poly, VerifyRegionAttachesValiditySet)
 
 TEST(Poly, RandomKernelsDifferentialClean)
 {
-    Rng rng(0xC0FFEEull);
-    Rng dataRng(0xF00Dull);
     const TranslatorConfig config;
-    for (unsigned i = 0; i < 25; ++i) {
-        const GeneratedKernel g = generateKernel(rng, i);
-        Program prog;
-        try {
-            prog = buildGeneratedProgram(
-                g, dataRng, EmitOptions::Mode::Scalarized, 8);
-        } catch (const FatalError &) {
-            // Register pressure or staging aliasing: no verdict to
-            // compare.
-            continue;
-        }
-        const auto diffs = diffProgram(prog, config);
-        for (const PolyDiff &d : diffs) {
+    for (const auto &[i, prog] : randomPrograms()) {
+        for (const PolyDiff &d : diffProgram(prog, config)) {
             for (const PolyMismatch &m : d.mismatches) {
                 ADD_FAILURE()
                     << "kernel " << i << " region " << d.entryLabel
@@ -533,17 +537,7 @@ TEST(PolyDepScan, SuiteMatchesBruteForce)
 
 TEST(PolyDepScan, RandomKernelsMatchBruteForce)
 {
-    Rng rng(0xC0FFEEull);
-    Rng dataRng(0xF00Dull);
-    for (unsigned i = 0; i < 25; ++i) {
-        const GeneratedKernel g = generateKernel(rng, i);
-        Program prog;
-        try {
-            prog = buildGeneratedProgram(
-                g, dataRng, EmitOptions::Mode::Scalarized, 8);
-        } catch (const FatalError &) {
-            continue;
-        }
+    for (const auto &[i, prog] : randomPrograms()) {
         for (const PolyRegion &r : analyzeRegions(prog))
             expectScanMatchesOracle(
                 r, "kernel " + std::to_string(i) + "/" + r.entryLabel);
@@ -733,18 +727,8 @@ TEST(DepcheckGroupScan, SuiteMatches)
 
 TEST(DepcheckGroupScan, RandomKernelsMatch)
 {
-    Rng rng(0xC0FFEEull);
-    Rng dataRng(0xF00Dull);
     unsigned compared = 0;
-    for (unsigned i = 0; i < 25; ++i) {
-        const GeneratedKernel g = generateKernel(rng, i);
-        Program prog;
-        try {
-            prog = buildGeneratedProgram(
-                g, dataRng, EmitOptions::Mode::Scalarized, 8);
-        } catch (const FatalError &) {
-            continue;
-        }
+    for (const auto &[i, prog] : randomPrograms()) {
         compared += expectProgramMatchesGroupScan(
             prog, "kernel " + std::to_string(i));
     }

@@ -3,7 +3,7 @@
  * Differential fuzz: the translation-validation prover vs the
  * execution oracle on randomly generated kernels.
  *
- * For every random legal kernel (tests/random_kernels.hh) the prover
+ * For every random legal kernel (workloads/kernel_corpus.hh) the prover
  * and the chaos oracle must agree:
  *
  *   - Proved at width w  => the fault-free Liquid run at w is
@@ -19,80 +19,57 @@
  * Environment knobs (the nightly CI job turns these up):
  *   LIQUID_PROOF_TRIALS   kernels to generate (default 10)
  *   LIQUID_PROOF_SEED     base RNG seed (default 1)
- *   LIQUID_PROOF_DUMP_DIR write a .s disassembly-style dump for every
- *                         prover/oracle divergence (default: off)
+ *   LIQUID_PROOF_DUMP_DIR where every prover/oracle divergence writes
+ *                         its program listing (default proof_failures/)
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "chaos/oracle.hh"
-#include "common/logging.hh"
+#include "test_env.hh"
 #include "verifier/proof.hh"
-
-#include "random_kernels.hh"
+#include "workloads/kernel_corpus.hh"
 
 using namespace liquid;
 
 namespace
 {
 
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *v = std::getenv(name);
-    return v ? static_cast<unsigned>(std::stoul(v)) : fallback;
-}
-
 /** Persist a divergent program for offline diagnosis. */
 void
-dumpDivergence(const std::string &dir, unsigned trial, unsigned width,
-               const Program &prog, const std::string &why)
+dumpDivergence(unsigned trial, unsigned width, const Program &prog,
+               const std::string &why)
 {
-    if (dir.empty())
-        return;
-    const std::string path = dir + "/proof_fuzz_t" +
-                             std::to_string(trial) + "_w" +
-                             std::to_string(width) + ".txt";
-    std::ofstream out(path);
-    out << "; prover/oracle divergence: " << why << '\n';
-    const auto &code = prog.code();
-    for (std::size_t i = 0; i < code.size(); ++i)
-        out << i << ":\t" << code[i].toString() << '\n';
+    dumpListing("LIQUID_PROOF_DUMP_DIR", "proof_failures",
+                "proof_fuzz_t" + std::to_string(trial) + "_w" +
+                    std::to_string(width),
+                prog, "; prover/oracle divergence: " + why + "\n");
 }
 
 } // namespace
 
 TEST(ProofFuzz, ProverAgreesWithExecutionOracle)
 {
-    const unsigned trials = envUnsigned("LIQUID_PROOF_TRIALS", 10);
-    const unsigned seed = envUnsigned("LIQUID_PROOF_SEED", 1);
-    const char *dumpEnv = std::getenv("LIQUID_PROOF_DUMP_DIR");
-    const std::string dumpDir = dumpEnv ? dumpEnv : "";
+    const unsigned trials = envNumber("LIQUID_PROOF_TRIALS", 10u);
+    const unsigned seed = envNumber("LIQUID_PROOF_SEED", 1u);
 
     ProofOptions popts;  // widths {2, 4, 8, 16}, replay on
 
     unsigned proved = 0, refuted = 0, unknown = 0, untranslated = 0;
-    unsigned skipped = 0;
+    KernelCorpus corpus(seed);
     for (unsigned t = 0; t < trials; ++t) {
-        Rng krng(seed + 1000ull * t);
+        // Each trial seeds its own kernel, so one trial replays alone.
+        corpus.rng() = Rng(seed + 1000ull * t);
+        corpus.next();
         Rng drng(seed + 1000ull * t + 7);
-        const GeneratedKernel g = generateKernel(krng, t);
-        Program prog;
-        try {
-            prog = buildGeneratedProgram(
-                g, drng, EmitOptions::Mode::Scalarized, 16);
-        } catch (const FatalError &) {
-            // The generator occasionally exceeds a scalarizer limit
-            // (out of integer registers); such a kernel never reaches
-            // the prover. A PanicError is a simulator bug and fails.
-            ++skipped;
+        const std::optional<Program> built =
+            corpus.build(drng, EmitOptions::Mode::Scalarized, 16);
+        if (!built)
             continue;
-        }
+        const Program &prog = *built;
 
         const ProgramProof pp = proveProgram(prog, popts);
         ASSERT_EQ(pp.regions.size(), 1u) << "trial " << t;
@@ -109,7 +86,7 @@ TEST(ProofFuzz, ProverAgreesWithExecutionOracle)
                 const ChaosReport rep = checkSchedule(
                     ref, prog, wp.boundWidth, FaultSchedule{});
                 if (!rep.equal) {
-                    dumpDivergence(dumpDir, t, wp.width, prog,
+                    dumpDivergence(t, wp.width, prog,
                                    "proved but oracle diverges");
                 }
                 ASSERT_TRUE(rep.equal)
@@ -125,7 +102,7 @@ TEST(ProofFuzz, ProverAgreesWithExecutionOracle)
                 // Random legal kernels must never refute — that is a
                 // prover or translator bug by construction.
                 if (wp.ce) {
-                    dumpDivergence(dumpDir, t, wp.width, prog,
+                    dumpDivergence(t, wp.width, prog,
                                    "legal kernel refuted: " +
                                        wp.ce->obligation);
                 }
@@ -150,8 +127,9 @@ TEST(ProofFuzz, ProverAgreesWithExecutionOracle)
         << proved << " proved vs " << unknown << " unknown";
     EXPECT_GT(proved, 0u);
 
-    std::cout << "proof fuzz: " << trials << " kernels, " << skipped
-              << " skipped at a scalarizer limit\n";
+    const unsigned skipped = corpus.skipped();
+    std::cout << "proof fuzz: " << trials << " kernels, "
+              << corpus.skipSummary() << '\n';
     // Skip bound: at 300 trials seeds 1, 7, 20261017 and 20261018
     // skip 0, 2, 1 and 2 kernels (5 of 1200, 0.4%), and 500-trial
     // date seeds skip up to 8 (1.6%). The bound, 5% + 1, leaves room

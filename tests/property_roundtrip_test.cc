@@ -17,22 +17,15 @@
 
 #include <gtest/gtest.h>
 
-#include "random_kernels.hh"
 #include "sim/system.hh"
 #include "translator/offline.hh"
+#include "workloads/kernel_corpus.hh"
 #include "workloads/vir_interp.hh"
 
 namespace liquid
 {
 namespace
 {
-
-Program
-buildProgram(const GeneratedKernel &g, Rng &data_rng,
-             EmitOptions::Mode mode, unsigned width)
-{
-    return buildGeneratedProgram(g, data_rng, mode, width);
-}
 
 std::vector<Word>
 readOutputs(const GeneratedKernel &g, const Program &prog,
@@ -79,21 +72,20 @@ class RoundTrip : public ::testing::TestWithParam<unsigned>
 TEST_P(RoundTrip, RandomKernelsAgreeEverywhere)
 {
     const unsigned seed = GetParam();
-    Rng rng(seed);
+    KernelCorpus corpus(seed);
 
     for (unsigned trial = 0; trial < 12; ++trial) {
-        const GeneratedKernel g = generateKernel(rng, trial);
+        const GeneratedKernel &g = corpus.next();
 
-        // Inline scalar on a plain core is the structural reference
-        // for the ISA path.
-        Rng data_rng(seed * 977 + trial);
-        Program inline_prog = buildProgram(
-            g, data_rng, EmitOptions::Mode::InlineScalar, 8);
-        // Re-seed so every build gets identical data.
+        // Every build gets identical data.
         auto freshData = [&](EmitOptions::Mode mode, unsigned width) {
             Rng d(seed * 977 + trial);
-            return buildProgram(g, d, mode, width);
+            return corpus.mustBuild(d, mode, width);
         };
+        // Inline scalar on a plain core is the structural reference
+        // for the ISA path.
+        const Program inline_prog =
+            freshData(EmitOptions::Mode::InlineScalar, 8);
 
         const std::vector<Word> golden =
             goldenOutputs(g, inline_prog);
@@ -151,12 +143,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RoundTrip,
  */
 TEST(RoundTripOffline, StaticAndDynamicTranslationAgree)
 {
-    Rng rng(4242);
+    KernelCorpus corpus(4242);
     for (unsigned trial = 0; trial < 20; ++trial) {
-        const GeneratedKernel g = generateKernel(rng, trial);
+        const GeneratedKernel &g = corpus.next();
         Rng d(trial * 31 + 7);
-        Program prog = buildProgram(g, d,
-                                    EmitOptions::Mode::Scalarized, 8);
+        const Program prog =
+            corpus.mustBuild(d, EmitOptions::Mode::Scalarized, 8);
         System sys(SystemConfig::make(ExecMode::Liquid, 8), prog);
         sys.run();
         const Addr entry =
@@ -191,14 +183,14 @@ TEST(RoundTripOffline, StaticAndDynamicTranslationAgree)
  */
 TEST(RoundTripCoverage, MostGeneratedKernelsTranslate)
 {
-    Rng rng(99);
+    KernelCorpus corpus(99);
     unsigned translated = 0;
     unsigned total = 0;
     for (unsigned trial = 0; trial < 40; ++trial) {
-        const GeneratedKernel g = generateKernel(rng, trial);
+        corpus.next();
         Rng d(trial);
-        Program prog = buildProgram(g, d,
-                                    EmitOptions::Mode::Scalarized, 8);
+        const Program prog =
+            corpus.mustBuild(d, EmitOptions::Mode::Scalarized, 8);
         System sys(SystemConfig::make(ExecMode::Liquid, 8), prog);
         sys.run();
         translated += sys.translator().stats().get("translations") > 0;

@@ -17,9 +17,9 @@
 
 #include <set>
 
-#include "random_kernels.hh"
 #include "translator/offline.hh"
 #include "verifier/verifier.hh"
+#include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
 
 namespace liquid
@@ -121,21 +121,15 @@ TEST(VerifierDifferential, RandomKernelsAgree)
     Tally tally;
     unsigned kernels = 0;
     for (const unsigned seed : {101u, 202u, 303u, 404u, 505u}) {
-        Rng rng(seed);
+        KernelCorpus corpus(seed);
         for (unsigned trial = 0; trial < 55; ++trial) {
-            const GeneratedKernel g = generateKernel(rng, trial);
+            const GeneratedKernel &g = corpus.next();
             Rng d(seed * 131 + trial);
-            Program prog;
-            try {
-                prog = buildGeneratedProgram(
-                    g, d, EmitOptions::Mode::Scalarized, 8);
-            } catch (const FatalError &) {
-                // The generator occasionally exceeds a scalarizer
-                // limit (register pressure / staging aliasing); such
-                // kernels never reach the translator at all. A
-                // PanicError is a scalarizer bug and fails the test.
+            const std::optional<Program> built =
+                corpus.build(d, EmitOptions::Mode::Scalarized, 8);
+            if (!built)
                 continue;
-            }
+            const Program &prog = *built;
             ++kernels;
             const int entry = prog.labelIndex(g.kernel.name());
             // Width 8 is the common case; width 2 forces the width-
@@ -175,15 +169,15 @@ TEST(VerifierDifferential, SabotagedKernelsAbortIdentically)
          AbortReason::MemoryDependence},
     };
 
-    Rng rng(5150);
+    KernelCorpus corpus(5150);
     for (unsigned trial = 0; trial < 10; ++trial) {
-        const GeneratedKernel g = generateKernel(rng, trial);
+        const GeneratedKernel &g = corpus.next();
         for (const auto &t : table) {
             SCOPED_TRACE("trial=" + std::to_string(trial) + " " +
                          abortReasonName(t.reason));
             Rng d(trial);
-            const Program prog = buildGeneratedProgram(
-                g, d, EmitOptions::Mode::Scalarized, 8, t.kind);
+            const Program prog = corpus.mustBuild(
+                d, EmitOptions::Mode::Scalarized, 8, t.kind);
             const int entry = prog.labelIndex(g.kernel.name());
 
             VerifyOptions opts;
@@ -207,16 +201,16 @@ TEST(VerifierDifferential, SilentMiscompilesCommitOnBothSides)
     // dynamic side commits, and the verifier must call the commit out
     // as a dependence miscompile rather than predicting an abort.
     using Sabotage = EmitOptions::Sabotage;
-    Rng rng(6160);
+    KernelCorpus corpus(6160);
     for (unsigned trial = 0; trial < 4; ++trial) {
-        const GeneratedKernel g = generateKernel(rng, trial);
+        const GeneratedKernel &g = corpus.next();
         for (const Sabotage kind : {Sabotage::OverlapStoreStore,
                                     Sabotage::OverlapLoadAhead}) {
             SCOPED_TRACE("trial=" + std::to_string(trial) + " kind=" +
                          std::to_string(static_cast<int>(kind)));
             Rng d(trial * 7 + 1);
-            const Program prog = buildGeneratedProgram(
-                g, d, EmitOptions::Mode::Scalarized, 8, kind, 1);
+            const Program prog = corpus.mustBuild(
+                d, EmitOptions::Mode::Scalarized, 8, kind, 1);
             const int entry = prog.labelIndex(g.kernel.name());
 
             VerifyOptions opts;

@@ -10,10 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "abort_cases.hh"
-#include "random_kernels.hh"
 #include "translator/offline.hh"
 #include "verifier/cfg.hh"
 #include "verifier/verifier.hh"
+#include "workloads/kernel_corpus.hh"
 
 namespace liquid
 {
@@ -284,13 +284,13 @@ TEST(Verifier, SabotagedKernelsPredicted)
         {Sabotage::ScalarStore, AbortReason::StoreScalarData},
     };
 
-    Rng rng(7);
-    const GeneratedKernel g = generateKernel(rng, 0);
+    KernelCorpus corpus(7);
+    const GeneratedKernel &g = corpus.next();
     for (const auto &t : table) {
         SCOPED_TRACE(abortReasonName(t.reason));
         Rng d(11);
-        const Program prog = buildGeneratedProgram(
-            g, d, EmitOptions::Mode::Scalarized, 8, t.kind);
+        const Program prog = corpus.mustBuild(
+            d, EmitOptions::Mode::Scalarized, 8, t.kind);
         VerifyOptions opts;
         opts.widthFallback = false;
         const RegionReport r = verifyRegion(

@@ -41,7 +41,7 @@
 #include "fast/lockstep.hh"
 #include "lab/experiments.hh"
 #include "lab/runner.hh"
-#include "random_kernels.hh"
+#include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
 
 using namespace liquid;
@@ -202,34 +202,27 @@ runLockstepSweep(const Options &opts)
         }
     }
 
-    Rng rng(opts.seed);
-    unsigned skipped = 0;
+    // A kernel the scalarizer rejects runs on neither tier.
+    KernelCorpus corpus(opts.seed);
     for (unsigned i = 0; i < opts.random; ++i) {
-        const GeneratedKernel g = generateKernel(rng, i);
+        corpus.next();
         const std::string name = "rand" + std::to_string(i);
-        Program scalarProg;
-        Program nativeProg;
-        try {
-            Rng rs(opts.seed ^ (0x9e3779b97f4a7c15ull + i));
-            scalarProg = buildGeneratedProgram(
-                g, rs, EmitOptions::Mode::Scalarized, 8);
-            Rng rn(opts.seed ^ (0x9e3779b97f4a7c15ull + i));
-            nativeProg = buildGeneratedProgram(
-                g, rn, EmitOptions::Mode::Native, 8);
-        } catch (const FatalError &) {
-            // Generator occasionally exceeds a scalarizer limit; such
-            // kernels never run on either tier. A PanicError is a bug
-            // and ends the run.
-            ++skipped;
+        Rng rs(opts.seed ^ (0x9e3779b97f4a7c15ull + i));
+        const auto scalarProg =
+            corpus.build(rs, EmitOptions::Mode::Scalarized, 8);
+        Rng rn(opts.seed ^ (0x9e3779b97f4a7c15ull + i));
+        const auto nativeProg =
+            corpus.build(rn, EmitOptions::Mode::Native, 8);
+        if (!scalarProg || !nativeProg)
             continue;
-        }
-        if (!checkOne(opts, records, name, scalarProg,
+        if (!checkOne(opts, records, name, *scalarProg,
                       ExecMode::ScalarBaseline, 0))
             ++failures;
-        if (!checkOne(opts, records, name, nativeProg,
+        if (!checkOne(opts, records, name, *nativeProg,
                       ExecMode::NativeSimd, 8))
             ++failures;
     }
+    const unsigned skipped = corpus.skipped();
     if (skipped && !opts.json) {
         std::cout << skipped << " random kernel(s) skipped "
                      "(scalarizer limits)\n";

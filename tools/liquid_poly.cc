@@ -34,9 +34,8 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "verifier/poly.hh"
+#include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
-
-#include "random_kernels.hh"
 
 using namespace liquid;
 
@@ -283,21 +282,18 @@ runPrograms(const Options &opt, unsigned sabotage,
         }
     }
     if (opt.random > 0) {
-        Rng rng(opt.seed);
+        KernelCorpus corpus(opt.seed);
         Rng dataRng(opt.seed ^ 0xD1B54A32D192ED03ull);
         for (unsigned i = 0; i < opt.random; ++i) {
-            const GeneratedKernel g = generateKernel(rng, i);
-            Program prog;
-            try {
-                prog = buildGeneratedProgram(
-                    g, dataRng, EmitOptions::Mode::Scalarized, 8);
-            } catch (const FatalError &) {
-                ++skipped;
-                continue;
+            corpus.next();
+            const std::optional<Program> prog =
+                corpus.build(dataRng, EmitOptions::Mode::Scalarized, 8);
+            if (prog) {
+                outcomes.push_back(analyzeProgram(
+                    *prog, "random" + std::to_string(i), sabotage));
             }
-            outcomes.push_back(analyzeProgram(
-                prog, "random" + std::to_string(i), sabotage));
         }
+        skipped = corpus.skipped();
     }
     return outcomes;
 }
