@@ -51,11 +51,7 @@ main()
 
     // fft uses all three shuffle kinds across its stages — the
     // sharpest probe of repertoire growth.
-    std::unique_ptr<Workload> fft;
-    for (auto &wl : makeSuite()) {
-        if (wl->name() == "fft")
-            fft = std::move(wl);
-    }
+    const auto fft = makeWorkload("fft");
     const Cycles base = baselineCycles(*fft);
     const auto build = fft->build(EmitOptions::Mode::Scalarized);
 

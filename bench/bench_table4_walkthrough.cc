@@ -16,12 +16,7 @@ using namespace liquid::bench;
 int
 main()
 {
-    std::unique_ptr<Workload> fft;
-    for (auto &wl : makeSuite()) {
-        if (wl->name() == "fft")
-            fft = std::move(wl);
-    }
-
+    const auto fft = makeWorkload("fft");
     const auto build = fft->build(EmitOptions::Mode::Scalarized);
 
     std::cout << "=== Figure 4(B): scalar representation of the FFT "

@@ -30,7 +30,7 @@ main()
         const auto build = wl->build(EmitOptions::Mode::Scalarized);
         // Width-8 Liquid system, as in the paper's evaluation.
         const auto out =
-            runOnce(build, SystemConfig::make(ExecMode::Liquid, 8));
+            lab::runOnce(build, SystemConfig::make(ExecMode::Liquid, 8));
 
         unsigned lt150 = 0;
         unsigned lt300 = 0;

@@ -22,30 +22,13 @@
 namespace liquid::bench
 {
 
-/**
- * Outcome of one simulated run. The lab subsystem's RunOutcome is a
- * superset (full counter snapshot); benches that only need the
- * headline numbers keep using this alias through runOnce below.
- */
-using RunOutcome = lab::RunOutcome;
-
-/**
- * Run @p build under @p config. Thin wrapper over lab::runOnce, which
- * moves the per-call log out of the finished Core instead of copying
- * one vector per call site.
- */
-inline RunOutcome
-runOnce(const Workload::Build &build, const SystemConfig &config)
-{
-    return lab::runOnce(build, config);
-}
-
 /** Cycles of the paper's baseline: inline scalar, no accelerator. */
 inline Cycles
 baselineCycles(const Workload &wl)
 {
     const auto build = wl.build(EmitOptions::Mode::InlineScalar);
-    return runOnce(build, SystemConfig::make(ExecMode::ScalarBaseline))
+    return lab::runOnce(build,
+                        SystemConfig::make(ExecMode::ScalarBaseline))
         .cycles;
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Compare two builds of the command-line tools on every tool command
-# line that ctest runs, plus the nightly date-seeded sweeps: stdout,
+# line that ctest runs, plus the nightly date-seeded sweeps and the
+# bench/ table binaries next to each tools/ directory: stdout,
 # stderr, exit status, every --json report and every file a run writes
 # (BENCH_*.json, --out, --lab-out, lab result sets) must match byte for
 # byte. Use it to show that a change to the tools leaves their
@@ -17,6 +18,8 @@
 # relative: each side runs from its own WORK_DIR/{old,new} directory,
 # where `examples`, `bench` and `tests` link to the source tree.
 # --quick skips the nightly-sized sweeps (the 500-kernel fuzz runs).
+# Every bench_* binary in NEW_TOOLS/../bench runs with no arguments on
+# both builds (about 0.6 s a side).
 #
 # Masked before comparing, because they are wall clock or thread
 # scheduling and differ between two runs of the same binary:
@@ -35,7 +38,7 @@
 set -u
 
 if [ $# -lt 2 ]; then
-    sed -n '2,33p' "$0"
+    sed -n '2,36p' "$0"
     exit 2
 fi
 OLD=$(cd "$1" && pwd)
@@ -155,6 +158,12 @@ if [ $QUICK = 0 ]; then
         --dump-dir fast_failures
     run poly_fuzz liquid-poly --random 500 --seed $SEED --json
 fi
+
+# ---- the bench/ table binaries, which no ctest case runs ----------------
+for table in "$NEW"/../bench/bench_*; do
+    [ -f "$table" ] && [ -x "$table" ] || continue
+    run "$(basename "$table")" "../bench/$(basename "$table")"
+done
 
 # ---- files the runs wrote ---------------------------------------------------
 files=$(cd "$WORK/old" && find . -path ./examples -prune -o \

@@ -8,6 +8,7 @@
 
 #include "chaos/fault_schedule.hh"
 #include "common/logging.hh"
+#include "workloads/workload.hh"
 
 namespace liquid::lab
 {
@@ -210,7 +211,7 @@ groupByWorkload(const ResultSet &results, const std::string &experiment)
 {
     std::vector<std::pair<std::string, std::vector<const JobResult *>>>
         groups;
-    for (const auto &name : suiteWorkloadNames()) {
+    for (const auto &name : workloadNames()) {
         std::vector<const JobResult *> jobs;
         for (const auto &r : results.results()) {
             if (r.job.experiment == experiment && r.job.workload == name)

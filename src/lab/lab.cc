@@ -105,13 +105,7 @@ runOnce(const Workload::Build &build, const SystemConfig &config)
 Workload::Build
 buildJob(const Job &job)
 {
-    std::unique_ptr<Workload> wl;
-    for (auto &candidate : makeSuite()) {
-        if (candidate->name() == job.workload)
-            wl = std::move(candidate);
-    }
-    if (!wl)
-        fatal("lab: unknown workload '", job.workload, "'");
+    const auto wl = makeWorkload(job.workload, "lab: ");
     if (job.repsOverride)
         wl->setReps(job.repsOverride);
     return wl->build(buildMode(job.mode), job.width ? job.width : 8);

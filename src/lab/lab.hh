@@ -3,8 +3,7 @@
  * Job execution for the lab orchestration subsystem: build a workload,
  * construct a private System, run it and snapshot everything the
  * results layer serializes. This is the single simulation entry point
- * shared by the lab runner, the ported bench binaries and the
- * bench_util.hh wrappers.
+ * shared by the lab runner and the bench/ table binaries.
  *
  * Thread-safety: one runJob()/runOnce() call simulates only state it
  * creates itself — the Program, MainMemory, caches, translator and
@@ -73,8 +72,8 @@ RunOutcome runOnce(const Workload::Build &build,
                    const SystemConfig &config);
 
 /**
- * Build the program a Job simulates: locate the workload in a private
- * copy of the suite, apply the rep override, emit for the job's mode.
+ * Build the program a Job simulates: make the named suite workload
+ * (makeWorkload), apply the rep override, emit for the job's mode.
  * Deterministic — the same Job always yields the same program, which
  * is what makes the content-addressed result cache sound.
  */

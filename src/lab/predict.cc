@@ -63,13 +63,7 @@ aggregateScanProofs(const ScanReport &report)
 WorkloadPrediction
 predictWorkload(const std::string &name, const ScanOptions &opts)
 {
-    std::unique_ptr<Workload> wl;
-    for (auto &candidate : makeSuite()) {
-        if (candidate->name() == name)
-            wl = std::move(candidate);
-    }
-    if (!wl)
-        fatal("predict: unknown workload '", name, "'");
+    const auto wl = makeWorkload(name, "predict: ");
 
     // Scalarized, hints stripped: the scan must rediscover the
     // regions from the bl/ret convention alone.
@@ -88,7 +82,7 @@ std::vector<WorkloadPrediction>
 predictSuite(const ScanOptions &opts)
 {
     std::vector<WorkloadPrediction> preds;
-    for (const std::string &name : suiteWorkloadNames())
+    for (const std::string &name : workloadNames())
         preds.push_back(predictWorkload(name, opts));
     return preds;
 }

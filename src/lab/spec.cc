@@ -109,7 +109,7 @@ std::vector<Job>
 ExperimentSpec::expand() const
 {
     const std::vector<std::string> wls =
-        workloads.empty() ? suiteWorkloadNames() : workloads;
+        workloads.empty() ? workloadNames() : workloads;
     const std::vector<ConfigOverrides> overs =
         overrides.empty() ? std::vector<ConfigOverrides>{{}} : overrides;
     const std::vector<unsigned> reps =
@@ -181,15 +181,6 @@ ExperimentMatrix::expand() const
         }
     }
     return jobs;
-}
-
-std::vector<std::string>
-suiteWorkloadNames()
-{
-    std::vector<std::string> names;
-    for (const auto &wl : makeSuite())
-        names.push_back(wl->name());
-    return names;
 }
 
 } // namespace liquid::lab

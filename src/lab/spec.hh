@@ -145,9 +145,6 @@ struct ExperimentMatrix
     std::vector<Job> expand() const;
 };
 
-/** Names of the paper's 15-benchmark suite, in suite order. */
-std::vector<std::string> suiteWorkloadNames();
-
 } // namespace liquid::lab
 
 #endif // LIQUID_LAB_SPEC_HH

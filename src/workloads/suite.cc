@@ -18,6 +18,8 @@
 
 #include "workloads/workload.hh"
 
+#include <algorithm>
+
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 
@@ -39,7 +41,7 @@ constexpr unsigned pad = 16;
 class Alvinn : public Workload
 {
   public:
-    std::string name() const override { return "052.alvinn"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 4; }
     unsigned scalarWorkIters() const override { return 800; }
 
@@ -94,7 +96,7 @@ class Alvinn : public Workload
 class Ear : public Workload
 {
   public:
-    std::string name() const override { return "056.ear"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 4; }
     unsigned scalarWorkIters() const override { return 1200; }
 
@@ -163,7 +165,7 @@ class Ear : public Workload
 class Nasa7 : public Workload
 {
   public:
-    std::string name() const override { return "093.nasa7"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 4; }
     unsigned scalarWorkIters() const override { return 1500; }
 
@@ -244,7 +246,7 @@ class Nasa7 : public Workload
 class Tomcatv : public Workload
 {
   public:
-    std::string name() const override { return "101.tomcatv"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 4; }
     unsigned scalarWorkIters() const override { return 1600; }
 
@@ -318,7 +320,7 @@ class Tomcatv : public Workload
 class Hydro2d : public Workload
 {
   public:
-    std::string name() const override { return "104.hydro2d"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 4; }
     unsigned scalarWorkIters() const override { return 1400; }
 
@@ -381,7 +383,7 @@ class Hydro2d : public Workload
 class Swim : public Workload
 {
   public:
-    std::string name() const override { return "171.swim"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 4; }
     unsigned scalarWorkIters() const override { return 1800; }
 
@@ -456,7 +458,7 @@ class Swim : public Workload
 class Mgrid : public Workload
 {
   public:
-    std::string name() const override { return "172.mgrid"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 4; }
     unsigned scalarWorkIters() const override { return 1700; }
 
@@ -521,7 +523,7 @@ class Mgrid : public Workload
 class Art : public Workload
 {
   public:
-    std::string name() const override { return "179.art"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 4; }
     unsigned scalarWorkIters() const override { return 800; }
 
@@ -587,7 +589,7 @@ class Art : public Workload
 class Mpeg2Dec : public Workload
 {
   public:
-    std::string name() const override { return "mpeg2dec"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 6; }
     unsigned callsPerRep() const override { return 4; }
     unsigned scalarWorkIters() const override { return 40; }
@@ -647,7 +649,7 @@ class Mpeg2Dec : public Workload
 class Mpeg2Enc : public Workload
 {
   public:
-    std::string name() const override { return "mpeg2enc"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 6; }
     unsigned callsPerRep() const override { return 4; }
     unsigned scalarWorkIters() const override { return 60; }
@@ -704,7 +706,7 @@ class Mpeg2Enc : public Workload
 class GsmDec : public Workload
 {
   public:
-    std::string name() const override { return "gsmdec"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 8; }
     unsigned scalarWorkIters() const override { return 300; }
 
@@ -771,7 +773,7 @@ class GsmDec : public Workload
 class GsmEnc : public Workload
 {
   public:
-    std::string name() const override { return "gsmenc"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 8; }
     unsigned scalarWorkIters() const override { return 400; }
 
@@ -831,7 +833,7 @@ class GsmEnc : public Workload
 class Lu : public Workload
 {
   public:
-    std::string name() const override { return "lu"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 6; }
     unsigned scalarWorkIters() const override { return 500; }
 
@@ -872,7 +874,7 @@ class Lu : public Workload
 class Fir : public Workload
 {
   public:
-    std::string name() const override { return "fir"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 24; }
     unsigned scalarWorkIters() const override { return 30; }
 
@@ -921,7 +923,7 @@ class Fir : public Workload
 class Fft : public Workload
 {
   public:
-    std::string name() const override { return "fft"; }
+    using Workload::Workload;
     unsigned defaultReps() const override { return 5; }
     unsigned scalarWorkIters() const override { return 700; }
 
@@ -990,28 +992,84 @@ class Fft : public Workload
     static constexpr unsigned n = 128;
 };
 
+template <typename W>
+std::unique_ptr<Workload>
+make(const std::string &name)
+{
+    return std::make_unique<W>(name);
+}
+
+/** The suite in the paper's order: each benchmark's name and maker. */
+struct Entry
+{
+    const char *name;
+    std::unique_ptr<Workload> (*make)(const std::string &);
+};
+
+const Entry catalogue[] = {
+    {"052.alvinn", make<Alvinn>},
+    {"056.ear", make<Ear>},
+    {"093.nasa7", make<Nasa7>},
+    {"101.tomcatv", make<Tomcatv>},
+    {"104.hydro2d", make<Hydro2d>},
+    {"171.swim", make<Swim>},
+    {"172.mgrid", make<Mgrid>},
+    {"179.art", make<Art>},
+    {"mpeg2dec", make<Mpeg2Dec>},
+    {"mpeg2enc", make<Mpeg2Enc>},
+    {"gsmdec", make<GsmDec>},
+    {"gsmenc", make<GsmEnc>},
+    {"lu", make<Lu>},
+    {"fir", make<Fir>},
+    {"fft", make<Fft>},
+};
+
+const Entry &
+findEntry(const std::string &name, const char *errorPrefix)
+{
+    for (const Entry &e : catalogue) {
+        if (name == e.name)
+            return e;
+    }
+    fatal(errorPrefix, "unknown workload '", name, "'");
+}
+
 } // namespace
 
 std::vector<std::unique_ptr<Workload>>
 makeSuite()
 {
-    std::vector<std::unique_ptr<Workload>> suite;
-    suite.push_back(std::make_unique<Alvinn>());
-    suite.push_back(std::make_unique<Ear>());
-    suite.push_back(std::make_unique<Nasa7>());
-    suite.push_back(std::make_unique<Tomcatv>());
-    suite.push_back(std::make_unique<Hydro2d>());
-    suite.push_back(std::make_unique<Swim>());
-    suite.push_back(std::make_unique<Mgrid>());
-    suite.push_back(std::make_unique<Art>());
-    suite.push_back(std::make_unique<Mpeg2Dec>());
-    suite.push_back(std::make_unique<Mpeg2Enc>());
-    suite.push_back(std::make_unique<GsmDec>());
-    suite.push_back(std::make_unique<GsmEnc>());
-    suite.push_back(std::make_unique<Lu>());
-    suite.push_back(std::make_unique<Fir>());
-    suite.push_back(std::make_unique<Fft>());
-    return suite;
+    return selectWorkloads({});
+}
+
+std::vector<std::string>
+workloadNames()
+{
+    std::vector<std::string> names;
+    for (const Entry &e : catalogue)
+        names.push_back(e.name);
+    return names;
+}
+
+std::unique_ptr<Workload>
+makeWorkload(const std::string &name, const char *errorPrefix)
+{
+    const Entry &e = findEntry(name, errorPrefix);
+    return e.make(e.name);
+}
+
+std::vector<std::unique_ptr<Workload>>
+selectWorkloads(const std::vector<std::string> &names)
+{
+    for (const std::string &name : names)
+        findEntry(name, "");
+    std::vector<std::unique_ptr<Workload>> out;
+    for (const Entry &e : catalogue) {
+        if (names.empty() ||
+            std::find(names.begin(), names.end(), e.name) != names.end())
+            out.push_back(e.make(e.name));
+    }
+    return out;
 }
 
 } // namespace liquid

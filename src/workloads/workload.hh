@@ -27,10 +27,12 @@ namespace liquid
 class Workload
 {
   public:
+    /** The catalogue (suite.cc) names each benchmark it makes. */
+    explicit Workload(std::string name) : name_(std::move(name)) {}
     virtual ~Workload() = default;
 
     /** Benchmark name, e.g. "171.swim". */
-    virtual std::string name() const = 0;
+    const std::string &name() const { return name_; }
 
     /** Outer iterations: each calls every kernel callsPerRep() times. */
     unsigned
@@ -108,11 +110,30 @@ class Workload
     allOutputs() const;
 
   private:
+    std::string name_;
     unsigned repsOverride_ = 0;
 };
 
 /** The fifteen-benchmark suite from the paper's Section 5. */
 std::vector<std::unique_ptr<Workload>> makeSuite();
+
+/** The suite's names, in suite order, without building a workload. */
+std::vector<std::string> workloadNames();
+
+/**
+ * The suite workload called @p name, built alone. An unknown name is a
+ * user error: fatal("<errorPrefix>unknown workload '<name>'").
+ */
+std::unique_ptr<Workload> makeWorkload(const std::string &name,
+                                       const char *errorPrefix = "");
+
+/**
+ * The suite workloads a --workloads list names, in suite order and
+ * each once; an empty list selects the whole suite. An unknown name is
+ * fatal, as in makeWorkload.
+ */
+std::vector<std::unique_ptr<Workload>>
+selectWorkloads(const std::vector<std::string> &names);
 
 /** Deterministic data helpers for workload setup. */
 std::vector<Word> randomWords(const std::string &seed, unsigned count,

@@ -54,12 +54,7 @@ reference(const Program &prog, unsigned width)
 Workload::Build
 buildSuiteWorkload(const std::string &name, unsigned width)
 {
-    for (const auto &wl : makeSuite()) {
-        if (wl->name() == name)
-            return wl->build(EmitOptions::Mode::Scalarized, width);
-    }
-    ADD_FAILURE() << "no suite workload named " << name;
-    return {};
+    return makeWorkload(name)->build(EmitOptions::Mode::Scalarized, width);
 }
 
 // --- Schedule-key grammar -------------------------------------------

@@ -84,11 +84,7 @@ TEST(ConfigMatrix, WidthTwoThroughSixteenTimesConfigs)
 {
     // A smaller cross: fft (permutation-heavy) under every config at
     // every width.
-    std::unique_ptr<Workload> fft;
-    for (auto &wl : makeSuite()) {
-        if (wl->name() == "fft")
-            fft = std::move(wl);
-    }
+    const auto fft = makeWorkload("fft");
     const auto build = fft->build(EmitOptions::Mode::Scalarized);
     MainMemory golden = MainMemory::forProgram(build.prog);
     fft->goldenRun(build, golden);

@@ -33,12 +33,7 @@ namespace
 Workload::Build
 firBuild(EmitOptions::Mode mode, unsigned width)
 {
-    for (const auto &wl : makeSuite()) {
-        if (wl->name() == "fir")
-            return wl->build(mode, width);
-    }
-    ADD_FAILURE() << "suite lost the fir workload";
-    std::abort();
+    return makeWorkload("fir")->build(mode, width);
 }
 
 /** Fresh interpreter over its own memory image. */

@@ -154,13 +154,7 @@ TEST(FastLockstep, LiquidModeRejected)
  */
 TEST(FastLockstep, SabotageModesAllCaught)
 {
-    const auto suite = makeSuite();
-    const Workload *fir = nullptr;
-    for (const auto &wl : suite) {
-        if (wl->name() == "fir")
-            fir = wl.get();
-    }
-    ASSERT_NE(fir, nullptr);
+    const auto fir = makeWorkload("fir");
     const auto scalar = fir->build(EmitOptions::Mode::Scalarized, 8);
     const auto native = fir->build(EmitOptions::Mode::Native, 8);
 

@@ -74,20 +74,8 @@ expectSameFinalState(const FinalState &warm, const FinalState &pure,
     EXPECT_EQ(warm.callShape, pure.callShape) << what;
 }
 
-const Workload *
-suiteWorkload(const std::vector<std::unique_ptr<Workload>> &suite,
-              const std::string &name)
-{
-    for (const auto &wl : suite) {
-        if (wl->name() == name)
-            return wl.get();
-    }
-    return nullptr;
-}
-
 TEST(FastWarmup, HandoffMatchesPureCycleRun)
 {
-    const auto suite = makeSuite();
     for (const auto &[name, mode, emit, width] :
          {std::tuple{"fir", ExecMode::ScalarBaseline,
                      EmitOptions::Mode::Scalarized, 0u},
@@ -95,8 +83,7 @@ TEST(FastWarmup, HandoffMatchesPureCycleRun)
                      EmitOptions::Mode::Native, 8u},
           std::tuple{"fft", ExecMode::NativeSimd,
                      EmitOptions::Mode::Native, 8u}}) {
-        const Workload *wl = suiteWorkload(suite, name);
-        ASSERT_NE(wl, nullptr);
+        const auto wl = makeWorkload(name);
         const auto build = wl->build(emit, width ? width : 8);
         const SystemConfig config = SystemConfig::make(mode, width);
 
@@ -122,9 +109,7 @@ TEST(FastWarmup, HandoffMatchesPureCycleRun)
 
 TEST(FastWarmup, CheckpointPastHaltRunsEverythingFunctionally)
 {
-    const auto suite = makeSuite();
-    const Workload *wl = suiteWorkload(suite, "fir");
-    ASSERT_NE(wl, nullptr);
+    const auto wl = makeWorkload("fir");
     const auto build = wl->build(EmitOptions::Mode::Scalarized, 8);
     const SystemConfig config =
         SystemConfig::make(ExecMode::ScalarBaseline, 0);
@@ -147,9 +132,7 @@ TEST(FastWarmup, CheckpointPastHaltRunsEverythingFunctionally)
 
 TEST(FastWarmup, FaultEventsSplitAroundCheckpoint)
 {
-    const auto suite = makeSuite();
-    const Workload *wl = suiteWorkload(suite, "fir");
-    ASSERT_NE(wl, nullptr);
+    const auto wl = makeWorkload("fir");
     const auto build = wl->build(EmitOptions::Mode::Scalarized, 8);
     SystemConfig config =
         SystemConfig::make(ExecMode::ScalarBaseline, 0);
@@ -173,9 +156,7 @@ TEST(FastWarmup, FaultEventsSplitAroundCheckpoint)
 
 TEST(FastWarmup, PeriodicInterruptScheduleRejected)
 {
-    const auto suite = makeSuite();
-    const Workload *wl = suiteWorkload(suite, "fir");
-    ASSERT_NE(wl, nullptr);
+    const auto wl = makeWorkload("fir");
     const auto build = wl->build(EmitOptions::Mode::Scalarized, 8);
     SystemConfig config =
         SystemConfig::make(ExecMode::ScalarBaseline, 0);

@@ -19,20 +19,9 @@ namespace liquid
 namespace
 {
 
-std::unique_ptr<Workload>
-fftWorkload()
-{
-    for (auto &wl : makeSuite()) {
-        if (wl->name() == "fft")
-            return std::move(wl);
-    }
-    return nullptr;
-}
-
 TEST(FftWalkthrough, ScalarizedShapeMatchesFigure4B)
 {
-    auto wl = fftWorkload();
-    ASSERT_NE(wl, nullptr);
+    auto wl = makeWorkload("fft");
     const auto build = wl->build(EmitOptions::Mode::Scalarized);
 
     // The bfly8 kernel is the paper's example: it must fission into
@@ -51,7 +40,7 @@ TEST(FftWalkthrough, ScalarizedShapeMatchesFigure4B)
 
 TEST(FftWalkthrough, Table4MicrocodeStructures)
 {
-    auto wl = fftWorkload();
+    auto wl = makeWorkload("fft");
     const auto build = wl->build(EmitOptions::Mode::Scalarized);
 
     System sys(SystemConfig::make(ExecMode::Liquid, 8), build.prog);
@@ -105,7 +94,7 @@ TEST(FftWalkthrough, Table4MicrocodeStructures)
 
 TEST(FftWalkthrough, NumbersMatchScalarExecution)
 {
-    auto wl = fftWorkload();
+    auto wl = makeWorkload("fft");
     const auto build = wl->build(EmitOptions::Mode::Scalarized);
 
     // Liquid execution at width 8.
@@ -129,7 +118,7 @@ TEST(FftWalkthrough, NumbersMatchScalarExecution)
 
 TEST(FftWalkthrough, NarrowAcceleratorRefusesWideButterfly)
 {
-    auto wl = fftWorkload();
+    auto wl = makeWorkload("fft");
     const auto build = wl->build(EmitOptions::Mode::Scalarized);
 
     System sys(SystemConfig::make(ExecMode::Liquid, 2), build.prog);
@@ -145,7 +134,7 @@ TEST(FftWalkthrough, NarrowAcceleratorRefusesWideButterfly)
 
 TEST(FftWalkthrough, SpeedupOrderingAcrossWidths)
 {
-    auto wl = fftWorkload();
+    auto wl = makeWorkload("fft");
     const auto inline_build =
         wl->build(EmitOptions::Mode::InlineScalar);
     System base(SystemConfig::make(ExecMode::ScalarBaseline),

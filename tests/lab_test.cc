@@ -23,6 +23,7 @@
 #include "lab/result_cache.hh"
 #include "lab/runner.hh"
 #include "lab/spec.hh"
+#include "workloads/workload.hh"
 
 namespace liquid::lab
 {
@@ -78,7 +79,7 @@ TEST(LabSpec, SuiteExpansionAndKeys)
     // Empty workload list means the whole 15-benchmark suite; the
     // scalar baseline has no width axis, so each workload yields one
     // scalar job plus four Liquid jobs.
-    ASSERT_EQ(suiteWorkloadNames().size(), 15u);
+    ASSERT_EQ(workloadNames().size(), 15u);
     EXPECT_EQ(jobs.size(), 15u * (1 + 4));
 
     std::set<std::string> keys;

@@ -427,7 +427,7 @@ TEST(ScanValidate, RankOrderAgreesWithMeasuredFig6Baseline)
         "/bench/baseline/BENCH_fig6.json");
     const std::vector<WorkloadPrediction> preds =
         predictSuite(ScanOptions{});
-    EXPECT_EQ(preds.size(), lab::suiteWorkloadNames().size());
+    EXPECT_EQ(preds.size(), workloadNames().size());
 
     const ValidationSummary v = validatePredictions(preds, measured);
     // 15 workloads x 4 widths joined, every same-workload pair ranked.

@@ -98,11 +98,7 @@ TEST(System, NativeModeNeverTranslates)
 {
     // A native binary on a NativeSimd system must not touch the
     // translator path at all.
-    std::unique_ptr<Workload> fir;
-    for (auto &wl : makeSuite()) {
-        if (wl->name() == "fir")
-            fir = std::move(wl);
-    }
+    const auto fir = makeWorkload("fir");
     const auto build = fir->build(EmitOptions::Mode::Native, 8);
     System sys(SystemConfig::make(ExecMode::NativeSimd, 8), build.prog);
     sys.run();
@@ -112,11 +108,7 @@ TEST(System, NativeModeNeverTranslates)
 
 TEST(System, LiquidIsDeterministic)
 {
-    std::unique_ptr<Workload> fft;
-    for (auto &wl : makeSuite()) {
-        if (wl->name() == "fft")
-            fft = std::move(wl);
-    }
+    const auto fft = makeWorkload("fft");
     const auto build = fft->build(EmitOptions::Mode::Scalarized);
     System a(SystemConfig::make(ExecMode::Liquid, 8), build.prog);
     a.run();

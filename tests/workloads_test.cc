@@ -4,11 +4,16 @@
  * and every accelerator width, the scalar baseline, the Liquid SIMD
  * binary (dynamically translated) and the native SIMD binary must all
  * leave output arrays byte-identical to the vector-IR golden
- * interpreter.
+ * interpreter. The catalogue finds a workload by name and fails on an
+ * unknown one.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/logging.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
 
@@ -128,6 +133,38 @@ TEST(WorkloadSuiteMeta, FifteenBenchmarks)
 {
     const auto suite = makeSuite();
     EXPECT_EQ(suite.size(), 15u);
+}
+
+TEST(WorkloadCatalogue, EverySuiteNameRoundTrips)
+{
+    const auto suite = makeSuite();
+    const std::vector<std::string> names = workloadNames();
+    ASSERT_EQ(names.size(), suite.size());
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        EXPECT_EQ(names[i], suite[i]->name());
+        EXPECT_EQ(makeWorkload(names[i])->name(), names[i]);
+    }
+}
+
+TEST(WorkloadCatalogue, UnknownNameIsFatal)
+{
+    EXPECT_THROW(makeWorkload("nosuch"), FatalError);
+    try {
+        makeWorkload("179.ar", "lab: ");
+        FAIL() << "a misspelt name was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: lab: unknown workload '179.ar'");
+    }
+    EXPECT_THROW(selectWorkloads({"fir", "nosuch"}), FatalError);
+}
+
+TEST(WorkloadCatalogue, SelectorKeepsSuiteOrderAndDropsDuplicates)
+{
+    std::vector<std::string> got;
+    for (const auto &wl : selectWorkloads({"fft", "fir", "fft", "lu"}))
+        got.push_back(wl->name());
+    EXPECT_EQ(got, (std::vector<std::string>{"lu", "fir", "fft"}));
+    EXPECT_EQ(selectWorkloads({}).size(), 15u);
 }
 
 TEST(WorkloadTranslation, HotLoopsActuallyTranslate)

@@ -41,7 +41,6 @@
 #include "chaos/oracle.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "fast/reference.hh"
 #include "fast/tier.hh"
 #include "workloads/workload.hh"
@@ -96,20 +95,11 @@ std::vector<std::pair<std::string, Workload::Build>>
 buildWorkloads(const Options &opts)
 {
     std::vector<std::pair<std::string, Workload::Build>> builds;
-    for (const auto &wl : makeSuite()) {
-        if (!opts.workloads.empty()) {
-            bool wanted = false;
-            for (const auto &name : opts.workloads)
-                wanted = wanted || name == wl->name();
-            if (!wanted)
-                continue;
-        }
+    for (const auto &wl : selectWorkloads(opts.workloads)) {
         builds.emplace_back(
             wl->name(),
             wl->build(EmitOptions::Mode::Scalarized, opts.width));
     }
-    if (builds.empty())
-        fatal("no matching workloads");
     return builds;
 }
 

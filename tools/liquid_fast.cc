@@ -151,26 +151,6 @@ checkOne(const Options &opts, std::vector<LockstepRecord> &records,
     return equal;
 }
 
-/** The selected suite workloads, built per mode. */
-std::vector<std::unique_ptr<Workload>>
-selectWorkloads(const Options &opts)
-{
-    std::vector<std::unique_ptr<Workload>> out;
-    for (auto &wl : makeSuite()) {
-        if (!opts.workloads.empty()) {
-            bool wanted = false;
-            for (const auto &name : opts.workloads)
-                wanted = wanted || name == wl->name();
-            if (!wanted)
-                continue;
-        }
-        out.push_back(std::move(wl));
-    }
-    if (out.empty())
-        fatal("no matching workloads");
-    return out;
-}
-
 /**
  * The lockstep sweep proper: the 15-workload suite (scalar runs the
  * Scalarized build so bl/ret and the call log are exercised; native
@@ -182,7 +162,7 @@ runLockstepSweep(const Options &opts)
     std::vector<LockstepRecord> records;
     unsigned failures = 0;
 
-    for (const auto &wl : selectWorkloads(opts)) {
+    for (const auto &wl : selectWorkloads(opts.workloads)) {
         for (ExecMode mode : opts.modes) {
             if (mode == ExecMode::ScalarBaseline) {
                 const auto build =
@@ -233,13 +213,7 @@ runLockstepSweep(const Options &opts)
     // functional tier would also miss a real bug.
     std::vector<std::pair<std::string, bool>> sabotageCaught;
     if (opts.sabotage) {
-        const auto suite = makeSuite();
-        const Workload *victim = nullptr;
-        for (const auto &wl : suite) {
-            if (wl->name() == "fir")
-                victim = wl.get();
-        }
-        LIQUID_ASSERT(victim, "suite lost the fir workload");
+        const auto victim = makeWorkload("fir");
         const auto scalarBuild =
             victim->build(EmitOptions::Mode::Scalarized, 8);
         const auto nativeBuild =
@@ -365,7 +339,7 @@ runBench(const Options &opts)
         fast::FastConfig fc;
     };
     std::vector<Pair> pairs;
-    for (const auto &wl : selectWorkloads(opts)) {
+    for (const auto &wl : selectWorkloads(opts.workloads)) {
         for (ExecMode mode : opts.modes) {
             Pair p{wl->build(mode == ExecMode::ScalarBaseline
                                  ? EmitOptions::Mode::Scalarized

@@ -35,6 +35,7 @@
 #include "lab/experiments.hh"
 #include "lab/predict.hh"
 #include "lab/runner.hh"
+#include "workloads/workload.hh"
 
 using namespace liquid;
 using namespace liquid::lab;
@@ -55,7 +56,7 @@ cmdList(bool smoke)
                   << campaign.outputFile << "  (" << n << " jobs)\n";
     }
     std::cout << "total: " << total << " jobs\n\nworkloads:\n";
-    for (const auto &name : suiteWorkloadNames())
+    for (const auto &name : workloadNames())
         std::cout << "  " << name << '\n';
     return 0;
 }

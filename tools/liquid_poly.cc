@@ -33,6 +33,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "report.hh"
 #include "verifier/poly.hh"
 #include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
@@ -299,23 +300,15 @@ runPrograms(const Options &opt, unsigned sabotage,
 }
 
 /** The --sabotage self-test: every mutation must diverge somewhere. */
-struct SabotageRun
-{
-    const char *name;
-    unsigned mode;
-    bool caught = false;
-    std::string detail;
-};
-
-std::vector<SabotageRun>
+std::vector<cli::SabotageRun>
 runSabotage(const Options &opt)
 {
-    std::vector<SabotageRun> runs;
+    std::vector<cli::SabotageRun> runs;
     for (unsigned bit = 0; bit < polySabotageCount; ++bit) {
         const auto sab = static_cast<PolySabotage>(1u << bit);
         runs.push_back({polySabotageName(sab), 1u << bit, false, ""});
     }
-    for (SabotageRun &run : runs) {
+    for (cli::SabotageRun &run : runs) {
         unsigned skipped = 0;
         const std::vector<ProgramOutcome> outcomes =
             runPrograms(opt, run.mode, false, true, skipped);
@@ -376,48 +369,19 @@ main(int argc, char **argv)
         if (opt.sabotage) {
             // The honest evaluator must diff clean on the very
             // kernels the mutations are caught on.
-            bool all = true;
             std::string honestFail;
             unsigned skipped = 0;
             for (const ProgramOutcome &out :
                  runPrograms(opt, 0, false, true, skipped)) {
-                if (out.mismatches != 0) {
-                    all = false;
+                if (out.mismatches != 0)
                     honestFail = out.name;
-                }
-            }
-            const std::vector<SabotageRun> runs = runSabotage(opt);
-            json::Value arr = json::Value::array();
-            for (const SabotageRun &r : runs) {
-                all = all && r.caught;
-                if (opt.json) {
-                    json::Value j = json::Value::object();
-                    j.set("mutation", r.name);
-                    j.set("caught", r.caught);
-                    j.set("detail", r.detail);
-                    arr.push(std::move(j));
-                } else {
-                    std::cout << r.name << ": "
-                              << (r.caught ? "caught" : "NOT CAUGHT");
-                    if (r.caught)
-                        std::cout << " (" << r.detail << ")";
-                    std::cout << '\n';
-                }
             }
             if (!honestFail.empty())
                 std::cerr << "honest evaluator mismatch on "
                           << honestFail << '\n';
-            if (opt.json) {
-                json::Value root =
-                    json::toolReport(polySchema, polyToolVersion);
-                root.set("sabotage", std::move(arr));
-                root.set("allCaught", all);
-                std::cout << root.toString() << '\n';
-            } else {
-                std::cout << (all ? "all mutations caught\n"
-                                  : "SELF-TEST FAILED\n");
-            }
-            return all ? 0 : 1;
+            return cli::reportSabotage(polySchema, polyToolVersion,
+                                       runSabotage(opt), opt.json,
+                                       honestFail.empty());
         }
 
         std::vector<ProgramOutcome> outcomes;
@@ -430,8 +394,7 @@ main(int argc, char **argv)
                 analyzeProgram(cli::readProgram(file), file));
         }
 
-        bool gateFailed = false;
-        std::vector<std::string> gateFailures;
+        cli::Gate gate;
         unsigned mismatches = 0;
         unsigned unbounded = 0;
         unsigned warns = 0;
@@ -441,21 +404,16 @@ main(int argc, char **argv)
             warns += out.warns;
         }
         if (mismatches > 0) {
-            gateFailed = true;
-            gateFailures.push_back(
-                "differential: " + std::to_string(mismatches) +
-                " symbolic-vs-concrete mismatch(es)");
+            gate.fail("differential: " + std::to_string(mismatches) +
+                      " symbolic-vs-concrete mismatch(es)");
         }
         if (opt.suite && unbounded == 0) {
-            gateFailed = true;
-            gateFailures.push_back(
-                "unbounded gate: no region earned a safe-for-all-N "
-                "verdict");
+            gate.fail("unbounded gate: no region earned a safe-for-all-N "
+                      "verdict");
         }
         if (opt.werror && warns > 0) {
-            gateFailed = true;
-            gateFailures.push_back("werror: " + std::to_string(warns) +
-                                   " warn-for-all-N region(s)");
+            gate.fail("werror: " + std::to_string(warns) +
+                      " warn-for-all-N region(s)");
         }
 
         if (opt.json) {
@@ -466,13 +424,7 @@ main(int argc, char **argv)
                 arr.push(outcomeJson(out));
             root.set("programs", std::move(arr));
             root.set("skipped", skipped);
-            json::Value gate = json::Value::object();
-            gate.set("passed", !gateFailed);
-            json::Value fails = json::Value::array();
-            for (const std::string &s : gateFailures)
-                fails.push(s);
-            gate.set("failures", std::move(fails));
-            root.set("gate", std::move(gate));
+            gate.addTo(root);
             std::cout << root.toString() << '\n';
         } else {
             for (const ProgramOutcome &out : outcomes)
@@ -481,10 +433,8 @@ main(int argc, char **argv)
                 std::cout << skipped << " random kernel(s) skipped "
                              "(scalarizer limits)\n";
             }
-            for (const std::string &s : gateFailures)
-                std::cout << "GATE: " << s << '\n';
-            std::cout << (gateFailed ? "FAILED\n" : "passed\n");
+            gate.print();
         }
-        return gateFailed ? 1 : 0;
+        return gate.exitStatus();
     });
 }

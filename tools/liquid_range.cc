@@ -36,6 +36,7 @@
 #include "asm/assembler.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
+#include "report.hh"
 #include "sim/system.hh"
 #include "verifier/range.hh"
 #include "verifier/verifier.hh"
@@ -230,18 +231,10 @@ printOutcome(const ProgramOutcome &out)
 }
 
 /** The --sabotage self-test: every mutation must be caught. */
-struct SabotageRun
-{
-    const char *name;
-    unsigned mode;
-    bool caught = false;
-    std::string detail;
-};
-
-std::vector<SabotageRun>
+std::vector<cli::SabotageRun>
 runSabotage(const Options &opt)
 {
-    std::vector<SabotageRun> runs = {
+    std::vector<cli::SabotageRun> runs = {
         {"unsoundJoin", SabUnsoundJoin, false, ""},
         {"wrapClamp", SabWrapClamp, false, ""},
         {"storeNoHavoc", SabStoreNoHavoc, false, ""},
@@ -249,7 +242,7 @@ runSabotage(const Options &opt)
     };
     Options sopt = opt;
     sopt.oracle = true;
-    for (SabotageRun &run : runs) {
+    for (cli::SabotageRun &run : runs) {
         for (const RangeStressCase &c : rangeStressCases()) {
             const Program prog = assemble(c.src);
             const ProgramOutcome out =
@@ -302,57 +295,24 @@ main(int argc, char **argv)
             throw cli::UsageError(
                 "--suite/--sabotage do not take an input file");
         if (opt.sabotage) {
-            const std::vector<SabotageRun> runs = runSabotage(opt);
-            bool all = true;
-            json::Value arr = json::Value::array();
-            for (const SabotageRun &r : runs) {
-                all = all && r.caught;
-                if (opt.json) {
-                    json::Value j = json::Value::object();
-                    j.set("mutation", r.name);
-                    j.set("caught", r.caught);
-                    j.set("detail", r.detail);
-                    arr.push(std::move(j));
-                } else {
-                    std::cout << r.name << ": "
-                              << (r.caught ? "caught" : "NOT CAUGHT");
-                    if (r.caught)
-                        std::cout << " (" << r.detail << ")";
-                    std::cout << '\n';
-                }
-            }
-            if (opt.json) {
-                json::Value root =
-                    json::toolReport(rangeSchema, rangeToolVersion);
-                root.set("sabotage", std::move(arr));
-                root.set("allCaught", all);
-                std::cout << root.toString() << '\n';
-            } else {
-                std::cout << (all ? "all mutations caught\n"
-                                  : "SELF-TEST FAILED\n");
-            }
-            return all ? 0 : 1;
+            return cli::reportSabotage(rangeSchema, rangeToolVersion,
+                                       runSabotage(opt), opt.json);
         }
 
         std::vector<ProgramOutcome> outcomes;
-        bool gateFailed = false;
-        std::vector<std::string> gateFailures;
+        cli::Gate gate;
 
         if (opt.suite) {
             for (const RangeStressCase &c : rangeStressCases()) {
                 const Program prog = assemble(c.src);
                 ProgramOutcome out = analyzeProgram(prog, c.name, opt);
                 if (c.expectUpgrade && out.upgrades == 0) {
-                    gateFailed = true;
-                    gateFailures.push_back(
-                        std::string(c.name) + ": expected an upgrade (" +
-                        c.blocker + ")");
+                    gate.fail(std::string(c.name) +
+                              ": expected an upgrade (" + c.blocker + ")");
                 }
                 if (!c.expectUpgrade && out.upgrades > 0) {
-                    gateFailed = true;
-                    gateFailures.push_back(
-                        std::string(c.name) +
-                        ": negative control was upgraded");
+                    gate.fail(std::string(c.name) +
+                              ": negative control was upgraded");
                 }
                 outcomes.push_back(std::move(out));
             }
@@ -379,16 +339,12 @@ main(int argc, char **argv)
                 warnAfter += r.after == Severity::Warn ? 1 : 0;
         }
         if (violations > 0) {
-            gateFailed = true;
-            gateFailures.push_back("oracle: " +
-                                   std::to_string(violations) +
-                                   " soundness violation(s)");
+            gate.fail("oracle: " + std::to_string(violations) +
+                      " soundness violation(s)");
         }
         if (opt.werror && warnAfter > 0) {
-            gateFailed = true;
-            gateFailures.push_back("werror: " +
-                                   std::to_string(warnAfter) +
-                                   " facts-on warn verdict(s)");
+            gate.fail("werror: " + std::to_string(warnAfter) +
+                      " facts-on warn verdict(s)");
         }
 
         if (opt.json) {
@@ -398,21 +354,13 @@ main(int argc, char **argv)
             for (const ProgramOutcome &out : outcomes)
                 arr.push(outcomeJson(out));
             root.set("programs", std::move(arr));
-            json::Value gate = json::Value::object();
-            gate.set("passed", !gateFailed);
-            json::Value fails = json::Value::array();
-            for (const std::string &s : gateFailures)
-                fails.push(s);
-            gate.set("failures", std::move(fails));
-            root.set("gate", std::move(gate));
+            gate.addTo(root);
             std::cout << root.toString() << '\n';
         } else {
             for (const ProgramOutcome &out : outcomes)
                 printOutcome(out);
-            for (const std::string &s : gateFailures)
-                std::cout << "GATE: " << s << '\n';
-            std::cout << (gateFailed ? "FAILED\n" : "passed\n");
+            gate.print();
         }
-        return gateFailed ? 1 : 0;
+        return gate.exitStatus();
     });
 }
