@@ -747,14 +747,8 @@ diffProgram(const Program &prog, const TranslatorConfig &config,
             unsigned sabotage)
 {
     std::vector<PolyDiff> out;
-    std::vector<int> seen;
-    for (const HintedCall &call : prog.hintedCalls()) {
-        if (std::find(seen.begin(), seen.end(), call.target) !=
-            seen.end())
-            continue;
-        seen.push_back(call.target);
+    for (const HintedCall &call : prog.hintedCalls())
         out.push_back(diffRegion(prog, call.target, config, sabotage));
-    }
     return out;
 }
 

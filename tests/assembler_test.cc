@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "asm/assembler.hh"
 #include "common/bitfield.hh"
@@ -75,6 +76,31 @@ TEST(Assembler, HintedCallAndRet)
     EXPECT_TRUE(prog.code()[1].hinted);
     EXPECT_FALSE(prog.code()[2].hinted);
     EXPECT_EQ(prog.code()[1].target, 0);
+}
+
+// The analyses iterate hintedCalls() once per region with no
+// deduplication of their own: one entry per distinct target, in
+// ascending target order, carrying the last hinted call's width hint.
+TEST(Program, HintedCallsAreOnePerTargetAscendingLastHintWins)
+{
+    const Program prog = assemble(R"(
+        fa:
+            ret
+        fb:
+            ret
+        main:
+            bl.simd8 fb
+            bl.simd fa
+            bl fa
+            bl.simd4 fb
+            halt
+    )");
+    const std::vector<HintedCall> calls = prog.hintedCalls();
+    ASSERT_EQ(calls.size(), 2u);
+    EXPECT_EQ(calls[0].target, prog.labelIndex("fa"));
+    EXPECT_EQ(calls[0].widthHint, 0u);
+    EXPECT_EQ(calls[1].target, prog.labelIndex("fb"));
+    EXPECT_EQ(calls[1].widthHint, 4u);
 }
 
 TEST(Assembler, StoreSyntaxMemoryFirst)

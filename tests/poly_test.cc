@@ -457,14 +457,8 @@ analyzeRegions(const Program &prog)
 {
     const TranslatorConfig config;
     std::vector<PolyRegion> out;
-    std::vector<int> seen;
-    for (const HintedCall &call : prog.hintedCalls()) {
-        if (std::find(seen.begin(), seen.end(), call.target) !=
-            seen.end())
-            continue;
-        seen.push_back(call.target);
+    for (const HintedCall &call : prog.hintedCalls())
         out.push_back(analyzePoly(prog, call.target, config));
-    }
     return out;
 }
 
@@ -693,12 +687,7 @@ unsigned
 expectProgramMatchesGroupScan(const Program &prog, const std::string &what)
 {
     unsigned compared = 0;
-    std::vector<int> seen;
     for (const HintedCall &call : prog.hintedCalls()) {
-        if (std::find(seen.begin(), seen.end(), call.target) !=
-            seen.end())
-            continue;
-        seen.push_back(call.target);
         compared += expectDepsMatchGroupScan(
             prog, call.target, what + "/" + prog.labelAt(call.target));
     }
@@ -747,12 +736,7 @@ TEST(DepcheckGroupScan, SuitePairsExaminedIsPinned)
         const Workload::Build build =
             wl->build(EmitOptions::Mode::Scalarized, 8, true);
         const Program &prog = build.prog;
-        std::vector<int> seen;
         for (const HintedCall &call : prog.hintedCalls()) {
-            if (std::find(seen.begin(), seen.end(), call.target) !=
-                seen.end())
-                continue;
-            seen.push_back(call.target);
             const RegionCfg cfg = RegionCfg::build(prog, call.target);
             pairs += analyzeDeps(prog, call.target, cfg).pairsExamined;
         }

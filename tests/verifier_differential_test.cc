@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 
 #include "translator/offline.hh"
 #include "verifier/verifier.hh"
@@ -96,10 +95,7 @@ TEST(VerifierDifferential, SuiteKernelsAgree)
     for (const auto &wl : makeSuite()) {
         const Workload::Build build =
             wl->build(EmitOptions::Mode::Scalarized, 8, true);
-        std::set<int> seen;
         for (const HintedCall &call : build.prog.hintedCalls()) {
-            if (!seen.insert(call.target).second)
-                continue;
             for (unsigned width : {2u, 4u, 8u, 16u}) {
                 SCOPED_TRACE(wl->name() + " region@" +
                              std::to_string(call.target) + " w=" +

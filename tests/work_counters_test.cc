@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -52,12 +51,7 @@ computeCounters()
             wl->build(EmitOptions::Mode::Scalarized, 8, true).prog;
         std::map<std::string, std::uint64_t> counts;
         counts["range.rounds"] = solveProgramRanges(prog).rounds;
-        std::vector<int> seen;
         for (const HintedCall &call : prog.hintedCalls()) {
-            if (std::find(seen.begin(), seen.end(), call.target) !=
-                seen.end())
-                continue;
-            seen.push_back(call.target);
             const PolyRegion poly = analyzePoly(prog, call.target, config);
             counts["poly.dep_events"] += poly.deps.events.size();
             counts["poly.pairsExamined"] += poly.pairsExamined;

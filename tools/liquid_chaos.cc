@@ -43,6 +43,7 @@
 #include "common/json.hh"
 #include "fast/reference.hh"
 #include "fast/tier.hh"
+#include "report.hh"
 #include "workloads/workload.hh"
 
 using namespace liquid;
@@ -122,12 +123,8 @@ recordJson(const CheckRecord &rec)
     v.set("faultsFired", rec.report.faultsFired);
     v.set("translations", rec.report.translations);
     v.set("retranslations", rec.report.retranslations);
-    if (!rec.report.equal) {
-        json::Value mm = json::Value::array();
-        for (const auto &m : rec.report.mismatches)
-            mm.push(json::Value(m));
-        v.set("mismatches", std::move(mm));
-    }
+    if (!rec.report.equal)
+        v.set("mismatches", cli::jsonArray(rec.report.mismatches));
     return v;
 }
 
@@ -159,11 +156,8 @@ emitReport(const Options &opts, const std::string &command,
         v.set("reference", fast::tierName(opts.reference));
         v.set("checks", static_cast<std::uint64_t>(records.size()));
         v.set("failures", failures);
-        json::Value arr = json::Value::array();
-        for (const auto &rec : records)
-            arr.push(recordJson(rec));
-        v.set("results", std::move(arr));
-        std::cout << v.toString() << '\n';
+        v.set("results", cli::jsonArray(records, recordJson));
+        cli::printReport(v);
     } else {
         std::cout << records.size() << " checks, " << failures
                   << " mismatches\n";

@@ -41,6 +41,7 @@
 #include "fast/lockstep.hh"
 #include "lab/experiments.hh"
 #include "lab/runner.hh"
+#include "report.hh"
 #include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
 
@@ -257,12 +258,8 @@ runLockstepSweep(const Options &opts)
             r.set("key", recordKey(rec));
             r.set("retires", rec.result.retires);
             r.set("equal", rec.result.equal);
-            if (!rec.result.equal) {
-                json::Value dd = json::Value::array();
-                for (const auto &d : rec.result.divergences)
-                    dd.push(json::Value(d));
-                r.set("divergences", std::move(dd));
-            }
+            if (!rec.result.equal)
+                r.set("divergences", cli::jsonArray(rec.result.divergences));
             arr.push(std::move(r));
         }
         v.set("results", std::move(arr));
@@ -272,7 +269,7 @@ runLockstepSweep(const Options &opts)
                 sab.set(name, caught);
             v.set("sabotageCaught", std::move(sab));
         }
-        std::cout << v.toString() << '\n';
+        cli::printReport(v);
     } else {
         std::uint64_t retires = 0;
         for (const auto &rec : records)

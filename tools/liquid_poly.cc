@@ -24,19 +24,19 @@
  */
 
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis.hh"
 #include "asm/assembler.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "report.hh"
 #include "verifier/poly.hh"
 #include "workloads/kernel_corpus.hh"
-#include "workloads/workload.hh"
 
 using namespace liquid;
 
@@ -133,7 +133,6 @@ const MiniKernel miniKernels[] = {
 /** Everything the tool learned about one program. */
 struct ProgramOutcome
 {
-    std::string name;
     std::vector<PolyRegion> regions;
     std::vector<PolyDiff> diffs;
     unsigned mismatches = 0;
@@ -142,25 +141,13 @@ struct ProgramOutcome
 };
 
 ProgramOutcome
-analyzeProgram(const Program &prog, const std::string &name,
-               unsigned sabotage = 0)
+analyzeProgram(const Program &prog, unsigned sabotage = 0)
 {
     ProgramOutcome out;
-    out.name = name;
     const TranslatorConfig config;
-
-    std::vector<int> seen;
-    for (const HintedCall &call : prog.hintedCalls()) {
-        bool dup = false;
-        for (const int t : seen)
-            dup = dup || t == call.target;
-        if (dup)
-            continue;
-        seen.push_back(call.target);
+    for (const HintedCall &call : prog.hintedCalls())
         out.regions.push_back(analyzePoly(prog, call.target, config));
-        out.diffs.push_back(
-            diffRegion(prog, call.target, config, sabotage));
-    }
+    out.diffs = diffProgram(prog, config, sabotage);
     for (const PolyDiff &d : out.diffs)
         out.mismatches += static_cast<unsigned>(d.mismatches.size());
     for (const PolyRegion &r : out.regions) {
@@ -184,15 +171,11 @@ regionJson(const PolyRegion &r)
     v.set("horizon", pv.horizon);
     v.set("tailExact", pv.tailExact);
     v.set("structuralUnbounded", pv.structuralUnbounded);
-    json::Value ok = json::Value::array();
-    for (const unsigned n : pv.okWidths)
-        ok.push(n);
-    v.set("okWidths", std::move(ok));
+    v.set("okWidths", cli::jsonArray(pv.okWidths));
     v.set("tailVerdict", severityName(pv.tail.verdict));
-    json::Value cons = json::Value::array();
-    for (const NConstraint &c : pv.constraints)
-        cons.push(c.render());
-    v.set("constraints", std::move(cons));
+    v.set("constraints",
+          cli::jsonArray(pv.constraints,
+                         [](const NConstraint &c) { return c.render(); }));
     json::Value ladder = json::Value::array();
     for (const unsigned n : DepcheckResult::widths) {
         const PolyWidthOutcome o = r.instantiate(n);
@@ -212,14 +195,11 @@ regionJson(const PolyRegion &r)
 }
 
 json::Value
-outcomeJson(const ProgramOutcome &out)
+outcomeJson(const std::string &name, const ProgramOutcome &out)
 {
     json::Value v = json::Value::object();
-    v.set("program", out.name);
-    json::Value regions = json::Value::array();
-    for (const PolyRegion &r : out.regions)
-        regions.push(regionJson(r));
-    v.set("regions", std::move(regions));
+    v.set("program", name);
+    v.set("regions", cli::jsonArray(out.regions, regionJson));
     json::Value diffs = json::Value::array();
     for (const PolyDiff &d : out.diffs) {
         for (const PolyMismatch &m : d.mismatches) {
@@ -239,9 +219,9 @@ outcomeJson(const ProgramOutcome &out)
 }
 
 void
-printOutcome(const ProgramOutcome &out)
+printOutcome(const std::string &name, const ProgramOutcome &out)
 {
-    std::cout << "== " << out.name << ": "
+    std::cout << "== " << name << ": "
               << (out.mismatches == 0 ? "differential clean"
                                       : "DIFFERENTIAL MISMATCH")
               << '\n';
@@ -258,50 +238,40 @@ printOutcome(const ProgramOutcome &out)
     }
 }
 
+/** The dependence mini-kernels, analyzed with @p sabotage seeded. */
+cli::Results<ProgramOutcome>
+analyzeMinis(unsigned sabotage)
+{
+    cli::Results<ProgramOutcome> out;
+    for (const MiniKernel &mk : miniKernels)
+        out.emplace_back(mk.name, analyzeProgram(assemble(mk.src), sabotage));
+    return out;
+}
+
 /**
- * Analyze the selected programs. A random kernel the scalarizer
- * rejects (FatalError) is counted in @p skipped and left out; a
+ * Analyze --random N kernels into @p out. A kernel the scalarizer
+ * rejects (FatalError) is left out; returns how many were. A
  * PanicError is a bug and ends the run.
  */
-std::vector<ProgramOutcome>
-runPrograms(const Options &opt, unsigned sabotage,
-            bool withSuite, bool withMinis, unsigned &skipped)
+unsigned
+analyzeRandom(const Options &opt, cli::Results<ProgramOutcome> &out)
 {
-    std::vector<ProgramOutcome> outcomes;
-    if (withMinis) {
-        for (const MiniKernel &mk : miniKernels) {
-            outcomes.push_back(analyzeProgram(assemble(mk.src),
-                                              mk.name, sabotage));
-        }
+    KernelCorpus corpus(opt.seed);
+    Rng dataRng(opt.seed ^ 0xD1B54A32D192ED03ull);
+    for (unsigned i = 0; i < opt.random; ++i) {
+        corpus.next();
+        const std::optional<Program> prog =
+            corpus.build(dataRng, EmitOptions::Mode::Scalarized, 8);
+        if (prog)
+            out.emplace_back("random" + std::to_string(i),
+                             analyzeProgram(*prog));
     }
-    if (withSuite) {
-        for (const auto &wl : makeSuite()) {
-            const Workload::Build build =
-                wl->build(EmitOptions::Mode::Scalarized, 8, true);
-            outcomes.push_back(
-                analyzeProgram(build.prog, wl->name(), sabotage));
-        }
-    }
-    if (opt.random > 0) {
-        KernelCorpus corpus(opt.seed);
-        Rng dataRng(opt.seed ^ 0xD1B54A32D192ED03ull);
-        for (unsigned i = 0; i < opt.random; ++i) {
-            corpus.next();
-            const std::optional<Program> prog =
-                corpus.build(dataRng, EmitOptions::Mode::Scalarized, 8);
-            if (prog) {
-                outcomes.push_back(analyzeProgram(
-                    *prog, "random" + std::to_string(i), sabotage));
-            }
-        }
-        skipped = corpus.skipped();
-    }
-    return outcomes;
+    return corpus.skipped();
 }
 
 /** The --sabotage self-test: every mutation must diverge somewhere. */
 std::vector<cli::SabotageRun>
-runSabotage(const Options &opt)
+runSabotage()
 {
     std::vector<cli::SabotageRun> runs;
     for (unsigned bit = 0; bit < polySabotageCount; ++bit) {
@@ -309,15 +279,12 @@ runSabotage(const Options &opt)
         runs.push_back({polySabotageName(sab), 1u << bit, false, ""});
     }
     for (cli::SabotageRun &run : runs) {
-        unsigned skipped = 0;
-        const std::vector<ProgramOutcome> outcomes =
-            runPrograms(opt, run.mode, false, true, skipped);
-        for (const ProgramOutcome &out : outcomes) {
+        for (const auto &[name, out] : analyzeMinis(run.mode)) {
             for (const PolyDiff &d : out.diffs) {
                 if (!d.mismatches.empty()) {
                     const PolyMismatch &m = d.mismatches.front();
                     run.caught = true;
-                    run.detail = out.name + " w" +
+                    run.detail = name + " w" +
                                  std::to_string(m.width) + " " +
                                  m.field;
                     break;
@@ -362,43 +329,42 @@ main(int argc, char **argv)
                       "machine-readable report on stdout"),
         }};
     return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
-        if (p.positional.empty() && !opt.suite && !opt.sabotage &&
-            opt.random == 0)
-            throw cli::UsageError("expected program.s, --suite, "
-                                  "--random N or --sabotage");
+        const cli::Analysis run(p,
+                                {{"--suite", opt.suite},
+                                 {"--random N", opt.random > 0},
+                                 {"--sabotage", opt.sabotage}},
+                                polySchema, polyToolVersion, opt.json);
         if (opt.sabotage) {
             // The honest evaluator must diff clean on the very
             // kernels the mutations are caught on.
             std::string honestFail;
-            unsigned skipped = 0;
-            for (const ProgramOutcome &out :
-                 runPrograms(opt, 0, false, true, skipped)) {
+            for (const auto &[name, out] : analyzeMinis(0)) {
                 if (out.mismatches != 0)
-                    honestFail = out.name;
+                    honestFail = name;
             }
             if (!honestFail.empty())
                 std::cerr << "honest evaluator mismatch on "
                           << honestFail << '\n';
-            return cli::reportSabotage(polySchema, polyToolVersion,
-                                       runSabotage(opt), opt.json,
-                                       honestFail.empty());
+            return cli::reportSabotage(run.report(), runSabotage(),
+                                       opt.json, honestFail.empty());
         }
 
-        std::vector<ProgramOutcome> outcomes;
-        unsigned skipped = 0;
-        if (opt.suite || opt.random > 0) {
-            outcomes = runPrograms(opt, 0, opt.suite, opt.suite, skipped);
-        } else {
-            const std::string &file = p.positional.front();
-            outcomes.push_back(
-                analyzeProgram(cli::readProgram(file), file));
-        }
+        // --suite: the mini-kernels, then the workload suite; then any
+        // --random kernels.
+        cli::Results<ProgramOutcome> outcomes;
+        if (opt.suite)
+            outcomes = analyzeMinis(0);
+        run.analyze(opt.suite, 8, true, outcomes, [](const Program &prog) {
+            return analyzeProgram(prog);
+        });
+        const unsigned skipped =
+            opt.random > 0 ? analyzeRandom(opt, outcomes) : 0;
 
         cli::Gate gate;
         unsigned mismatches = 0;
         unsigned unbounded = 0;
         unsigned warns = 0;
-        for (const ProgramOutcome &out : outcomes) {
+        for (const auto &[name, out] : outcomes) {
             mismatches += out.mismatches;
             unbounded += out.unbounded;
             warns += out.warns;
@@ -416,25 +382,21 @@ main(int argc, char **argv)
                       " warn-for-all-N region(s)");
         }
 
+        json::Value root = run.report();
         if (opt.json) {
-            json::Value root =
-                json::toolReport(polySchema, polyToolVersion);
             json::Value arr = json::Value::array();
-            for (const ProgramOutcome &out : outcomes)
-                arr.push(outcomeJson(out));
+            for (const auto &[name, out] : outcomes)
+                arr.push(outcomeJson(name, out));
             root.set("programs", std::move(arr));
             root.set("skipped", skipped);
-            gate.addTo(root);
-            std::cout << root.toString() << '\n';
         } else {
-            for (const ProgramOutcome &out : outcomes)
-                printOutcome(out);
+            for (const auto &[name, out] : outcomes)
+                printOutcome(name, out);
             if (skipped) {
                 std::cout << skipped << " random kernel(s) skipped "
                              "(scalarizer limits)\n";
             }
-            gate.print();
         }
-        return gate.exitStatus();
+        return gate.finish(std::move(root), opt.json);
     });
 }

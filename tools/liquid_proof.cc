@@ -27,13 +27,13 @@
 
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "analysis.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
+#include "report.hh"
 #include "verifier/proof.hh"
-#include "workloads/workload.hh"
 
 using namespace liquid;
 
@@ -78,12 +78,8 @@ ceJson(const Counterexample &ce)
     v.set("replayConfirmed", ce.replayConfirmed);
     if (!ce.replayNote.empty())
         v.set("replayNote", ce.replayNote);
-    if (!ce.replayMismatches.empty()) {
-        json::Value m = json::Value::array();
-        for (const std::string &s : ce.replayMismatches)
-            m.push(json::Value(s));
-        v.set("replayMismatches", std::move(m));
-    }
+    if (!ce.replayMismatches.empty())
+        v.set("replayMismatches", cli::jsonArray(ce.replayMismatches));
     return v;
 }
 
@@ -128,10 +124,7 @@ regionJson(const std::string &program, const RegionProof &rp)
         }
         v.set("symbolicN", std::move(s));
     }
-    json::Value widths = json::Value::array();
-    for (const WidthProof &wp : rp.widths)
-        widths.push(widthJson(wp));
-    v.set("widths", std::move(widths));
+    v.set("widths", cli::jsonArray(rp.widths, widthJson));
     return v;
 }
 
@@ -188,60 +181,42 @@ struct Tally
     unsigned widthGeneric = 0;
 
     void
-    add(const RegionProof &rp)
+    add(const ProgramProof &pp)
     {
-        ++regions;
-        switch (rp.overall()) {
-          case ProofVerdict::Proved: ++proved; break;
-          case ProofVerdict::Refuted: ++refuted; break;
-          case ProofVerdict::Unknown: ++unknown; break;
-          case ProofVerdict::NoTranslation: ++noTranslation; break;
-        }
-        if (rp.symbolicN.proved)
-            ++widthGeneric;
+        regions += static_cast<unsigned>(pp.regions.size());
+        proved += pp.count(ProofVerdict::Proved);
+        refuted += pp.count(ProofVerdict::Refuted);
+        unknown += pp.count(ProofVerdict::Unknown);
+        noTranslation += pp.count(ProofVerdict::NoTranslation);
+        for (const RegionProof &rp : pp.regions)
+            widthGeneric += rp.symbolicN.proved;
     }
 };
 
 int
-runProve(const Options &opt, const std::string &file)
+runProve(const cli::Analysis &run, const Options &opt)
 {
-    std::vector<std::pair<std::string, RegionProof>> regions;
-
-    if (opt.suite) {
-        for (const auto &wl : makeSuite()) {
-            const Workload::Build build =
-                wl->build(EmitOptions::Mode::Scalarized, 16, true);
-            ProgramProof pp = proveProgram(build.prog, opt.proof);
-            for (RegionProof &rp : pp.regions)
-                regions.emplace_back(wl->name(), std::move(rp));
-        }
-    } else {
-        const Program prog = cli::readProgram(file);
-        ProgramProof pp = proveProgram(prog, opt.proof);
-        if (pp.regions.empty() && !opt.json) {
-            std::cout << "no hinted regions found\n";
-            return 0;
-        }
-        for (RegionProof &rp : pp.regions)
-            regions.emplace_back(file, std::move(rp));
-    }
+    cli::Results<ProgramProof> proofs;
+    run.analyze(opt.suite, 16, true, proofs, [&](const Program &prog) {
+        return proveProgram(prog, opt.proof);
+    });
 
     Tally tally;
-    for (const auto &[name, rp] : regions)
-        tally.add(rp);
+    for (const auto &[name, pp] : proofs)
+        tally.add(pp);
+    if (run.noHintedRegions(tally.regions))
+        return 0;
 
     if (opt.json) {
-        json::Value root =
-            json::toolReport(proofSchema, proofToolVersion);
+        json::Value root = run.report();
         root.set("command", "prove");
-        json::Value widths = json::Value::array();
-        for (const unsigned w : opt.proof.widths)
-            widths.push(json::Value(w));
-        root.set("widths", std::move(widths));
+        root.set("widths", cli::jsonArray(opt.proof.widths));
         root.set("symbolicN", opt.proof.symbolicN);
         json::Value arr = json::Value::array();
-        for (const auto &[name, rp] : regions)
-            arr.push(regionJson(name, rp));
+        for (const auto &[name, pp] : proofs) {
+            for (const RegionProof &rp : pp.regions)
+                arr.push(regionJson(name, rp));
+        }
         root.set("regions", std::move(arr));
         json::Value summary = json::Value::object();
         summary.set("regions", tally.regions);
@@ -251,10 +226,12 @@ runProve(const Options &opt, const std::string &file)
         summary.set("noTranslation", tally.noTranslation);
         summary.set("widthGeneric", tally.widthGeneric);
         root.set("summary", std::move(summary));
-        std::cout << root.toString() << '\n';
+        cli::printReport(root);
     } else {
-        for (const auto &[name, rp] : regions)
-            printRegion(name, rp);
+        for (const auto &[name, pp] : proofs) {
+            for (const RegionProof &rp : pp.regions)
+                printRegion(name, rp);
+        }
         std::cout << tally.regions << " region(s): " << tally.proved
                   << " proved";
         if (tally.widthGeneric)
@@ -264,13 +241,11 @@ runProve(const Options &opt, const std::string &file)
                   << " untranslated\n";
     }
 
-    if (tally.refuted || (opt.werror && tally.unknown))
-        return 1;
-    return 0;
+    return tally.refuted || (opt.werror && tally.unknown) ? 1 : 0;
 }
 
 int
-runSabotage(const Options &opt)
+runSabotage(const cli::Analysis &run, const Options &opt)
 {
     const std::vector<SabotageOutcome> outcomes =
         runSabotageSuite(opt.proof);
@@ -279,8 +254,7 @@ runSabotage(const Options &opt)
         passed += o.pass ? 1 : 0;
 
     if (opt.json) {
-        json::Value root =
-            json::toolReport(proofSchema, proofToolVersion);
+        json::Value root = run.report();
         root.set("command", "sabotage");
         json::Value arr = json::Value::array();
         for (const SabotageOutcome &o : outcomes) {
@@ -298,7 +272,7 @@ runSabotage(const Options &opt)
         summary.set("total", static_cast<unsigned>(outcomes.size()));
         summary.set("passed", passed);
         root.set("summary", std::move(summary));
-        std::cout << root.toString() << '\n';
+        cli::printReport(root);
     } else {
         for (const SabotageOutcome &o : outcomes) {
             std::cout << (o.pass ? "PASS" : "FAIL") << "  " << o.name
@@ -349,12 +323,12 @@ main(int argc, char **argv)
                       "refuted or rejected"),
         }};
     return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
-        if (p.positional.size() + opt.suite + opt.sabotage != 1)
-            throw cli::UsageError(
-                "expected exactly one of program.s, --suite and "
-                "--sabotage");
-        return opt.sabotage
-                   ? runSabotage(opt)
-                   : runProve(opt, opt.suite ? "" : p.positional.front());
+        const cli::Analysis run(
+            p, {{"--suite", opt.suite}, {"--sabotage", opt.sabotage}},
+            proofSchema, proofToolVersion, opt.json);
+        if (opt.suite && opt.sabotage)
+            throw cli::UsageError("--suite and --sabotage exclude each "
+                                  "other");
+        return opt.sabotage ? runSabotage(run, opt) : runProve(run, opt);
     });
 }

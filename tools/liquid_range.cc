@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis.hh"
 #include "asm/assembler.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
@@ -41,7 +42,6 @@
 #include "verifier/range.hh"
 #include "verifier/verifier.hh"
 #include "workloads/range_stress.hh"
-#include "workloads/workload.hh"
 
 using namespace liquid;
 
@@ -79,14 +79,12 @@ struct RegionRow
     Severity before = Severity::Ok;
     Severity after = Severity::Ok;
     std::vector<std::string> facts;
-    std::string proofBefore;
     std::string proofAfter;
 };
 
 /** Everything the tool learned about one program. */
 struct ProgramOutcome
 {
-    std::string name;
     bool sound = false;
     unsigned rounds = 0;
     std::vector<RegionRow> rows;
@@ -114,11 +112,10 @@ runOracle(const Program &prog, const ProgramRanges &pr,
 }
 
 ProgramOutcome
-analyzeProgram(const Program &prog, const std::string &name,
-               const Options &opt, unsigned sabotage = SabNone)
+analyzeProgram(const Program &prog, const Options &opt,
+               unsigned sabotage = SabNone)
 {
     ProgramOutcome out;
-    out.name = name;
 
     RangeSolveOptions ropt;
     ropt.sabotage = sabotage;
@@ -147,7 +144,6 @@ analyzeProgram(const Program &prog, const std::string &name,
             row.before = b.verdict;
             row.after = a.verdict;
             row.facts = a.rangeFacts;
-            row.proofBefore = b.proofVerdict;
             row.proofAfter = a.proofVerdict;
             if (b.verdict == Severity::Warn &&
                 a.verdict == Severity::Ok)
@@ -167,10 +163,10 @@ analyzeProgram(const Program &prog, const std::string &name,
 }
 
 json::Value
-outcomeJson(const ProgramOutcome &out)
+outcomeJson(const std::string &name, const ProgramOutcome &out)
 {
     json::Value v = json::Value::object();
-    v.set("program", out.name);
+    v.set("program", name);
     v.set("sound", out.sound);
     v.set("rounds", out.rounds);
     if (!out.tripBound.empty())
@@ -185,10 +181,7 @@ outcomeJson(const ProgramOutcome &out)
         j.set("verdictFactsOn", severityName(r.after));
         if (!r.proofAfter.empty())
             j.set("proof", r.proofAfter);
-        json::Value facts = json::Value::array();
-        for (const std::string &f : r.facts)
-            facts.push(f);
-        j.set("facts", std::move(facts));
+        j.set("facts", cli::jsonArray(r.facts));
         rows.push(std::move(j));
     }
     v.set("regions", std::move(rows));
@@ -196,18 +189,15 @@ outcomeJson(const ProgramOutcome &out)
     json::Value oracle = json::Value::object();
     oracle.set("ran", out.oracleRan);
     oracle.set("checkedRetires", out.oracleChecked);
-    json::Value viol = json::Value::array();
-    for (const std::string &s : out.oracleViolations)
-        viol.push(s);
-    oracle.set("violations", std::move(viol));
+    oracle.set("violations", cli::jsonArray(out.oracleViolations));
     v.set("oracle", std::move(oracle));
     return v;
 }
 
 void
-printOutcome(const ProgramOutcome &out)
+printOutcome(const std::string &name, const ProgramOutcome &out)
 {
-    std::cout << "== " << out.name << ": "
+    std::cout << "== " << name << ": "
               << (out.sound ? "sound" : "NOT CONVERGED (facts dropped)")
               << ", " << out.rounds << " round(s)";
     if (!out.tripBound.empty())
@@ -216,8 +206,7 @@ printOutcome(const ProgramOutcome &out)
     for (const RegionRow &r : out.rows) {
         std::cout << "  " << (r.label.empty() ? "?" : r.label) << " w"
                   << r.width << ": " << severityName(r.before)
-                  << " -> " << severityName(r.after);
-        std::cout << '\n';
+                  << " -> " << severityName(r.after) << '\n';
         for (const std::string &f : r.facts)
             std::cout << "    fact: " << f << '\n';
     }
@@ -246,7 +235,7 @@ runSabotage(const Options &opt)
         for (const RangeStressCase &c : rangeStressCases()) {
             const Program prog = assemble(c.src);
             const ProgramOutcome out =
-                analyzeProgram(prog, c.name, sopt, run.mode);
+                analyzeProgram(prog, sopt, run.mode);
             if (!out.oracleViolations.empty()) {
                 run.caught = true;
                 run.detail = std::string(c.name) + ": " +
@@ -288,24 +277,22 @@ main(int argc, char **argv)
                       "machine-readable report on stdout"),
         }};
     return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
-        if (p.positional.empty() && !opt.suite && !opt.sabotage)
-            throw cli::UsageError(
-                "expected program.s, --suite or --sabotage");
-        if (!p.positional.empty() && (opt.suite || opt.sabotage))
-            throw cli::UsageError(
-                "--suite/--sabotage do not take an input file");
+        const cli::Analysis run(
+            p, {{"--suite", opt.suite}, {"--sabotage", opt.sabotage}},
+            rangeSchema, rangeToolVersion, opt.json);
         if (opt.sabotage) {
-            return cli::reportSabotage(rangeSchema, rangeToolVersion,
-                                       runSabotage(opt), opt.json);
+            return cli::reportSabotage(run.report(), runSabotage(opt),
+                                       opt.json);
         }
 
-        std::vector<ProgramOutcome> outcomes;
+        // The stress set, then the workload suite: the analysis must
+        // stay sound and oracle-clean on the fifteen-benchmark programs
+        // too.
+        cli::Results<ProgramOutcome> outcomes;
         cli::Gate gate;
-
         if (opt.suite) {
             for (const RangeStressCase &c : rangeStressCases()) {
-                const Program prog = assemble(c.src);
-                ProgramOutcome out = analyzeProgram(prog, c.name, opt);
+                ProgramOutcome out = analyzeProgram(assemble(c.src), opt);
                 if (c.expectUpgrade && out.upgrades == 0) {
                     gate.fail(std::string(c.name) +
                               ": expected an upgrade (" + c.blocker + ")");
@@ -314,25 +301,16 @@ main(int argc, char **argv)
                     gate.fail(std::string(c.name) +
                               ": negative control was upgraded");
                 }
-                outcomes.push_back(std::move(out));
+                outcomes.emplace_back(c.name, std::move(out));
             }
-            // Workload-suite sweep: the analysis must stay sound and
-            // oracle-clean on the fifteen-benchmark programs too.
-            for (const auto &wl : makeSuite()) {
-                const Workload::Build build = wl->build(
-                    EmitOptions::Mode::Scalarized, 8, true);
-                outcomes.push_back(
-                    analyzeProgram(build.prog, wl->name(), opt));
-            }
-        } else {
-            const std::string &file = p.positional.front();
-            const Program prog = cli::readProgram(file);
-            outcomes.push_back(analyzeProgram(prog, file, opt));
         }
+        run.analyze(opt.suite, 8, true, outcomes, [&](const Program &prog) {
+            return analyzeProgram(prog, opt);
+        });
 
         unsigned violations = 0;
         unsigned warnAfter = 0;
-        for (const ProgramOutcome &out : outcomes) {
+        for (const auto &[name, out] : outcomes) {
             violations +=
                 static_cast<unsigned>(out.oracleViolations.size());
             for (const RegionRow &r : out.rows)
@@ -347,20 +325,16 @@ main(int argc, char **argv)
                       " facts-on warn verdict(s)");
         }
 
+        json::Value root = run.report();
         if (opt.json) {
-            json::Value root =
-                json::toolReport(rangeSchema, rangeToolVersion);
             json::Value arr = json::Value::array();
-            for (const ProgramOutcome &out : outcomes)
-                arr.push(outcomeJson(out));
+            for (const auto &[name, out] : outcomes)
+                arr.push(outcomeJson(name, out));
             root.set("programs", std::move(arr));
-            gate.addTo(root);
-            std::cout << root.toString() << '\n';
         } else {
-            for (const ProgramOutcome &out : outcomes)
-                printOutcome(out);
-            gate.print();
+            for (const auto &[name, out] : outcomes)
+                printOutcome(name, out);
         }
-        return gate.exitStatus();
+        return gate.finish(std::move(root), opt.json);
     });
 }

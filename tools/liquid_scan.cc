@@ -29,12 +29,13 @@
 #include <string>
 #include <vector>
 
+#include "analysis.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
 #include "lab/predict.hh"
+#include "report.hh"
 #include "verifier/range.hh"
 #include "verifier/scan.hh"
-#include "workloads/workload.hh"
 
 using namespace liquid;
 
@@ -68,15 +69,6 @@ struct Options
 };
 
 json::Value
-regNames(const RegSet &set)
-{
-    json::Value arr = json::Value::array();
-    for (const RegId reg : set.regs())
-        arr.push(regName(reg));
-    return arr;
-}
-
-json::Value
 regionJson(const std::string &program, const ScanRegion &r)
 {
     json::Value v = json::Value::object();
@@ -90,9 +82,9 @@ regionJson(const std::string &program, const ScanRegion &r)
     v.set("blocks", r.blockCount);
     v.set("loops", r.loopCount);
     v.set("irreducible", r.irreducible);
-    v.set("liveIn", regNames(r.liveIn));
-    v.set("liveOut", regNames(r.liveOutDemanded));
-    v.set("iv", regNames(r.ivRegs));
+    v.set("liveIn", cli::jsonArray(r.liveIn.regs(), regName));
+    v.set("liveOut", cli::jsonArray(r.liveOutDemanded.regs(), regName));
+    v.set("iv", cli::jsonArray(r.ivRegs.regs(), regName));
     v.set("contractVerdict", severityName(r.contractVerdict));
     v.set("verdict", severityName(r.overallVerdict()));
     v.set("candidate", r.candidate);
@@ -144,10 +136,7 @@ regionJson(const std::string &program, const ScanRegion &r)
         json::Value pv = json::Value::object();
         pv.set("summary", r.widthValidity);
         pv.set("structuralUnbounded", r.polyUnbounded);
-        json::Value okw = json::Value::array();
-        for (const unsigned n : r.polyOkWidths)
-            okw.push(n);
-        pv.set("okWidths", std::move(okw));
+        pv.set("okWidths", cli::jsonArray(r.polyOkWidths));
         v.set("widthValidity", std::move(pv));
     }
 
@@ -195,22 +184,18 @@ main(int argc, char **argv)
     return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
         if (!opt.validateFile.empty())
             opt.suite = true;
-        if (opt.suite && !p.positional.empty())
-            throw cli::UsageError("--suite does not take an input file");
-        if (!opt.suite && p.positional.empty())
-            throw cli::UsageError("expected program.s or --suite");
-
-        ScanOptions sopts;
-        sopts.widths = opt.widths;
-        sopts.widthFallback = opt.fallback;
-        sopts.predict = opt.predict;
-        sopts.prove = opt.prove;
+        const cli::Analysis run(p, {{"--suite", opt.suite}}, scanSchema,
+                                scanToolVersion, opt.json);
 
         // Per-program scan; --ranges solves the interprocedural
         // value-range analysis first and hands the facts to discovery,
         // depcheck and the cost model.
-        auto scanOne = [&](const Program &prog) {
-            ScanOptions s = sopts;
+        const auto scanOne = [&](const Program &prog) {
+            ScanOptions s;
+            s.widths = opt.widths;
+            s.widthFallback = opt.fallback;
+            s.predict = opt.predict;
+            s.prove = opt.prove;
             std::optional<ProgramRanges> pr;
             if (opt.ranges) {
                 pr.emplace(solveProgramRanges(prog));
@@ -218,21 +203,10 @@ main(int argc, char **argv)
             }
             return scanProgram(prog, s);
         };
-
-        std::vector<std::pair<std::string, ScanReport>> reports;
-        if (opt.suite) {
-            for (const auto &wl : makeSuite()) {
-                // No hints: the scan must rediscover every region
-                // from the bl/ret convention alone.
-                const Workload::Build build =
-                    wl->build(EmitOptions::Mode::Scalarized, 8,
-                              /*hinted=*/false);
-                reports.emplace_back(wl->name(), scanOne(build.prog));
-            }
-        } else {
-            const std::string &file = p.positional.front();
-            reports.emplace_back(file, scanOne(cli::readProgram(file)));
-        }
+        // No hints in the suite: the scan must rediscover every region
+        // from the bl/ret convention alone.
+        cli::Results<ScanReport> reports;
+        run.analyze(opt.suite, 8, /*hinted=*/false, reports, scanOne);
 
         unsigned regions = 0, candidates = 0;
         unsigned ok = 0, warn = 0, error = 0;
@@ -240,11 +214,10 @@ main(int argc, char **argv)
             regions += static_cast<unsigned>(rep.regions.size());
             candidates += rep.candidateCount();
             for (const ScanRegion &r : rep.regions) {
-                switch (r.overallVerdict()) {
-                  case Severity::Ok: ++ok; break;
-                  case Severity::Warn: ++warn; break;
-                  case Severity::Error: ++error; break;
-                }
+                const Severity v = r.overallVerdict();
+                ok += v == Severity::Ok;
+                warn += v == Severity::Warn;
+                error += v == Severity::Error;
             }
         }
 
@@ -267,8 +240,7 @@ main(int argc, char **argv)
         }
 
         if (opt.json) {
-            json::Value root =
-                json::toolReport(scanSchema, scanToolVersion);
+            json::Value root = run.report();
             json::Value regionArr = json::Value::array();
             for (const auto &[name, rep] : reports) {
                 for (const ScanRegion &r : rep.regions)
@@ -284,11 +256,10 @@ main(int argc, char **argv)
             root.set("summary", std::move(summary));
             if (!opt.validateFile.empty())
                 root.set("validation", validation.toJson());
-            std::cout << root.toString();
+            cli::printReport(root);
         } else {
             for (const auto &[name, rep] : reports) {
-                if (opt.suite)
-                    std::cout << "== " << name << '\n';
+                run.header(name);
                 for (const ScanRegion &r : rep.regions)
                     std::cout << formatScanRegion(r);
             }

@@ -36,8 +36,10 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "lab/results.hh"
+#include "report.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
+#include "workloads/workload.hh"
 
 using namespace liquid;
 using namespace liquid::serve;
@@ -66,7 +68,7 @@ void
 emitReport(const Options &opts, const json::Value &report)
 {
     if (opts.json)
-        std::cout << report.toString() << '\n';
+        cli::printReport(report);
     if (!opts.out.empty()) {
         std::ofstream os(opts.out, std::ios::binary);
         if (!os)
@@ -152,11 +154,12 @@ cmdRun(const Options &opts)
             if (!resp.error.empty())
                 rv.set("error", resp.error);
             responses.push(std::move(rv));
+            // A failed response has an error and no summary.
             if (!opts.json)
                 std::cout << set[i].key() << ": "
                           << statusName(resp.status) << " ("
                           << sourceName(resp.source) << ") "
-                          << resp.summary << '\n';
+                          << resp.summary << resp.error << '\n';
         }
         rounds.push(std::move(responses));
     }
@@ -337,6 +340,10 @@ main(int argc, char **argv)
                       "(BENCH_serve.json) for liquid-lab diff"),
         }};
     return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
+        // A name outside the suite is a usage error, not a request
+        // that fails at execution.
+        if (!opts.spec.workloads.empty())
+            selectWorkloads(opts.spec.workloads);
         if (p.command == "run")
             return cmdRun(opts);
         if (p.command == "loadgen")

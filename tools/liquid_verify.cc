@@ -23,14 +23,13 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
+#include "analysis.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
+#include "report.hh"
 #include "verifier/range.hh"
 #include "verifier/verifier.hh"
-#include "workloads/workload.hh"
 
 using namespace liquid;
 
@@ -153,22 +152,13 @@ regionJson(const std::string &program, const RegionReport &r)
         json::Value p = json::Value::object();
         p.set("summary", r.polySummary);
         p.set("structuralUnbounded", r.polyUnbounded);
-        json::Value ok = json::Value::array();
-        for (const unsigned n : r.polyOkWidths)
-            ok.push(n);
-        p.set("okWidths", std::move(ok));
-        json::Value cons = json::Value::array();
-        for (const std::string &c : r.polyConstraints)
-            cons.push(c);
-        p.set("constraints", std::move(cons));
+        p.set("okWidths", cli::jsonArray(r.polyOkWidths));
+        p.set("constraints", cli::jsonArray(r.polyConstraints));
         v.set("validity", std::move(p));
     }
     if (!r.rangeFacts.empty()) {
         json::Value rg = json::Value::object();
-        json::Value facts = json::Value::array();
-        for (const std::string &f : r.rangeFacts)
-            facts.push(f);
-        rg.set("facts", std::move(facts));
+        rg.set("facts", cli::jsonArray(r.rangeFacts));
         v.set("range", std::move(rg));
     }
     json::Value diags = json::Value::array();
@@ -186,10 +176,9 @@ regionJson(const std::string &program, const RegionReport &r)
     return v;
 }
 
-/** Verify one program, appending its regions to the tallies. */
-void
-report(const Program &prog, const std::string &name, const Options &opt,
-       std::vector<std::pair<std::string, RegionReport>> &regions)
+/** Verify one program. */
+ProgramReport
+verify(const Program &prog, const Options &opt)
 {
     VerifyOptions vopts;
     vopts.config.simdWidth = opt.width;
@@ -203,9 +192,7 @@ report(const Program &prog, const std::string &name, const Options &opt,
         vopts.ranges = &*pr;
     }
 
-    ProgramReport rep = verifyProgram(prog, vopts);
-    for (RegionReport &r : rep.regions)
-        regions.emplace_back(name, std::move(r));
+    return verifyProgram(prog, vopts);
 }
 
 } // namespace
@@ -240,59 +227,42 @@ main(int argc, char **argv)
                       "file"),
         }};
     return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
-        const std::string file =
-            p.positional.empty() ? "" : p.positional.front();
-        if (opt.suite && !file.empty())
-            throw cli::UsageError("--suite does not take an input file");
-        if (!opt.suite && file.empty())
-            throw cli::UsageError("expected program.s or --suite");
-
-        std::vector<std::pair<std::string, RegionReport>> regions;
-        if (opt.suite) {
-            for (const auto &wl : makeSuite()) {
-                const Workload::Build build = wl->build(
-                    EmitOptions::Mode::Scalarized, opt.width, true);
-                report(build.prog, wl->name(), opt, regions);
-            }
-        } else {
-            const Program prog = cli::readProgram(file);
-            report(prog, file, opt, regions);
-            if (regions.empty() && !opt.json) {
-                std::cout << "no hinted regions found\n";
-                return 0;
-            }
-        }
+        const cli::Analysis run(p, {{"--suite", opt.suite}}, verifySchema,
+                                verifyToolVersion, opt.json);
+        cli::Results<ProgramReport> reports;
+        run.analyze(opt.suite, opt.width, true, reports,
+                    [&](const Program &prog) { return verify(prog, opt); });
 
         unsigned ok = 0, warn = 0, error = 0;
-        for (const auto &[name, r] : regions) {
-            switch (r.verdict) {
-              case Severity::Ok: ++ok; break;
-              case Severity::Warn: ++warn; break;
-              case Severity::Error: ++error; break;
+        for (const auto &[name, rep] : reports) {
+            for (const RegionReport &r : rep.regions) {
+                ok += r.verdict == Severity::Ok;
+                warn += r.verdict == Severity::Warn;
+                error += r.verdict == Severity::Error;
             }
         }
+        if (run.noHintedRegions(ok + warn + error))
+            return 0;
 
         if (opt.json) {
-            json::Value root =
-                json::toolReport(verifySchema, verifyToolVersion);
+            json::Value root = run.report();
             json::Value arr = json::Value::array();
-            for (const auto &[name, r] : regions)
-                arr.push(regionJson(name, r));
+            for (const auto &[name, rep] : reports) {
+                for (const RegionReport &r : rep.regions)
+                    arr.push(regionJson(name, r));
+            }
             root.set("regions", std::move(arr));
             json::Value summary = json::Value::object();
             summary.set("ok", ok);
             summary.set("warn", warn);
             summary.set("error", error);
             root.set("summary", std::move(summary));
-            std::cout << root.toString() << '\n';
+            cli::printReport(root);
         } else {
-            std::string last_program;
-            for (const auto &[name, r] : regions) {
-                if (opt.suite && name != last_program) {
-                    std::cout << "== " << name << '\n';
-                    last_program = name;
-                }
-                std::cout << formatRegionReport(r);
+            for (const auto &[name, rep] : reports) {
+                run.header(name);
+                for (const RegionReport &r : rep.regions)
+                    std::cout << formatRegionReport(r);
             }
             std::cout << ok + warn + error << " region(s): " << ok
                       << " ok, " << warn << " warn, " << error

@@ -1,7 +1,8 @@
 /**
  * @file
- * Report blocks shared by liquid-range and liquid-poly: the --sabotage
- * self-test and the pass/fail gate that ends a run.
+ * Report blocks shared by the static-analysis tools: printing a JSON
+ * report, JSON arrays of rows, the --sabotage self-test and the
+ * pass/fail gate that ends a liquid-range or liquid-poly run.
  */
 
 #ifndef LIQUID_TOOLS_REPORT_HH
@@ -16,6 +17,33 @@
 namespace liquid::cli
 {
 
+/** Print a finished JSON report on stdout, with a blank line after it. */
+inline void
+printReport(const json::Value &report)
+{
+    std::cout << report.toString() << '\n';
+}
+
+/** A JSON array of @p fn(item) for each of @p items. */
+template <typename Items, typename Fn>
+json::Value
+jsonArray(const Items &items, Fn fn)
+{
+    json::Value arr = json::Value::array();
+    for (const auto &item : items)
+        arr.push(fn(item));
+    return arr;
+}
+
+/** A JSON array of @p items (strings or numbers) as they are. */
+template <typename Items>
+json::Value
+jsonArray(const Items &items)
+{
+    return jsonArray(items,
+                     [](const auto &item) { return json::Value(item); });
+}
+
 /** One seeded mutation of a --sabotage self-test. */
 struct SabotageRun
 {
@@ -26,15 +54,15 @@ struct SabotageRun
 };
 
 /**
- * Print the self-test: the JSON report {sabotage: [{mutation, caught,
- * detail}], allCaught}, or a "name: caught (detail)"/"NOT CAUGHT" line
- * per mutation and a verdict. It passes when @p honest (the unmutated
- * analysis was clean) and every mutation was caught: exit status 0.
+ * Print the self-test: @p report, the tool's JSON envelope, with
+ * {sabotage: [{mutation, caught, detail}], allCaught}, or a "name:
+ * caught (detail)"/"NOT CAUGHT" line per mutation and a verdict. It
+ * passes when @p honest (the unmutated analysis was clean) and every
+ * mutation was caught: exit status 0.
  */
 inline int
-reportSabotage(const char *schema, const char *toolVersion,
-               const std::vector<SabotageRun> &runs, bool asJson,
-               bool honest = true)
+reportSabotage(json::Value report, const std::vector<SabotageRun> &runs,
+               bool asJson, bool honest = true)
 {
     bool all = honest;
     json::Value arr = json::Value::array();
@@ -55,10 +83,9 @@ reportSabotage(const char *schema, const char *toolVersion,
         }
     }
     if (asJson) {
-        json::Value root = json::toolReport(schema, toolVersion);
-        root.set("sabotage", std::move(arr));
-        root.set("allCaught", all);
-        std::cout << root.toString() << '\n';
+        report.set("sabotage", std::move(arr));
+        report.set("allCaught", all);
+        printReport(report);
     } else {
         std::cout << (all ? "all mutations caught\n"
                           : "SELF-TEST FAILED\n");
@@ -72,30 +99,28 @@ class Gate
   public:
     void fail(std::string why) { failures_.push_back(std::move(why)); }
 
-    /** Set "gate": {passed, failures} on a JSON report. */
-    void
-    addTo(json::Value &report) const
+    /**
+     * End the run: print @p report, the tool's JSON report, with
+     * "gate": {passed, failures} added, or one "GATE: why" line per
+     * failure and "passed" or "FAILED". Exit status 0 when every check
+     * passed, 1 otherwise.
+     */
+    int
+    finish(json::Value report, bool asJson) const
     {
-        json::Value gate = json::Value::object();
-        gate.set("passed", failures_.empty());
-        json::Value fails = json::Value::array();
-        for (const std::string &s : failures_)
-            fails.push(s);
-        gate.set("failures", std::move(fails));
-        report.set("gate", std::move(gate));
+        if (asJson) {
+            json::Value gate = json::Value::object();
+            gate.set("passed", failures_.empty());
+            gate.set("failures", jsonArray(failures_));
+            report.set("gate", std::move(gate));
+            printReport(report);
+        } else {
+            for (const std::string &s : failures_)
+                std::cout << "GATE: " << s << '\n';
+            std::cout << (failures_.empty() ? "passed\n" : "FAILED\n");
+        }
+        return failures_.empty() ? 0 : 1;
     }
-
-    /** One "GATE: why" line per failure, then "passed" or "FAILED". */
-    void
-    print() const
-    {
-        for (const std::string &s : failures_)
-            std::cout << "GATE: " << s << '\n';
-        std::cout << (failures_.empty() ? "passed\n" : "FAILED\n");
-    }
-
-    /** The exit status: 0 when every check passed, 1 otherwise. */
-    int exitStatus() const { return failures_.empty() ? 0 : 1; }
 
   private:
     std::vector<std::string> failures_;
