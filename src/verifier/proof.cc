@@ -234,6 +234,7 @@ struct DischargeOut
     unsigned closedEnum = 0;
     unsigned unknown = 0;
     std::uint64_t points = 0;
+    std::uint64_t tapeOps = 0;
     unsigned pinned = 0;  ///< leaves pinned by region-entry range facts
     std::optional<Counterexample> ce;
     std::string firstUnknown;
@@ -387,6 +388,7 @@ dischargeAll(TermPool &pool, const std::vector<Obligation> &obs,
             if (i == idx.size())
                 break;
         }
+        out.tapeOps += tape.opsRun();
         if (refuted) {
             out.verdict = ProofVerdict::Refuted;
             return out;
@@ -503,6 +505,7 @@ fillFromDischarge(WidthProof &wp, const DischargeOut &d)
     wp.closedEnum = d.closedEnum;
     wp.unknownObligations = d.unknown;
     wp.enumPoints = d.points;
+    wp.tapeOps = d.tapeOps;
     wp.rangePinned = d.pinned;
     wp.ce = d.ce;
     std::ostringstream os;
@@ -1126,6 +1129,7 @@ proveTranslation(const Program &prog, int entry_index,
     if (!sres.ok) {
         wp.verdict = ProofVerdict::Unknown;
         wp.summary = "scalar symbolic execution failed: " + sres.why;
+        wp.terms = pool.termCount();
         return wp;
     }
 
@@ -1135,6 +1139,7 @@ proveTranslation(const Program &prog, int entry_index,
     if (!ures.ok) {
         wp.verdict = ProofVerdict::Unknown;
         wp.summary = "microcode symbolic execution failed: " + ures.why;
+        wp.terms = pool.termCount();
         return wp;
     }
 
@@ -1152,6 +1157,7 @@ proveTranslation(const Program &prog, int entry_index,
     fillFromDischarge(wp,
                       dischargeAll(pool, obs, opts.maxEnumLeaves,
                                    rangeFacts ? &*rangeFacts : nullptr));
+    wp.terms = pool.termCount();
     return wp;
 }
 

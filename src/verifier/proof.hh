@@ -105,6 +105,10 @@ struct WidthProof
     std::optional<Counterexample> ce;
     /** Covered by the single width-generic (symbolic-N) proof. */
     bool widthGeneric = false;
+    /** Work counters of this width's own proof, not reported: terms
+     *  its pool interned and tape ops its enumeration evaluated. */
+    std::uint64_t terms = 0;
+    std::uint64_t tapeOps = 0;
 };
 
 /** Outcome of the width-polymorphic proof attempt. */

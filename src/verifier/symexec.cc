@@ -887,6 +887,7 @@ EvalTape::EvalTape(const std::vector<TermRef> &roots,
 void
 EvalTape::run()
 {
+    opsRun_ += ops_.size();
     Word *const v = vals_.data();
     const Op *const end = ops_.data() + ops_.size();
     for (const Op *p = ops_.data(); p != end; ++p) {

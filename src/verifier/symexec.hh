@@ -205,6 +205,8 @@ class EvalTape
     Word root(std::size_t i) const { return vals_[roots_[i]]; }
     /** Ops on the tape: the distinct non-leaf, non-constant nodes. */
     std::size_t opCount() const { return ops_.size(); }
+    /** Ops evaluated by every run() so far: a work counter. */
+    std::uint64_t opsRun() const { return opsRun_; }
 
   private:
     struct Op
@@ -220,6 +222,7 @@ class EvalTape
     std::vector<Op> ops_;
     std::vector<Word> vals_;
     std::vector<std::uint32_t> roots_;
+    std::uint64_t opsRun_ = 0;
 };
 
 /** Address handling mode for symbolic execution. */

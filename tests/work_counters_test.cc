@@ -3,7 +3,10 @@
  * Exact work counters of the static verifier over the suite: for every
  * workload's hinted Scalarized build (width 8), the range analysis's
  * fixpoint rounds, liquid-poly's dependence events and pairs examined,
- * and analyzeDeps' pairs examined over every distinct hinted region,
+ * and analyzeDeps' pairs examined over every distinct hinted region;
+ * and at `liquid-proof --suite`'s settings (width-16 build, default
+ * ProofOptions), the prover's obligations, enumeration points, terms
+ * interned and tape ops evaluated over every region and width. All are
  * compared with the recorded tests/data/work_counters.json.
  *
  * These count work, not time, so they are exact on every host: a
@@ -27,6 +30,7 @@
 #include "verifier/cfg.hh"
 #include "verifier/depcheck.hh"
 #include "verifier/poly.hh"
+#include "verifier/proof.hh"
 #include "verifier/range.hh"
 #include "workloads/workload.hh"
 
@@ -59,6 +63,16 @@ computeCounters()
                 analyzeDeps(prog, call.target,
                             RegionCfg::build(prog, call.target))
                     .pairsExamined;
+        }
+        const Program wide =
+            wl->build(EmitOptions::Mode::Scalarized, 16, true).prog;
+        for (const RegionProof &rp : proveProgram(wide, {}).regions) {
+            for (const WidthProof &wp : rp.widths) {
+                counts["proof.obligations"] += wp.obligations;
+                counts["proof.enum_points"] += wp.enumPoints;
+                counts["proof.terms"] += wp.terms;
+                counts["proof.tape_ops"] += wp.tapeOps;
+            }
         }
         json::Value row = json::Value::object();
         for (const auto &[name, n] : counts) {
