@@ -41,6 +41,7 @@ translateOffline(const Program &prog, int entry_index, unsigned width,
     const Addr entry = Program::instAddr(entry_index);
     translator.onCall(entry, true, width_hint, 0);
     core.runRegion(entry_index);
+    result.regionInsts = core.instsRetired();
 
     const UcodeEntry *uc = cache.lookup(entry, core.cycles() + 1);
     if (!uc) {

@@ -22,6 +22,7 @@
 #ifndef LIQUID_TRANSLATOR_OFFLINE_HH
 #define LIQUID_TRANSLATOR_OFFLINE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,8 @@ struct OfflineResult
     AbortReason reason = AbortReason::None;  ///< set when !ok
     std::string abortReason;  ///< canonical reason name, set when !ok
     UcodeEntry entry;         ///< valid when ok (readyAt == 0)
+    /** Scalar instructions the region retired in the sandbox run. */
+    std::uint64_t regionInsts = 0;
 };
 
 /**

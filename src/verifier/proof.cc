@@ -336,14 +336,15 @@ dischargeAll(TermPool &pool, const std::vector<Obligation> &obs,
         }
 
         // Compile once, then walk the odometer: each step rewrites only
-        // the leaf slots whose digit moved and reruns the tape.
+        // the leaf slots whose digit moved and reruns the ops that read
+        // one of them.
         sym::EvalTape tape({ob.lhs, ob.rhs}, leaves);
         for (std::size_t i = 0; i < leaves.size(); ++i)
             tape.setLeaf(i, doms[i][0]);
+        tape.run();
         std::vector<std::size_t> idx(leaves.size(), 0);
         bool refuted = false;
         while (true) {
-            tape.run();
             ++out.points;
             const Word a = tape.root(0);
             const Word b = tape.root(1);
@@ -387,6 +388,7 @@ dischargeAll(TermPool &pool, const std::vector<Obligation> &obs,
             }
             if (i == idx.size())
                 break;
+            tape.rerun(i);
         }
         out.tapeOps += tape.opsRun();
         if (refuted) {
@@ -553,8 +555,8 @@ proveAtWidth(const Program &prog, int entry_index, unsigned width_hint,
         OfflineResult off =
             translateOffline(prog, entry_index, bind, width_hint);
         if (off.ok) {
-            wp = proveTranslation(prog, entry_index, off.entry, demand,
-                                  opts);
+            wp = proveTranslation(prog, entry_index, off.entry,
+                                  off.regionInsts, demand, opts);
             wp.width = width;
             return wp;
         }
@@ -1114,14 +1116,14 @@ ProgramProof::count(ProofVerdict verdict) const
 
 WidthProof
 proveTranslation(const Program &prog, int entry_index,
-                 const UcodeEntry &ucode, const RegSet &demand,
-                 const ProofOptions &opts)
+                 const UcodeEntry &ucode, std::uint64_t region_insts,
+                 const RegSet &demand, const ProofOptions &opts)
 {
     WidthProof wp;
     wp.width = ucode.simdWidth;
     wp.boundWidth = ucode.simdWidth;
 
-    TermPool pool;
+    TermPool pool(region_insts);
 
     SymMachine scalar(pool, prog, AddrMode::Concrete);
     scalar.initSharedEntry();
@@ -1514,8 +1516,9 @@ runSabotageSuite(const ProofOptions &opts)
             continue;
         }
 
-        WidthProof wp = proveTranslation(prog, call.target, mutated,
-                                         pl.demandAt(call.target), opts);
+        WidthProof wp =
+            proveTranslation(prog, call.target, mutated, off.regionInsts,
+                             pl.demandAt(call.target), opts);
         o.verdict = wp.verdict;
         o.detail = wp.summary;
         if (wp.verdict == ProofVerdict::Refuted && wp.ce) {

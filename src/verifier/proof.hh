@@ -186,10 +186,14 @@ struct ProofOptions
  * architecturally equivalent to executing the scalar region at
  * @p entry_index, for the store set and the registers in @p demand.
  * Does not translate, does not replay — callers own both.
+ * @p region_insts is how many scalar instructions the region retires
+ * (OfflineResult::regionInsts); the scalar run interns about one term
+ * per instruction, so it sizes the term pool.
  */
 WidthProof proveTranslation(const Program &prog, int entry_index,
-                            const UcodeEntry &ucode, const RegSet &demand,
-                            const ProofOptions &opts);
+                            const UcodeEntry &ucode,
+                            std::uint64_t region_insts,
+                            const RegSet &demand, const ProofOptions &opts);
 
 /**
  * Prove one region at every requested width: runs the offline

@@ -1,8 +1,10 @@
 #include "verifier/symexec.hh"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <functional>
+#include <span>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -15,14 +17,52 @@ namespace liquid::sym
 namespace
 {
 
-/** Monomial: sorted atom term ids. Empty = the constant monomial. */
-using Mono = std::vector<unsigned>;
-/** Multilinear form over Z/2^32: monomial -> coefficient (nonzero). */
-using LinForm = std::map<Mono, Word>;
-
 /** Canonicalization budget: beyond this a term is left structural. */
 constexpr std::size_t maxLinMonomials = 64;
 constexpr std::size_t maxLinDegree = 4;
+
+/**
+ * Monomial: its atom term ids in ascending order, each stored as id + 1
+ * and zero-padded. The arrays then compare as their id sequences do (a
+ * prefix first), the order in which materialization builds a sum's
+ * terms. All zeros is the constant monomial.
+ */
+struct Mono
+{
+    std::array<std::uint32_t, maxLinDegree> ids{};
+
+    static Mono
+    atom(unsigned id)
+    {
+        Mono m;
+        m.ids[0] = id + 1;
+        return m;
+    }
+    bool isConst() const { return ids[0] == 0; }
+    unsigned
+    degree() const
+    {
+        unsigned n = 0;
+        while (n < maxLinDegree && ids[n] != 0)
+            ++n;
+        return n;
+    }
+    /** Term id of atom @p i < degree(). */
+    unsigned id(unsigned i) const { return ids[i] - 1; }
+    auto operator<=>(const Mono &) const = default;
+};
+
+/** One monomial of a form and its coefficient (never zero). */
+struct LinTerm
+{
+    Mono mono;
+    Word coeff = 0;
+    bool operator==(const LinTerm &) const = default;
+};
+
+/** Multilinear form over Z/2^32: its terms, sorted by monomial. */
+using LinForm = std::vector<LinTerm>;
+using LinSpan = std::span<const LinTerm>;
 
 bool
 isLinOp(Opcode op)
@@ -49,85 +89,118 @@ isCommutative(Opcode op)
     }
 }
 
-void
-linAcc(LinForm &into, const Mono &m, Word coeff)
+/**
+ * a op b into @p out. False when the result would leave the
+ * canonicalization budget; the term then stays structural.
+ */
+bool
+linCombine(LinSpan a, LinSpan b, Opcode op, LinForm &out)
 {
-    auto it = into.find(m);
-    if (it == into.end()) {
-        if (coeff != 0)
-            into.emplace(m, coeff);
-        return;
-    }
-    it->second += coeff;
-    if (it->second == 0)
-        into.erase(it);
-}
-
-std::optional<LinForm>
-linCombine(const LinForm &a, const LinForm &b, Opcode op)
-{
-    LinForm out;
+    out.clear();
     switch (op) {
       case Opcode::Add:
       case Opcode::Sub:
       case Opcode::Rsb: {
-        const LinForm &pos = op == Opcode::Rsb ? b : a;
-        const LinForm &other = op == Opcode::Rsb ? a : b;
-        out = pos;
-        for (const auto &[m, c] : other) {
-            linAcc(out, m,
-                   op == Opcode::Add ? c : static_cast<Word>(0) - c);
+        // One merge of pos + sign * other; cancelled terms drop out.
+        const LinSpan pos = op == Opcode::Rsb ? b : a;
+        const LinSpan other = op == Opcode::Rsb ? a : b;
+        const Word sign = op == Opcode::Add ? 1 : ~Word{0};
+        std::size_t i = 0;
+        std::size_t j = 0;
+        while (i < pos.size() || j < other.size()) {
+            if (j == other.size() ||
+                (i < pos.size() && pos[i].mono < other[j].mono)) {
+                out.push_back(pos[i++]);
+            } else if (i == pos.size() || other[j].mono < pos[i].mono) {
+                out.push_back({other[j].mono, sign * other[j].coeff});
+                ++j;
+            } else {
+                const Word c = pos[i].coeff + sign * other[j].coeff;
+                if (c != 0)
+                    out.push_back({pos[i].mono, c});
+                ++i;
+                ++j;
+            }
         }
         break;
       }
       case Opcode::Mul: {
         if (a.size() * b.size() > maxLinMonomials)
-            return std::nullopt;
-        for (const auto &[ma, ca] : a) {
-            for (const auto &[mb, cb] : b) {
-                if (ma.size() + mb.size() > maxLinDegree)
-                    return std::nullopt;
-                Mono m;
-                m.reserve(ma.size() + mb.size());
-                std::merge(ma.begin(), ma.end(), mb.begin(), mb.end(),
-                           std::back_inserter(m));
-                linAcc(out, m, ca * cb);
+            return false;
+        for (const LinTerm &x : a) {
+            const unsigned dx = x.mono.degree();
+            for (const LinTerm &y : b) {
+                const unsigned dy = y.mono.degree();
+                if (dx + dy > maxLinDegree)
+                    return false;
+                LinTerm p;
+                std::merge(x.mono.ids.begin(), x.mono.ids.begin() + dx,
+                           y.mono.ids.begin(), y.mono.ids.begin() + dy,
+                           p.mono.ids.begin());
+                p.coeff = x.coeff * y.coeff;
+                out.push_back(p);
             }
         }
+        std::sort(out.begin(), out.end(),
+                  [](const LinTerm &x, const LinTerm &y) {
+                      return x.mono < y.mono;
+                  });
+        // Sum the coefficients of equal monomials; zero sums drop out.
+        std::size_t n = 0;
+        for (std::size_t k = 0; k < out.size();) {
+            LinTerm t = out[k++];
+            while (k < out.size() && out[k].mono == t.mono)
+                t.coeff += out[k++].coeff;
+            if (t.coeff != 0)
+                out[n++] = t;
+        }
+        out.resize(n);
         break;
       }
       default:
-        return std::nullopt;
+        return false;
     }
-    if (out.size() > maxLinMonomials)
-        return std::nullopt;
-    return out;
+    return out.size() <= maxLinMonomials;
 }
 
-/** Serialized linform, usable as an ordered map key. */
-std::vector<std::uint64_t>
-linKey(const LinForm &lf)
+void
+mixHash(std::uint64_t &h, std::uint64_t v)
 {
-    std::vector<std::uint64_t> key;
-    key.reserve(lf.size() * 4);
-    for (const auto &[m, c] : lf) {
-        key.push_back(m.size());
-        for (const unsigned a : m)
-            key.push_back(a);
-        key.push_back(c);
-    }
-    return key;
+    h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 29;
 }
+
+/** Hash and equality of the forms linTerms points at. */
+struct LinFormHash
+{
+    std::size_t
+    operator()(const LinForm *f) const
+    {
+        std::uint64_t h = f->size();
+        for (const LinTerm &t : *f) {
+            mixHash(h, t.mono.ids[0] | std::uint64_t{t.mono.ids[1]} << 32);
+            mixHash(h, t.mono.ids[2] | std::uint64_t{t.mono.ids[3]} << 32);
+            mixHash(h, t.coeff);
+        }
+        return h;
+    }
+};
+
+struct LinFormEq
+{
+    bool
+    operator()(const LinForm *a, const LinForm *b) const
+    {
+        return *a == *b;
+    }
+};
 
 /** Structural hash of a term's intern identity (everything but id). */
 std::uint64_t
 internHash(const Term &t)
 {
     std::uint64_t h = 0;
-    auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 0x9E3779B97F4A7C15ull;
-        h ^= h >> 29;
-    };
+    auto mix = [&h](std::uint64_t v) { mixHash(h, v); };
     mix(static_cast<std::uint64_t>(t.kind) |
         static_cast<std::uint64_t>(t.op) << 8 |
         static_cast<std::uint64_t>(t.cond) << 24 |
@@ -223,9 +296,19 @@ struct TermPool::Impl
     std::vector<std::unique_ptr<Term[]>> chunks;
     std::size_t chunkSize = 0; ///< of chunks.back()
     std::size_t chunkUsed = 0;
-    /** Intern table: linear probing, power-of-two size, <= half full. */
-    std::vector<InternSlot> interned = std::vector<InternSlot>(32);
+    /**
+     * Intern table: linear probing, power-of-two size, <= half full;
+     * sized at construction for the terms the pool expects.
+     */
+    std::vector<InternSlot> interned;
     std::size_t internedCount = 0;
+    /**
+     * Constants by value, direct-mapped in front of intern(): a slot
+     * holds the last constant whose value hashed there. Filled only
+     * through intern(), so it never changes which terms exist or
+     * their ids.
+     */
+    std::array<TermRef, 256> konsts{};
     /** Memory symbols by (addr << 8 | size << 1 | signed). */
     std::unordered_map<std::uint64_t, TermRef> memSyms;
     std::map<unsigned, TermRef> regSyms; ///< by flat id
@@ -239,26 +322,27 @@ struct TermPool::Impl
      */
     std::vector<std::uint32_t> linSlot;
     std::deque<LinForm> forms;
-    /** Canonical term for each polynomial already materialized. */
-    std::map<std::vector<std::uint64_t>, TermRef> linTerms;
+    /** Canonical term of each materialized polynomial (keys: forms). */
+    std::unordered_map<const LinForm *, TermRef, LinFormHash, LinFormEq>
+        linTerms;
+    LinForm scratch; ///< bin()'s result form, reused across calls
 
     const LinForm *linOf(TermRef t);
-    void setLin(TermRef t, std::optional<LinForm> lf);
+    /** t's form, or t as a one-atom form held in @p atom. */
+    LinSpan linView(TermRef t, LinTerm &atom);
+    const LinForm *setLin(TermRef t, LinForm form);
     Term *allocTerm();
     void growInterned();
 };
 
-void
-TermPool::Impl::setLin(TermRef t, std::optional<LinForm> lf)
+const LinForm *
+TermPool::Impl::setLin(TermRef t, LinForm form)
 {
     if (linSlot.size() <= t->id)
         linSlot.resize(t->id + 1, 0);
-    if (!lf) {
-        linSlot[t->id] = 1;
-        return;
-    }
     linSlot[t->id] = static_cast<std::uint32_t>(forms.size() + 2);
-    forms.push_back(std::move(*lf));
+    forms.push_back(std::move(form));
+    return &forms.back();
 }
 
 const LinForm *
@@ -269,32 +353,34 @@ TermPool::Impl::linOf(TermRef t)
         return s == 1 ? nullptr : &forms[s - 2];
     }
 
-    std::optional<LinForm> lf;
+    LinForm lf;
     if (t->kind == TermKind::Const) {
-        LinForm f;
         if (t->konst != 0)
-            f.emplace(Mono{}, t->konst);
-        lf = std::move(f);
-    } else if (t->kind == TermKind::Bin && !t->isFloat &&
-               isLinOp(t->op)) {
-        const LinForm *la = linOf(t->args[0]);
-        const LinForm *lb = linOf(t->args[1]);
-        LinForm atomA, atomB;
-        if (!la) {
-            atomA.emplace(Mono{t->args[0]->id}, 1u);
-            la = &atomA;
-        }
-        if (!lb) {
-            atomB.emplace(Mono{t->args[1]->id}, 1u);
-            lb = &atomB;
-        }
-        lf = linCombine(*la, *lb, t->op);
+            lf.push_back({Mono{}, t->konst});
+        return setLin(t, std::move(lf));
+    }
+    if (t->kind == TermKind::Bin && !t->isFloat && isLinOp(t->op)) {
+        LinTerm atomA, atomB;
+        const LinSpan la = linView(t->args[0], atomA);
+        const LinSpan lb = linView(t->args[1], atomB);
+        if (linCombine(la, lb, t->op, lf))
+            return setLin(t, std::move(lf));
     }
     // Everything else — and overflowing polynomials — is an atom;
     // callers wrap the term itself as the monomial.
-    const bool atom = !lf;
-    setLin(t, std::move(lf));
-    return atom ? nullptr : &forms.back();
+    if (linSlot.size() <= t->id)
+        linSlot.resize(t->id + 1, 0);
+    linSlot[t->id] = 1;
+    return nullptr;
+}
+
+LinSpan
+TermPool::Impl::linView(TermRef t, LinTerm &atom)
+{
+    if (const LinForm *f = linOf(t))
+        return *f;
+    atom = {Mono::atom(t->id), 1};
+    return {&atom, 1};
 }
 
 Term *
@@ -325,7 +411,13 @@ TermPool::Impl::growInterned()
     interned = std::move(bigger);
 }
 
-TermPool::TermPool() : impl_(std::make_unique<Impl>()) {}
+TermPool::TermPool(std::size_t expected_terms)
+    : impl_(std::make_unique<Impl>())
+{
+    impl_->interned.resize(
+        std::max<std::size_t>(32, std::bit_ceil(2 * expected_terms)));
+    terms_.reserve(expected_terms);
+}
 TermPool::~TermPool() = default;
 
 TermRef
@@ -365,10 +457,14 @@ TermPool::intern(Term t)
 TermRef
 TermPool::konst(Word value)
 {
+    TermRef &cached = impl_->konsts[(value * 0x9E3779B9u) >> 24];
+    if (cached && cached->konst == value)
+        return cached;
     Term t;
     t.kind = TermKind::Const;
     t.konst = value;
-    return intern(t);
+    cached = intern(t);
+    return cached;
 }
 
 TermRef
@@ -473,46 +569,38 @@ TermPool::bin(Opcode op, TermRef a, TermRef b, bool is_float)
     if (!is_float) {
         // --- integer polynomial canonicalization -----------------------
         if (isLinOp(op)) {
-            const LinForm *la = impl_->linOf(a);
-            const LinForm *lb = impl_->linOf(b);
-            LinForm atomA, atomB;
-            if (!la) {
-                atomA.emplace(Mono{a->id}, 1u);
-                la = &atomA;
-            }
-            if (!lb) {
-                atomB.emplace(Mono{b->id}, 1u);
-                lb = &atomB;
-            }
-            if (auto lf = linCombine(*la, *lb, op)) {
+            LinTerm atomA, atomB;
+            const LinSpan la = impl_->linView(a, atomA);
+            const LinSpan lb = impl_->linView(b, atomB);
+            LinForm &lf = impl_->scratch;
+            if (linCombine(la, lb, op, lf)) {
                 // Single-term fast paths.
-                if (lf->empty())
+                if (lf.empty())
                     return konst(0);
-                if (lf->size() == 1) {
-                    const auto &[m, c] = *lf->begin();
-                    if (m.empty())
-                        return konst(c);
-                    if (m.size() == 1 && c == 1)
-                        return terms_[m[0]];
+                if (lf.size() == 1) {
+                    const LinTerm &only = lf.front();
+                    if (only.mono.isConst())
+                        return konst(only.coeff);
+                    if (only.mono.degree() == 1 && only.coeff == 1)
+                        return terms_[only.mono.id(0)];
                 }
-                const auto key = linKey(*lf);
-                auto it = impl_->linTerms.find(key);
+                auto it = impl_->linTerms.find(&lf);
                 if (it != impl_->linTerms.end())
                     return it->second;
                 // Materialize the canonical sum-of-monomials term.
                 TermRef sum = nullptr;
                 Word constTerm = 0;
-                for (const auto &[m, c] : *lf) {
-                    if (m.empty()) {
-                        constTerm = c;
+                for (const LinTerm &lt : lf) {
+                    if (lt.mono.isConst()) {
+                        constTerm = lt.coeff;
                         continue;
                     }
-                    TermRef prod = terms_[m[0]];
-                    for (std::size_t i = 1; i < m.size(); ++i)
+                    TermRef prod = terms_[lt.mono.id(0)];
+                    for (unsigned i = 1; i < lt.mono.degree(); ++i)
                         prod = rawBin(Opcode::Mul, prod,
-                                      terms_[m[i]]);
-                    if (c != 1)
-                        prod = rawBin(Opcode::Mul, prod, konst(c));
+                                      terms_[lt.mono.id(i)]);
+                    if (lt.coeff != 1)
+                        prod = rawBin(Opcode::Mul, prod, konst(lt.coeff));
                     sum = sum ? rawBin(Opcode::Add, sum, prod) : prod;
                 }
                 if (constTerm != 0) {
@@ -521,8 +609,7 @@ TermPool::bin(Opcode op, TermRef a, TermRef b, bool is_float)
                 }
                 if (!sum)
                     sum = konst(0);
-                impl_->linTerms.emplace(key, sum);
-                impl_->setLin(sum, std::move(*lf));
+                impl_->linTerms.emplace(impl_->setLin(sum, lf), sum);
                 return sum;
             }
             // Polynomial overflow: keep structural, but still order
@@ -703,24 +790,16 @@ TermPool::affineDiff(TermRef a, TermRef b)
 {
     if (a == b)
         return 0;
-    const LinForm *la = impl_->linOf(a);
-    const LinForm *lb = impl_->linOf(b);
-    LinForm atomA, atomB;
-    if (!la) {
-        atomA.emplace(Mono{a->id}, 1u);
-        la = &atomA;
-    }
-    if (!lb) {
-        atomB.emplace(Mono{b->id}, 1u);
-        lb = &atomB;
-    }
-    const auto diff = linCombine(*la, *lb, Opcode::Sub);
-    if (!diff)
+    LinTerm atomA, atomB;
+    const LinSpan la = impl_->linView(a, atomA);
+    const LinSpan lb = impl_->linView(b, atomB);
+    LinForm diff;
+    if (!linCombine(la, lb, Opcode::Sub, diff))
         return std::nullopt;
-    if (diff->empty())
+    if (diff.empty())
         return 0;
-    if (diff->size() == 1 && diff->begin()->first.empty())
-        return static_cast<SWord>(diff->begin()->second);
+    if (diff.size() == 1 && diff.front().mono.isConst())
+        return static_cast<SWord>(diff.front().coeff);
     return std::nullopt;
 }
 
@@ -837,10 +916,15 @@ EvalTape::EvalTape(const std::vector<TermRef> &roots,
                    const std::vector<TermRef> &leaves)
     : vals_(leaves.size(), 0)
 {
+    constexpr std::uint32_t noLeaf = ~std::uint32_t{0};
     std::unordered_map<TermRef, std::uint32_t> slot;
     slot.reserve(leaves.size() * 4);
-    for (std::size_t i = 0; i < leaves.size(); ++i)
+    // Lowest leaf index each slot reads (noLeaf: a constant).
+    std::vector<std::uint32_t> low;
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
         slot.emplace(leaves[i], static_cast<std::uint32_t>(i));
+        low.push_back(static_cast<std::uint32_t>(i));
+    }
 
     // Iterative post-order (terms can be deep chains): a node is
     // emitted after its operands.
@@ -865,6 +949,7 @@ EvalTape::EvalTape(const std::vector<TermRef> &roots,
             stack.pop_back();
             const auto dst = static_cast<std::uint32_t>(vals_.size());
             vals_.push_back(cur->isConst() ? cur->konst : 0);
+            low.push_back(noLeaf);
             slot.emplace(cur, dst);
             if (cur->isConst())
                 continue;
@@ -876,21 +961,36 @@ EvalTape::EvalTape(const std::vector<TermRef> &roots,
                 o.b = slot.at(cur->args[1]);
             if (cur->nargs > 2)
                 o.c = slot.at(cur->args[2]);
+            low[dst] = std::min({low[o.a],
+                                 cur->nargs > 1 ? low[o.b] : noLeaf,
+                                 cur->nargs > 2 ? low[o.c] : noLeaf});
             ops_.push_back(o);
         }
     }
     roots_.reserve(roots.size());
     for (const TermRef root : roots)
         roots_.push_back(slot.at(root));
+
+    std::stable_sort(ops_.begin(), ops_.end(),
+                     [&low](const Op &x, const Op &y) {
+                         return low[x.dst] > low[y.dst];
+                     });
+    firstReading_.resize(leaves.size());
+    std::size_t first = ops_.size();
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+        while (first > 0 && low[ops_[first - 1].dst] <= i)
+            --first;
+        firstReading_[i] = static_cast<std::uint32_t>(first);
+    }
 }
 
 void
-EvalTape::run()
+EvalTape::runFrom(std::size_t first)
 {
-    opsRun_ += ops_.size();
+    opsRun_ += ops_.size() - first;
     Word *const v = vals_.data();
     const Op *const end = ops_.data() + ops_.size();
-    for (const Op *p = ops_.data(); p != end; ++p) {
+    for (const Op *p = ops_.data() + first; p != end; ++p) {
         const Op &o = *p;
         switch (o.kind) {
           case TermKind::Bin:

@@ -127,7 +127,12 @@ bool condHoldsSign(Cond cond, int sign);
 class TermPool
 {
   public:
-    TermPool();
+    /**
+     * @p expected_terms sizes the intern table, so a pool that gets
+     * about that many terms does not rehash on the way (0: start
+     * small and grow).
+     */
+    explicit TermPool(std::size_t expected_terms = 0);
     ~TermPool();
     TermPool(const TermPool &) = delete;
     TermPool &operator=(const TermPool &) = delete;
@@ -191,6 +196,13 @@ class TermPool
  * the roots becomes one Op, a shared subterm once. Leaf values are
  * the post-extension element values (what readElem would return);
  * unset leaves read 0.
+ *
+ * The ops are ordered by the lowest leaf index each one reads, highest
+ * first. An op reads every leaf its operands read, so its lowest leaf
+ * is no higher than theirs, and a stable sort keeps operands before
+ * their users. The ops that read any of leaves [0, i] are then a
+ * suffix of the tape, which is all rerun() has to evaluate after an
+ * odometer step that moved those leaves.
  */
 class EvalTape
 {
@@ -200,12 +212,18 @@ class EvalTape
 
     void setLeaf(std::size_t i, Word value) { vals_[i] = value; }
     /** Evaluate every op, in topological order. */
-    void run();
-    /** Value of roots[@p i] as of the last run(). */
+    void run() { runFrom(0); }
+    /**
+     * Re-evaluate after leaves [0, @p last] changed, and no other,
+     * since the last run() or rerun(): only the ops reading one of
+     * them.
+     */
+    void rerun(std::size_t last) { runFrom(firstReading_[last]); }
+    /** Value of roots[@p i] as of the last run. */
     Word root(std::size_t i) const { return vals_[roots_[i]]; }
     /** Ops on the tape: the distinct non-leaf, non-constant nodes. */
     std::size_t opCount() const { return ops_.size(); }
-    /** Ops evaluated by every run() so far: a work counter. */
+    /** Ops evaluated by every run so far: a work counter. */
     std::uint64_t opsRun() const { return opsRun_; }
 
   private:
@@ -219,9 +237,13 @@ class EvalTape
         bool isSigned;
         std::uint32_t dst, a, b, c;
     };
+    void runFrom(std::size_t first);
+
     std::vector<Op> ops_;
     std::vector<Word> vals_;
     std::vector<std::uint32_t> roots_;
+    /** [i]: index of the first op that reads a leaf in [0, i]. */
+    std::vector<std::uint32_t> firstReading_;
     std::uint64_t opsRun_ = 0;
 };
 

@@ -63,7 +63,7 @@ proveBindWidth(const Program &prog, int entry_index, unsigned bind,
     ProofOptions popts;
     popts.replay = false;
     popts.ranges = ranges;
-    return proveTranslation(prog, entry_index, off.entry,
+    return proveTranslation(prog, entry_index, off.entry, off.regionInsts,
                             solveProgramLiveness(prog).demandAt(
                                 entry_index),
                             popts);
