@@ -11,9 +11,16 @@
  * the simulator's own evalScalarOp/evalCompare — and every node's
  * EvalTape value must agree with its shadow on 1000 random leaf
  * assignments.
+ *
+ * The SymexecProperty cases run as their own ctest entry
+ * (symexec_property_test, labels proof and fuzz):
+ *   LIQUID_PROOF_TRIALS  trials per case (default 10)
+ *   LIQUID_PROOF_SEED    base RNG seed (default 1)
  */
 
+#include <algorithm>
 #include <array>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +30,7 @@
 #include "common/random.hh"
 #include "cpu/exec.hh"
 #include "scalarizer/scalarizer.hh"
+#include "test_env.hh"
 #include "verifier/symexec.hh"
 
 using namespace liquid;
@@ -438,5 +446,281 @@ TEST(SymMachine, ConcreteRegionBuildsTheExpectedStoreSet)
         ASSERT_EQ(v->kind, TermKind::Bin);
         EXPECT_EQ(v->op, Opcode::Add);
         EXPECT_EQ(pool.leaves(v).size(), 2u);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded property cases (ctest: symexec_property_test).
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** One monomial of a random polynomial: coeff * factors[0] * ... */
+struct RandMono
+{
+    Word coeff = 1;
+    std::vector<unsigned> factors;  ///< indices into the symbols
+};
+
+/** A random integer polynomial over @p syms symbols. */
+std::vector<RandMono>
+randomPolynomial(Rng &rng, unsigned syms)
+{
+    std::vector<RandMono> poly(static_cast<std::size_t>(rng.range(1, 6)));
+    for (RandMono &m : poly) {
+        // Small coefficients (where terms cancel) and full words.
+        m.coeff = rng.range(0, 1) ? static_cast<Word>(rng.range(-3, 3))
+                                  : rng.next32();
+        const auto degree = rng.range(0, 2);
+        for (std::int64_t d = 0; d < degree; ++d)
+            m.factors.push_back(
+                static_cast<unsigned>(rng.range(0, syms - 1)));
+    }
+    return poly;
+}
+
+/** Direct evaluation of @p poly at @p point, in Z/2^32. */
+Word
+evalPolynomial(const std::vector<RandMono> &poly,
+               const std::vector<Word> &point)
+{
+    Word sum = 0;
+    for (const RandMono &m : poly) {
+        Word prod = m.coeff;
+        for (const unsigned f : m.factors)
+            prod *= point[f];
+        sum += prod;
+    }
+    return sum;
+}
+
+/** The monomial as a term, its factors multiplied in the given order. */
+TermRef
+monoTerm(TermPool &p, const std::vector<TermRef> &syms, const RandMono &m,
+         bool coeff_first)
+{
+    TermRef t = coeff_first ? p.konst(m.coeff) : nullptr;
+    for (const unsigned f : m.factors)
+        t = t ? p.bin(Opcode::Mul, t, syms[f], false) : syms[f];
+    if (!coeff_first)
+        t = t ? p.bin(Opcode::Mul, t, p.konst(m.coeff), false)
+              : p.konst(m.coeff);
+    return t;
+}
+
+} // namespace
+
+TEST(SymexecProperty, ReassociatedPolynomialsInternEqualAndEvaluate)
+{
+    // Each case draws random polynomials P and Q and builds P, or the
+    // product P * Q, twice: once as left folds of the monomials, once
+    // in a shuffled order over a random tree, with factors reversed,
+    // some sums written as Sub or Rsb of a negated part, the product
+    // distributed over P's monomials, and a random monomial added and
+    // taken away again. Both builds must intern to the same term, and
+    // the term must evaluate like the polynomial.
+    const unsigned trials = envNumber("LIQUID_PROOF_TRIALS", 10u);
+    const unsigned seed = envNumber("LIQUID_PROOF_SEED", 1u);
+    constexpr unsigned perTrial = 20;
+    for (unsigned t = 0; t < trials; ++t) {
+        Rng rng(seed + 1000ull * t + 11);
+        for (unsigned k = 0; k < perTrial; ++k) {
+            TermPool p;
+            const unsigned numSyms = static_cast<unsigned>(rng.range(1, 4));
+            std::vector<TermRef> syms;
+            for (unsigned i = 0; i < numSyms; ++i)
+                syms.push_back(p.param("x" + std::to_string(i)));
+            const std::vector<RandMono> polyP =
+                randomPolynomial(rng, numSyms);
+            // Half the time Q is P with some coefficients negated, so
+            // that P * Q has terms that cancel.
+            std::vector<RandMono> polyQ = polyP;
+            if (rng.range(0, 1)) {
+                polyQ = randomPolynomial(rng, numSyms);
+            } else {
+                for (RandMono &m : polyQ)
+                    m.coeff = rng.range(0, 1) ? m.coeff : 0 - m.coeff;
+            }
+            const bool product = rng.range(0, 1) != 0;
+
+            auto fold = [&](const std::vector<RandMono> &poly) {
+                TermRef sum = nullptr;
+                for (const RandMono &m : poly) {
+                    const TermRef mt = monoTerm(p, syms, m, true);
+                    sum = sum ? p.bin(Opcode::Add, sum, mt, false) : mt;
+                }
+                return sum;
+            };
+            // Sum @p parts in a random order over a random tree.
+            auto shuffledSum = [&](std::vector<TermRef> parts) {
+                for (std::size_t i = parts.size(); i > 1; --i) {
+                    std::swap(parts[i - 1], parts[static_cast<std::size_t>(
+                                                rng.range(0, i - 1))]);
+                }
+                while (parts.size() > 1) {
+                    // a + b, a - (-b) or (-b) rsb a.
+                    const auto i = static_cast<std::size_t>(rng.range(
+                        0, static_cast<int>(parts.size()) - 2));
+                    const TermRef a = parts[i];
+                    const TermRef b = parts[i + 1];
+                    const TermRef negB =
+                        p.bin(Opcode::Mul, b, p.konst(~Word{0}), false);
+                    switch (rng.range(0, 2)) {
+                      case 0:
+                        parts[i] = p.bin(Opcode::Add, b, a, false);
+                        break;
+                      case 1:
+                        parts[i] = p.bin(Opcode::Sub, a, negB, false);
+                        break;
+                      default:
+                        parts[i] = p.bin(Opcode::Rsb, negB, a, false);
+                        break;
+                    }
+                    parts.erase(parts.begin() + static_cast<long>(i) + 1);
+                }
+                return parts[0];
+            };
+
+            const TermRef folded =
+                product ? p.bin(Opcode::Mul, fold(polyP), fold(polyQ),
+                                false)
+                        : fold(polyP);
+
+            std::vector<TermRef> reversedQ;
+            for (RandMono m : polyQ) {
+                std::reverse(m.factors.begin(), m.factors.end());
+                reversedQ.push_back(monoTerm(p, syms, m, false));
+            }
+            const TermRef sumQ = shuffledSum(reversedQ);
+            std::vector<TermRef> parts;
+            for (RandMono m : polyP) {
+                std::reverse(m.factors.begin(), m.factors.end());
+                const TermRef mt = monoTerm(p, syms, m, false);
+                parts.push_back(product ? p.bin(Opcode::Mul, sumQ, mt, false)
+                                        : mt);
+            }
+            const RandMono extra = randomPolynomial(rng, numSyms).front();
+            parts.push_back(monoTerm(p, syms, extra, true));
+            const TermRef reordered =
+                p.bin(Opcode::Sub, shuffledSum(parts),
+                      monoTerm(p, syms, extra, false), false);
+
+            ASSERT_EQ(folded, reordered)
+                << "trial " << t << '.' << k << ": " << p.str(folded)
+                << " vs " << p.str(reordered);
+
+            EvalTape tape({folded}, syms);
+            for (unsigned e = 0; e < 4; ++e) {
+                std::vector<Word> point;
+                for (unsigned i = 0; i < numSyms; ++i) {
+                    point.push_back(rng.range(0, 1)
+                                        ? static_cast<Word>(rng.range(-4, 4))
+                                        : rng.next32());
+                    tape.setLeaf(i, point.back());
+                }
+                tape.run();
+                const Word want =
+                    product ? evalPolynomial(polyP, point) *
+                                  evalPolynomial(polyQ, point)
+                            : evalPolynomial(polyP, point);
+                ASSERT_EQ(tape.root(0), want)
+                    << "trial " << t << '.' << k << ": " << p.str(folded);
+            }
+        }
+    }
+}
+
+TEST(SymexecProperty, PartialRerunMatchesFullRun)
+{
+    // Each trial draws a random term DAG over a few leaves and walks
+    // the prover's odometer over small random leaf domains. One tape
+    // reruns only the ops a moved digit can change; a second sets
+    // every leaf and runs in full at each point. Every node must agree
+    // at every point.
+    const unsigned trials = envNumber("LIQUID_PROOF_TRIALS", 10u);
+    const unsigned seed = envNumber("LIQUID_PROOF_SEED", 1u);
+    static const Opcode binops[] = {
+        Opcode::Add, Opcode::Sub, Opcode::Rsb, Opcode::Mul,
+        Opcode::And, Opcode::Orr, Opcode::Eor, Opcode::Bic,
+        Opcode::Lsl, Opcode::Lsr, Opcode::Asr, Opcode::Min,
+        Opcode::Max, Opcode::Qadd, Opcode::Qsub,
+    };
+    static const Cond conds[] = {Cond::EQ, Cond::NE, Cond::LT,
+                                 Cond::LE, Cond::GT, Cond::GE};
+    constexpr unsigned perTrial = 20;
+    for (unsigned t = 0; t < trials; ++t) {
+        Rng rng(seed + 1000ull * t + 13);
+        for (unsigned k = 0; k < perTrial; ++k) {
+            TermPool p;
+            const unsigned numLeaves = static_cast<unsigned>(rng.range(2, 6));
+            std::vector<TermRef> leaves;
+            std::vector<std::vector<Word>> doms;
+            for (unsigned i = 0; i < numLeaves; ++i) {
+                leaves.push_back(p.param("x" + std::to_string(i)));
+                doms.emplace_back();
+                const auto size = rng.range(1, 4);
+                for (std::int64_t d = 0; d < size; ++d)
+                    doms.back().push_back(
+                        rng.range(0, 1) ? static_cast<Word>(rng.range(-3, 3))
+                                        : rng.next32());
+            }
+            std::vector<TermRef> nodes = leaves;
+            nodes.push_back(p.konst(static_cast<Word>(rng.range(-100, 100))));
+            auto pick = [&]() {
+                return nodes[static_cast<std::size_t>(
+                    rng.range(0, static_cast<int>(nodes.size()) - 1))];
+            };
+            const auto ops = rng.range(4, 24);
+            for (std::int64_t i = 0; i < ops; ++i) {
+                switch (rng.range(0, 7)) {
+                  case 6:
+                    nodes.push_back(p.ext(rng.range(0, 1) ? 8 : 16,
+                                          rng.range(0, 1) != 0, pick()));
+                    break;
+                  case 7: {
+                    const TermRef sign = p.cmp(pick(), pick(), false);
+                    nodes.push_back(
+                        p.sel(conds[rng.range(0, 5)], sign, pick(), pick()));
+                    break;
+                  }
+                  default:
+                    nodes.push_back(p.bin(binops[rng.range(0, 14)], pick(),
+                                          pick(), false));
+                    break;
+                }
+            }
+
+            EvalTape partial(nodes, leaves);
+            EvalTape full(nodes, leaves);
+            for (unsigned i = 0; i < numLeaves; ++i)
+                partial.setLeaf(i, doms[i][0]);
+            partial.run();
+            std::vector<std::size_t> idx(numLeaves, 0);
+            for (unsigned point = 0;; ++point) {
+                for (unsigned i = 0; i < numLeaves; ++i)
+                    full.setLeaf(i, doms[i][idx[i]]);
+                full.run();
+                for (std::size_t r = 0; r < nodes.size(); ++r) {
+                    ASSERT_EQ(partial.root(r), full.root(r))
+                        << "trial " << t << '.' << k << " point " << point
+                        << " node " << r << ": " << p.str(nodes[r]);
+                }
+                std::size_t i = 0;
+                for (; i < numLeaves; ++i) {
+                    if (++idx[i] < doms[i].size()) {
+                        partial.setLeaf(i, doms[i][idx[i]]);
+                        break;
+                    }
+                    idx[i] = 0;
+                    partial.setLeaf(i, doms[i][0]);
+                }
+                if (i == numLeaves)
+                    break;
+                partial.rerun(i);
+            }
+            EXPECT_LE(partial.opsRun(), full.opsRun())
+                << "trial " << t << '.' << k;
+        }
     }
 }

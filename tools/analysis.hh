@@ -28,6 +28,9 @@ struct InputMode
 {
     const char *usage;  ///< as usage errors spell it: "--random N"
     bool given;
+    /** May run together with the tool's other combining modes (poly's
+     *  --suite and --random N add their programs to one run). */
+    bool combines = false;
 };
 
 /** Each analyzed program's name and the tool's result for it. */
@@ -40,7 +43,8 @@ class Analysis
   public:
     /**
      * The input rule: a run takes program.s or one of @p modes
-     * (--suite, --sabotage, --random N). A file with a mode, or
+     * (--suite, --sabotage, --random N), or several modes that all
+     * combine. A file with a mode, two modes that do not combine, or
      * neither, is a UsageError. @p schema and @p version tag the JSON
      * report.
      */
@@ -49,21 +53,32 @@ class Analysis
         : schema_(schema), version_(version), json_(json)
     {
         std::string expected = "program.s";
-        const InputMode *given = nullptr;
+        std::vector<const InputMode *> given;
         for (const InputMode &m : modes) {
             expected += &m == modes.end() - 1 ? " or " : ", ";
             expected += m.usage;
-            if (m.given && !given)
-                given = &m;
+            if (m.given)
+                given.push_back(&m);
         }
-        if (!given && p.positional.empty())
+        // A mode's option name, without its argument: "--random".
+        auto option = [](const InputMode *m) {
+            const std::string usage = m->usage;
+            return usage.substr(0, usage.find(' '));
+        };
+        if (given.empty() && p.positional.empty())
             throw UsageError("expected " + expected);
-        if (given && !p.positional.empty()) {
-            const std::string mode = given->usage;
-            throw UsageError(mode.substr(0, mode.find(' ')) +
+        if (!given.empty() && !p.positional.empty())
+            throw UsageError(option(given[0]) +
                              " does not take an input file");
+        for (std::size_t i = 0; i < given.size(); ++i) {
+            for (std::size_t j = i + 1; j < given.size(); ++j) {
+                if (!given[i]->combines || !given[j]->combines)
+                    throw UsageError(option(given[i]) + " and " +
+                                     option(given[j]) +
+                                     " exclude each other");
+            }
         }
-        if (!given)
+        if (given.empty())
             file_ = p.positional.front();
     }
 

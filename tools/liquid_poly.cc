@@ -330,8 +330,8 @@ main(int argc, char **argv)
         }};
     return cli::runTool(tool, argc, argv, [&](const cli::Parsed &p) {
         const cli::Analysis run(p,
-                                {{"--suite", opt.suite},
-                                 {"--random N", opt.random > 0},
+                                {{"--suite", opt.suite, true},
+                                 {"--random N", opt.random > 0, true},
                                  {"--sabotage", opt.sabotage}},
                                 polySchema, polyToolVersion, opt.json);
         if (opt.sabotage) {

@@ -326,9 +326,6 @@ main(int argc, char **argv)
         const cli::Analysis run(
             p, {{"--suite", opt.suite}, {"--sabotage", opt.sabotage}},
             proofSchema, proofToolVersion, opt.json);
-        if (opt.suite && opt.sabotage)
-            throw cli::UsageError("--suite and --sabotage exclude each "
-                                  "other");
         return opt.sabotage ? runSabotage(run, opt) : runProve(run, opt);
     });
 }
