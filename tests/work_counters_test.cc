@@ -6,8 +6,13 @@
  * and analyzeDeps' pairs examined over every distinct hinted region;
  * and at `liquid-proof --suite`'s settings (width-16 build, default
  * ProofOptions), the prover's obligations, enumeration points, terms
- * interned and tape ops evaluated over every region and width. All are
- * compared with the recorded tests/data/work_counters.json.
+ * interned and tape ops evaluated over every region and width. The
+ * simulator half counts, per workload at width 8, the functional
+ * tier's retires, decoded blocks and decoded instructions for the
+ * Scalarized build (scalar baseline) and the Native build, and the
+ * cycle core's retires with the translator's commits and aborts in
+ * Liquid mode. All are compared with the recorded
+ * tests/data/work_counters.json.
  *
  * These count work, not time, so they are exact on every host: a
  * change that makes a pass do more (or less) work shows up here even
@@ -27,6 +32,8 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "fast/fast.hh"
+#include "sim/system.hh"
 #include "verifier/cfg.hh"
 #include "verifier/depcheck.hh"
 #include "verifier/poly.hh"
@@ -43,6 +50,24 @@ namespace liquid
 namespace
 {
 
+/**
+ * Run @p prog to halt on the functional tier with @p width lanes and
+ * add its dispatch counters to @p counts under "fast.<tag>.".
+ */
+void
+countFunctional(const Program &prog, unsigned width, const std::string &tag,
+                std::map<std::string, std::uint64_t> &counts)
+{
+    fast::FastConfig config;
+    config.simdWidth = width;
+    MainMemory mem = MainMemory::forProgram(prog);
+    fast::FastInterp interp(config, prog, mem);
+    interp.run();
+    StatGroup &stats = interp.stats();
+    for (const char *name : {"insts", "blocksDecoded", "decodedInsts"})
+        counts["fast." + tag + '.' + name] = stats.get(name);
+}
+
 /** {workload: {counter: n}} over the suite, plus a "total" row. */
 json::Value
 computeCounters()
@@ -55,6 +80,16 @@ computeCounters()
             wl->build(EmitOptions::Mode::Scalarized, 8, true).prog;
         std::map<std::string, std::uint64_t> counts;
         counts["range.rounds"] = solveProgramRanges(prog).rounds;
+        countFunctional(prog, 0, "scalarized", counts);
+        countFunctional(wl->build(EmitOptions::Mode::Native, 8).prog, 8,
+                        "native", counts);
+        System sys(SystemConfig::make(ExecMode::Liquid, 8), prog);
+        sys.run();
+        counts["liquid.core.insts"] = sys.core().stats().get("insts");
+        counts["liquid.translator.translations"] =
+            sys.translator().stats().get("translations");
+        counts["liquid.translator.aborts"] =
+            sys.translator().stats().get("aborts");
         for (const HintedCall &call : prog.hintedCalls()) {
             const PolyRegion poly = analyzePoly(prog, call.target, config);
             counts["poly.dep_events"] += poly.deps.events.size();
