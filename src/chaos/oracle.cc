@@ -17,29 +17,6 @@ namespace
 /** Cap per-category mismatch listings; the first few localize a bug. */
 constexpr std::size_t maxDiffsPerCategory = 4;
 
-ArchSnapshot
-snapshotSystem(const System &sys, const Program &prog,
-               const std::map<Addr, std::vector<Cycles>> &call_log)
-{
-    ArchSnapshot snap;
-    const std::size_t bytes = prog.dataImage().size();
-    snap.memory.reserve(bytes / 4 + 1);
-    for (std::size_t off = 0; off + 4 <= bytes; off += 4)
-        snap.memory.push_back(sys.memory().readWord(Program::dataBase + off));
-
-    const RegFile &regs = sys.core().regs();
-    for (unsigned i = 0; i < regsPerClass; ++i) {
-        snap.scalars[i] = regs.read(RegId(RegClass::Int, i));
-        snap.scalars[regsPerClass + i] =
-            regs.read(RegId(RegClass::Flt, i));
-    }
-    snap.cmpState = regs.cmpState();
-
-    for (const auto &[target, calls] : call_log)
-        snap.callCounts[target] = calls.size();
-    return snap;
-}
-
 std::string
 hex(Word w)
 {
@@ -93,7 +70,7 @@ runLiquidAgainstReference(const ChaosReference &ref, const Program &prog,
     report.retranslations = sys.translator().stats().get("retranslations");
     report.translations = sys.translator().stats().get("translations");
 
-    report.finalState = snapshotSystem(sys, prog, sys.core().callLog());
+    report.finalState = snapshotSystem(sys, prog);
 
     // Memory and call-log shape must match the scalar ground truth bit
     // for bit; register residue is excluded from the cross-strategy
@@ -109,6 +86,28 @@ runLiquidAgainstReference(const ChaosReference &ref, const Program &prog,
 }
 
 } // namespace
+
+ArchSnapshot
+snapshotSystem(const System &sys, const Program &prog)
+{
+    ArchSnapshot snap;
+    const std::size_t bytes = prog.dataImage().size();
+    snap.memory.reserve(bytes / 4 + 1);
+    for (std::size_t off = 0; off + 4 <= bytes; off += 4)
+        snap.memory.push_back(sys.memory().readWord(Program::dataBase + off));
+
+    const RegFile &regs = sys.core().regs();
+    for (unsigned i = 0; i < regsPerClass; ++i) {
+        snap.scalars[i] = regs.read(RegId(RegClass::Int, i));
+        snap.scalars[regsPerClass + i] =
+            regs.read(RegId(RegClass::Flt, i));
+    }
+    snap.cmpState = regs.cmpState();
+
+    for (const auto &[target, calls] : sys.core().callLog())
+        snap.callCounts[target] = calls.size();
+    return snap;
+}
 
 bool
 ArchSnapshot::operator==(const ArchSnapshot &o) const
@@ -170,22 +169,6 @@ ArchSnapshot::diff(const ArchSnapshot &other) const
     return out;
 }
 
-ChaosReference
-makeReference(const Program &prog, unsigned width)
-{
-    System sys(SystemConfig::make(ExecMode::ScalarBaseline, width), prog);
-    sys.run();
-
-    ChaosReference ref;
-    const auto call_log = sys.core().callLog();
-    ref.snapshot = snapshotSystem(sys, prog, call_log);
-    ref.instsRetired = sys.core().stats().get("insts");
-    for (const auto &[target, calls] : call_log)
-        ref.regions.push_back(target);
-
-    return ref;
-}
-
 ChaosReport
 checkSchedule(const ChaosReference &ref, const Program &prog,
               unsigned width, const FaultSchedule &sched, bool sabotage)
@@ -209,8 +192,7 @@ ExploreSummary
 exploreSchedules(const Program &prog, unsigned width,
                  const ExploreOptions &opts)
 {
-    const ChaosReference ref =
-        (opts.refMaker ? opts.refMaker : makeReference)(prog, width);
+    const ChaosReference ref = makeReference(prog, width);
     ExploreSummary summary;
 
     auto runOne = [&](const FaultSchedule &sched) {

@@ -47,6 +47,7 @@ namespace liquid
 {
 
 class Program;
+class System;
 struct UcodeEntry;
 
 /** The architectural state the scalar ISA promises after a run. */
@@ -74,8 +75,18 @@ struct ChaosReference
     std::vector<Addr> regions;    ///< bl targets (addressed events)
 };
 
-/** Run the scalar baseline once and snapshot the result. */
+/**
+ * Run the scalar baseline once and snapshot the result. It runs on the
+ * functional tier (fast/fast.hh), which retires the cycle core's
+ * architectural state at a fraction of its cost;
+ * FastLockstep.FunctionalReferenceMatchesCycleReference holds the two
+ * equal over the suite. @p width only names the build: the scalar
+ * baseline has no SIMD accelerator.
+ */
 ChaosReference makeReference(const Program &prog, unsigned width);
+
+/** The snapshot of @p sys after a run of @p prog on its cycle core. */
+ArchSnapshot snapshotSystem(const System &sys, const Program &prog);
 
 /** Outcome of one Liquid-under-faults run against the reference. */
 struct ChaosReport
@@ -131,14 +142,6 @@ struct ExploreOptions
     /** Randomized part: multi-event schedules beyond the window. */
     unsigned trials = 32;
     std::uint64_t seed = 1;
-    /**
-     * Reference-side runner computing the scalar ground truth for
-     * (program, width); null selects makeReference (the cycle core).
-     * The functional tier's makeFunctionalReference (fast/reference.hh)
-     * is a drop-in replacement that makes large sweeps cheap; a plain
-     * function pointer keeps liquid_chaos free of a fast dependency.
-     */
-    ChaosReference (*refMaker)(const Program &, unsigned) = nullptr;
 };
 
 /** One failing schedule, replayable from its key. */

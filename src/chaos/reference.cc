@@ -1,4 +1,4 @@
-#include "fast/reference.hh"
+#include "chaos/oracle.hh"
 
 #include <algorithm>
 
@@ -6,18 +6,18 @@
 #include "fast/fast.hh"
 #include "memory/main_memory.hh"
 
-namespace liquid::fast
+namespace liquid
 {
 
 ChaosReference
-makeFunctionalReference(const Program &prog, unsigned width)
+makeReference(const Program &prog, unsigned width)
 {
     // The scalar baseline has no SIMD accelerator regardless of the
     // requested width (SystemConfig::make applies the same coupling).
     static_cast<void>(width);
 
     MainMemory mem = MainMemory::forProgram(prog);
-    FastInterp interp(FastConfig{}, prog, mem);
+    fast::FastInterp interp(fast::FastConfig{}, prog, mem);
     interp.run();
 
     ChaosReference ref;
@@ -41,4 +41,4 @@ makeFunctionalReference(const Program &prog, unsigned width)
     return ref;
 }
 
-} // namespace liquid::fast
+} // namespace liquid

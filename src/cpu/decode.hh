@@ -44,6 +44,18 @@ enum OpHandler : std::uint8_t
     HStore,
     HDpRR,
     HDpRI,
+    // Functional-tier fast paths: the functional tier's block decoder
+    // gives an integer add, sub or mul and a word load or store these
+    // handlers of their own. decodeInst never produces them, so the
+    // cycle core never sees them.
+    HAddRR,
+    HAddRI,
+    HSubRR,
+    HSubRI,
+    HMulRR,
+    HMulRI,
+    HLoadWord,
+    HStoreWord,
     // Vector handlers; everything from HVLoad on is a vector op.
     HVLoad,
     HVStore,
@@ -87,8 +99,9 @@ struct DecodedOp
     std::uint8_t extraLatency = 0;     ///< OpInfo::extraLatency
     FloatLatency floatLatency = FloatLatency::None;
     /**
-     * Fall-through pc increment of the functional tier (its block-
-     * boundary sabotage sets 2); the cycle core always advances by one.
+     * Fall-through pc increment of a branch on the functional tier (its
+     * block-boundary sabotage sets 2); every other op, and every op on
+     * the cycle core, advances by one.
      */
     std::uint8_t pcBump = 1;
     std::int32_t imm = 0;              ///< immediate or branch target

@@ -28,11 +28,51 @@ FastInterp::FastInterp(const FastConfig &config, const Program &prog,
     config_.faults.normalize();
     ops_.assign(prog_.code().size(), DecodedOp{});
     blockStart_.assign(ops_.size(), -1);
+    blockLeft_.assign(ops_.size(), 0);
     numOps_ = ops_.size();
     pc_ = prog_.hasLabel("main") ? prog_.labelIndex("main") : 0;
 }
 
 // ---- predecode ---------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Give an integer add, sub or mul and a word load or store its
+ * functional-tier handler (decode.hh). The handler fixes what the
+ * generic one tests per retire: the opcode, the float flag, the size.
+ */
+void
+specialize(DecodedOp &op)
+{
+    const bool imm = op.handler == HDpRI;
+    switch (op.handler) {
+      case HLoad:
+        if (op.esize == 4)
+            op.handler = HLoadWord;
+        return;
+      case HStore:
+        if (op.esize == 4)
+            op.handler = HStoreWord;
+        return;
+      case HDpRR:
+      case HDpRI:
+        if ((op.flags & DecodedOp::flagFloat) != 0)
+            return;
+        if (op.op == Opcode::Add)
+            op.handler = imm ? HAddRI : HAddRR;
+        else if (op.op == Opcode::Sub)
+            op.handler = imm ? HSubRI : HSubRR;
+        else if (op.op == Opcode::Mul)
+            op.handler = imm ? HMulRI : HMulRR;
+        return;
+      default:
+        return;
+    }
+}
+
+} // namespace
 
 void
 FastInterp::decodeBlock(int start)
@@ -46,6 +86,7 @@ FastInterp::decodeBlock(int start)
     for (;;) {
         const Inst &inst = code[i];
         DecodedOp op = decodeInst(inst);
+        specialize(op);
         const bool terminator =
             inst.op == Opcode::B || inst.op == Opcode::Bl ||
             inst.op == Opcode::Ret || inst.op == Opcode::Halt;
@@ -63,6 +104,8 @@ FastInterp::decodeBlock(int start)
             break;
         ++i;
     }
+    for (std::size_t j = static_cast<std::size_t>(start); j <= i; ++j)
+        blockLeft_[j] = static_cast<std::uint32_t>(i - j + 1);
     ++blocksDecoded_;
     if (pendingStale_ && first_effect >= 0) {
         ops_[static_cast<std::size_t>(first_effect)].handler = HStaleNop;
@@ -229,116 +272,194 @@ FastInterp::vectorWidth(const DecodedOp &o) const
     return config_.simdWidth;
 }
 
+template <Opcode Op>
+inline void
+FastInterp::execIntDp(const DecodedOp &o, Word b)
+{
+    const Word value = evalScalarOp(Op, scalars_[o.src1], b, false);
+    if (execCond(o))
+        scalars_[o.dst] = value;
+}
+
+inline bool
+FastInterp::storeWrites(const DecodedOp &o)
+{
+    ++storesSeen_;
+    return execCond(o) && (config_.sabotage != Sabotage::SkippedStore ||
+                           storesSeen_ % 17 != 0);
+}
+
 void
 FastInterp::dispatch(std::uint64_t stop)
 {
-    while (retired_ < stop) {
-        if (!pcInRange()) [[unlikely]]
-            fatalPcOutOfRange(pc_, numOps_);
-        const DecodedOp &o = ops_[static_cast<std::size_t>(pc_)];
-        if (o.handler == HInvalid) {
-            decodeBlock(pc_);
-            continue;
-        }
-        // The one retire count: an op retires before its effect, as on
-        // the cycle core, so a user error leaves both counts equal.
-        ++retired_;
-        const bool is_float = (o.flags & DecodedOp::flagFloat) != 0;
-        switch (o.handler) {
-          case HNop:
-          case HStaleNop:  // sabotage: the op retires, its effect is gone
-            break;
+    // pc and the retire count stay in locals while blocks run and are
+    // written back on every exit, a user error's included. An op
+    // retires before its effect, as on the cycle core, so a fatal()
+    // raised mid-block leaves retired() and pc where the core's are.
+    int pc = pc_;
+    std::uint64_t retired = retired_;
+    const DecodedOp *const ops = ops_.data();  // sized once, never moves
+    try {
+        while (retired < stop) {
+            // Once per block entry: the pc range (a negative pc wraps
+            // past any size), the decode state and the stop, which
+            // cuts the block short when it falls inside it.
+            if (static_cast<unsigned>(pc) >= numOps_) [[unlikely]]
+                fatalPcOutOfRange(pc, numOps_);
+            if (ops[pc].handler == HInvalid)
+                decodeBlock(pc);
+            const std::uint64_t end =
+                retired + std::min<std::uint64_t>(
+                              blockLeft_[static_cast<std::size_t>(pc)],
+                              stop - retired);
+            // Every op but a block's last falls through to pc + 1, so
+            // the next pc never waits on a load of the op; a branch,
+            // bl, ret or halt is its block's last op.
+            while (retired != end) {
+                const DecodedOp &o = ops[pc];
+                ++retired;
+                switch (o.handler) {
+                  case HNop:
+                  case HStaleNop:  // sabotage: retires, effect is gone
+                    break;
 
-          case HHalt:
-            halted_ = true;
-            pc_ += o.pcBump;
-            return;
+                  case HHalt:
+                    halted_ = true;
+                    pc_ = pc + 1;
+                    retired_ = retired;
+                    return;
 
-          case HMovImm:
-            if (execCond(o))
-                scalars_[o.dst] = static_cast<Word>(o.imm);
-            break;
+                  case HMovImm:
+                    if (execCond(o))
+                        scalars_[o.dst] = static_cast<Word>(o.imm);
+                    break;
 
-          case HMovReg:
-            if (execCond(o))
-                scalars_[o.dst] = scalars_[o.src1];
-            break;
+                  case HMovReg:
+                    if (execCond(o))
+                        scalars_[o.dst] = scalars_[o.src1];
+                    break;
 
-          case HCmpRR:
-          case HCmpRI:
-            if (execCond(o)) {
-                const Word a = scalars_[o.src1];
-                const Word b = o.handler == HCmpRI
-                                   ? static_cast<Word>(o.imm)
-                                   : scalars_[o.src2];
-                cmp_ = config_.sabotage == Sabotage::WrongFlagUpdate
-                           ? evalCompare(b, a, is_float)
-                           : evalCompare(a, b, is_float);
+                  case HCmpRR:
+                  case HCmpRI:
+                    if (execCond(o)) {
+                        const bool is_float =
+                            (o.flags & DecodedOp::flagFloat) != 0;
+                        const Word a = scalars_[o.src1];
+                        const Word b = o.handler == HCmpRI
+                                           ? static_cast<Word>(o.imm)
+                                           : scalars_[o.src2];
+                        cmp_ = config_.sabotage == Sabotage::WrongFlagUpdate
+                                   ? evalCompare(b, a, is_float)
+                                   : evalCompare(a, b, is_float);
+                    }
+                    break;
+
+                  case HBranch:
+                    // Not taken: pcBump, which the OffByOneBlock
+                    // sabotage sets to 2.
+                    pc = execCond(o) ? o.imm : pc + o.pcBump;
+                    continue;
+
+                  case HBl:
+                    // Like the cycle core, bl and ret ignore the
+                    // condition field.
+                    ++calls_;
+                    ++callCounts_[o.memBase];
+                    lastCallTarget_ = o.imm;
+                    callStack_.push_back(pc + 1);
+                    pc = o.imm;
+                    continue;
+
+                  case HRet:
+                    if (callStack_.empty()) [[unlikely]]
+                        fatalTopLevelRet(pc);
+                    pc = callStack_.back();
+                    callStack_.pop_back();
+                    continue;
+
+                  case HLoad: {
+                    // The cycle core reads memory regardless of the
+                    // condition and gates only the register write;
+                    // mirror that exactly.
+                    const Word value = mem_.readElem(
+                        memEA(o), o.esize,
+                        (o.flags & DecodedOp::flagSigned) != 0);
+                    if (execCond(o))
+                        scalars_[o.dst] = value;
+                    break;
+                  }
+
+                  case HLoadWord: {
+                    const Word value = mem_.readWord(memEA(o));
+                    if (execCond(o))
+                        scalars_[o.dst] = value;
+                    break;
+                  }
+
+                  case HStore: {
+                    const Addr ea = memEA(o);
+                    if (storeWrites(o))
+                        mem_.writeElem(ea, o.esize, scalars_[o.src1]);
+                    break;
+                  }
+
+                  case HStoreWord: {
+                    const Addr ea = memEA(o);
+                    if (storeWrites(o))
+                        mem_.writeWord(ea, scalars_[o.src1]);
+                    break;
+                  }
+
+                  case HDpRR:
+                  case HDpRI: {
+                    const Word b = o.handler == HDpRI
+                                       ? static_cast<Word>(o.imm)
+                                       : scalars_[o.src2];
+                    const Word value = evalScalarOp(
+                        o.op, scalars_[o.src1], b,
+                        (o.flags & DecodedOp::flagFloat) != 0);
+                    if (execCond(o))
+                        scalars_[o.dst] = value;
+                    break;
+                  }
+
+                  case HAddRR:
+                    execIntDp<Opcode::Add>(o, scalars_[o.src2]);
+                    break;
+                  case HAddRI:
+                    execIntDp<Opcode::Add>(o, static_cast<Word>(o.imm));
+                    break;
+                  case HSubRR:
+                    execIntDp<Opcode::Sub>(o, scalars_[o.src2]);
+                    break;
+                  case HSubRI:
+                    execIntDp<Opcode::Sub>(o, static_cast<Word>(o.imm));
+                    break;
+                  case HMulRR:
+                    execIntDp<Opcode::Mul>(o, scalars_[o.src2]);
+                    break;
+                  case HMulRI:
+                    execIntDp<Opcode::Mul>(o, static_cast<Word>(o.imm));
+                    break;
+
+                  default:
+                    // Vector ops are skipped whole when their
+                    // condition fails.
+                    if (execCond(o))
+                        execVector(o,
+                                   (o.flags & DecodedOp::flagFloat) != 0);
+                    break;
+                }
+                ++pc;
             }
-            break;
-
-          case HBranch:
-            if (execCond(o)) {
-                pc_ = o.imm;
-                continue;
-            }
-            break;
-
-          case HBl:
-            // Like the cycle core, bl and ret ignore the condition field.
-            ++calls_;
-            ++callCounts_[o.memBase];
-            lastCallTarget_ = o.imm;
-            callStack_.push_back(pc_ + 1);
-            pc_ = o.imm;
-            continue;
-
-          case HRet:
-            if (callStack_.empty()) [[unlikely]]
-                fatalTopLevelRet(pc_);
-            pc_ = callStack_.back();
-            callStack_.pop_back();
-            continue;
-
-          case HLoad: {
-            // The cycle core reads memory regardless of the condition
-            // and gates only the register write; mirror that exactly.
-            const Word value = mem_.readElem(
-                memEA(o), o.esize, (o.flags & DecodedOp::flagSigned) != 0);
-            if (execCond(o))
-                scalars_[o.dst] = value;
-            break;
-          }
-
-          case HStore: {
-            const Addr ea = memEA(o);
-            ++storesSeen_;
-            if (execCond(o) &&
-                (config_.sabotage != Sabotage::SkippedStore ||
-                 storesSeen_ % 17 != 0))
-                mem_.writeElem(ea, o.esize, scalars_[o.src1]);
-            break;
-          }
-
-          case HDpRR:
-          case HDpRI: {
-            const Word b = o.handler == HDpRI ? static_cast<Word>(o.imm)
-                                              : scalars_[o.src2];
-            const Word value =
-                evalScalarOp(o.op, scalars_[o.src1], b, is_float);
-            if (execCond(o))
-                scalars_[o.dst] = value;
-            break;
-          }
-
-          default:
-            // Vector ops are skipped whole when their condition fails.
-            if (execCond(o))
-                execVector(o, is_float);
-            break;
         }
-        pc_ += o.pcBump;
+    } catch (...) {
+        pc_ = pc;
+        retired_ = retired;
+        throw;
     }
+    pc_ = pc;
+    retired_ = retired;
 }
 
 void

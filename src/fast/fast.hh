@@ -7,8 +7,14 @@
  * Instructions are predecoded per straight-line block into a dispatch
  * cache of DecodedOp records — the shared decoder's DecodedOp
  * (cpu/decode.hh, the same ops the cycle core runs) plus a block
- * anchor — and executed by one switch loop, which run(), runUntil()
- * and the lockstep harness's step() all go through.
+ * anchor and the ops left to the block's end — and executed by one
+ * switch loop, which run(), runUntil() and the lockstep harness's
+ * step() all go through. The loop checks the pc range, the decode
+ * state and the stop once per block entry, then runs the block (or
+ * the part of it before the stop) with pc and the retire count in
+ * locals. Integer add/sub/mul and word loads and stores decode to
+ * handlers of their own, which skip the float test, the opcode switch
+ * and the element-size switch.
  * The dispatch cache is invalidated on the same external events that
  * invalidate the microcode cache in the cycle model: UcodeFlush drops
  * everything, UcodeEvict drops one region's blocks, SmcStore drops the
@@ -161,12 +167,6 @@ class FastInterp
         return effectiveAddr(o, scalars_.data());
     }
 
-    /** Does pc_ index ops_? (A negative pc_ wraps past any size.) */
-    bool pcInRange() const
-    {
-        return static_cast<unsigned>(pc_) < numOps_;
-    }
-
     unsigned vectorWidth(const DecodedOp &o) const;
 
     /**
@@ -176,6 +176,16 @@ class FastInterp
     void dispatch(std::uint64_t stop);
     /** Execute vector op @p o, whose condition holds. */
     void execVector(const DecodedOp &o, bool is_float);
+    // The two helpers below run inside the dispatch loop's handlers;
+    // left to the inliner's size budget they stay calls.
+    /** Integer data-processing op @p o with its opcode fixed to @p Op. */
+    template <Opcode Op>
+    [[gnu::always_inline]] void execIntDp(const DecodedOp &o, Word b);
+    /**
+     * Count scalar store @p o; true if it writes (its condition holds
+     * and the SkippedStore sabotage spares it).
+     */
+    [[gnu::always_inline]] bool storeWrites(const DecodedOp &o);
 
     /** Predecode the straight-line block starting at @p start. */
     void decodeBlock(int start);
@@ -184,6 +194,7 @@ class FastInterp
     {
         ops_[index] = DecodedOp{};
         blockStart_[index] = -1;
+        blockLeft_[index] = 0;
     }
     /** Drop whole blocks overlapping instruction indices [lo, hi). */
     void invalidateIndexRange(std::size_t lo, std::size_t hi);
@@ -216,6 +227,12 @@ class FastInterp
     std::vector<DecodedOp> ops_;
     /** Block anchor of each decoded op; -1 = undecoded. */
     std::vector<std::int32_t> blockStart_;
+    /**
+     * Ops from each decoded op through its block's last op (1 at the
+     * terminator); 0 = undecoded. A side vector, like blockStart_, so
+     * the DecodedOp entries the loop walks stay at 40 bytes.
+     */
+    std::vector<std::uint32_t> blockLeft_;
     /** ops_.size(), kept so the per-dispatch range check needs no divide. */
     std::size_t numOps_ = 0;
 

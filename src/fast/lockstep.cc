@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "cpu/core.hh"
 #include "memory/main_memory.hh"
 
@@ -115,24 +116,31 @@ runLockstep(const Program &prog, ExecMode mode, unsigned width,
         }
     };
 
+    Rng strides(opts.strideSeed);
+    const std::int64_t max_stride = opts.strideSeed == 0 ? 1 : 64;
+    std::uint64_t mem_rounds = 0;
     while (res.equal) {
+        const auto stride =
+            static_cast<std::uint64_t>(strides.range(1, max_stride));
         std::string cycle_err;
         std::string fast_err;
         try {
-            core.step();
+            for (std::uint64_t i = 0; i < stride && !core.halted(); ++i) {
+                ++res.retires;
+                core.step();
+            }
         } catch (const PanicError &e) {
             cycle_err = e.what();
         } catch (const FatalError &e) {
             cycle_err = e.what();
         }
         try {
-            interp.step();
+            interp.runUntil(interp.retired() + stride);
         } catch (const PanicError &e) {
             fast_err = e.what();
         } catch (const FatalError &e) {
             fast_err = e.what();
         }
-        ++res.retires;
 
         if (!cycle_err.empty() || !fast_err.empty()) {
             if (cycle_err != fast_err) {
@@ -151,8 +159,10 @@ runLockstep(const Program &prog, ExecMode mode, unsigned width,
 
         compareArch();
         if (opts.memCompareEvery &&
-            res.retires % opts.memCompareEvery == 0)
+            res.retires / opts.memCompareEvery > mem_rounds) {
+            mem_rounds = res.retires / opts.memCompareEvery;
             compareMemory(Program::dataBase);
+        }
 
         if (core.halted())
             break;

@@ -15,6 +15,12 @@
  * files, the compare flags and the halt state; the data-memory image is
  * compared periodically and in full at the end, together with the call
  * log shape and the total retire count.
+ *
+ * By default the functional tier advances with step(), one retire per
+ * dispatch call. With a stride seed it advances by runUntil(retired() +
+ * s), s random in [1, 64], the cycle core by as many steps, and
+ * the compare runs at each boundary: the multi-op blocks and mid-block
+ * stops that run() takes, which step() never reaches.
  */
 
 #ifndef LIQUID_FAST_LOCKSTEP_HH
@@ -44,6 +50,11 @@ struct LockstepOptions
     std::uint64_t memCompareEvery = 4096;
     /** Cap on recorded divergence messages. */
     std::size_t maxDivergences = 8;
+    /**
+     * 0: advance one retire at a time. Otherwise the seed of the random
+     * strides, each of 1 to 64 retires (see the file header).
+     */
+    std::uint64_t strideSeed = 0;
 };
 
 /** Outcome of one lockstep run. */

@@ -19,12 +19,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "chaos/oracle.hh"
-#include "fast/reference.hh"
 #include "test_env.hh"
 #include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
@@ -33,22 +31,6 @@ namespace liquid
 {
 namespace
 {
-
-/**
- * Scalar ground truth. The functional tier computes it at a fraction
- * of the cycle model's cost (fast_lockstep_test proves the two
- * references bit-identical across the suite), which is what lets the
- * default trial count rise while wall-clock stays flat. Set
- * LIQUID_CHAOS_REFERENCE=cycle to restore the cycle-core reference.
- */
-ChaosReference
-reference(const Program &prog, unsigned width)
-{
-    const char *v = std::getenv("LIQUID_CHAOS_REFERENCE");
-    if (v && std::string(v) == "cycle")
-        return makeReference(prog, width);
-    return fast::makeFunctionalReference(prog, width);
-}
 
 /** Build the named suite workload, Scalarized at @p width. */
 Workload::Build
@@ -109,7 +91,7 @@ TEST(FaultScheduleKey, RandomSchedulesAlwaysRoundTrip)
 TEST(ChaosOracle, EveryFaultKindPreservesStateOnFir)
 {
     const Workload::Build build = buildSuiteWorkload("fir", 8);
-    const ChaosReference ref = reference(build.prog, 8);
+    const ChaosReference ref = makeReference(build.prog, 8);
     const std::vector<std::string> keys = {
         "p700", "int@40", "flush@80", "evict@60", "smc@100", "dcache@50",
     };
@@ -129,7 +111,7 @@ TEST(ChaosOracle, EveryFaultKindPreservesStateOnFir)
 TEST(ChaosOracle, ComposedScheduleRetranslatesAndStaysEqual)
 {
     const Workload::Build build = buildSuiteWorkload("fir", 8);
-    const ChaosReference ref = reference(build.prog, 8);
+    const ChaosReference ref = makeReference(build.prog, 8);
     const ChaosReport report = checkSchedule(
         ref, build.prog, 8,
         FaultSchedule::parse("int@40+flush@80+smc@100"));
@@ -150,7 +132,7 @@ TEST(ChaosOracle, ComposedScheduleRetranslatesAndStaysEqual)
 TEST(ChaosOracle, SameScheduleReproducesIdenticalFinalState)
 {
     const Workload::Build build = buildSuiteWorkload("fft", 8);
-    const ChaosReference ref = reference(build.prog, 8);
+    const ChaosReference ref = makeReference(build.prog, 8);
     const FaultSchedule sched =
         FaultSchedule::parse("p250+evict@60+smc@100");
     const ChaosReport a = checkSchedule(ref, build.prog, 8, sched);
@@ -181,7 +163,7 @@ TEST(ChaosOracle, CatchesSabotagedInterruptFallback)
     Rng data_rng(12);
     const Program prog =
         corpus.mustBuild(data_rng, EmitOptions::Mode::Scalarized, 8);
-    const ChaosReference ref = reference(prog, 8);
+    const ChaosReference ref = makeReference(prog, 8);
 
     unsigned caught = 0;
     const std::uint64_t sweep =
@@ -202,7 +184,7 @@ TEST(ChaosOracle, CatchesSabotagedInterruptFallback)
 TEST(ChaosOracle, SabotageWithoutInterruptIsInert)
 {
     const Workload::Build build = buildSuiteWorkload("fir", 8);
-    const ChaosReference ref = reference(build.prog, 8);
+    const ChaosReference ref = makeReference(build.prog, 8);
     const ChaosReport report = checkSchedule(
         ref, build.prog, 8, FaultSchedule{}, /*sabotage=*/true);
     EXPECT_TRUE(report.equal);
@@ -239,7 +221,7 @@ TEST(ChaosProperty, RandomKernelsUnderRandomSchedules)
         const Program &prog = *built;
         ++done;
 
-        const ChaosReference ref = reference(prog, width);
+        const ChaosReference ref = makeReference(prog, width);
         const FaultSchedule sched = FaultSchedule::random(
             rng, std::max<std::uint64_t>(ref.instsRetired, 1),
             ref.regions);

@@ -26,7 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -67,15 +66,11 @@ runImage(const Program &prog, ExecMode mode, unsigned width)
  * The scalar-baseline data image, computed on the functional tier (a
  * fraction of the cycle model's cost; fast_lockstep_test proves the
  * tiers architecturally identical) — this is what lets the default
- * trial count rise while wall-clock stays flat. Set
- * LIQUID_ORACLE_REFERENCE=cycle to restore the cycle-core reference.
+ * trial count rise while wall-clock stays flat.
  */
 std::vector<Word>
-scalarImage(const Program &prog, unsigned width)
+scalarImage(const Program &prog)
 {
-    const char *v = std::getenv("LIQUID_ORACLE_REFERENCE");
-    if (v && std::string(v) == "cycle")
-        return runImage(prog, ExecMode::ScalarBaseline, width);
     MainMemory mem = MainMemory::forProgram(prog);
     fast::FastInterp interp(fast::FastConfig{}, prog, mem);
     interp.run();
@@ -101,7 +96,7 @@ checkOracle(const Program &prog, const std::string &label,
 
     const OfflineResult off =
         translateOffline(prog, entry, width, hint);
-    const bool match = scalarImage(prog, width) ==
+    const bool match = scalarImage(prog) ==
                        runImage(prog, ExecMode::Liquid, width);
 
     bool agreed = true;

@@ -7,7 +7,8 @@
  * and the sabotage self-test proves the compare actually bites.
  *
  * Random-kernel count defaults to 200 and can be raised for fuzz runs
- * via LIQUID_LOCKSTEP_KERNELS.
+ * via LIQUID_LOCKSTEP_KERNELS (the strided kernel case runs a quarter
+ * of it); LIQUID_LOCKSTEP_SEED seeds the strided cases' strides.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +20,8 @@
 #include "chaos/oracle.hh"
 #include "common/random.hh"
 #include "fast/lockstep.hh"
-#include "fast/reference.hh"
+#include "memory/main_memory.hh"
+#include "sim/system.hh"
 #include "test_env.hh"
 #include "workloads/kernel_corpus.hh"
 #include "workloads/workload.hh"
@@ -178,24 +180,205 @@ TEST(FastLockstep, SabotageModesAllCaught)
 }
 
 /**
- * The functional reference must be bit-identical to the cycle-core
- * reference across the suite — this is what licenses the oracles'
- * trial-count raise to ride on the functional tier.
+ * The cycle-core scalar reference: the oracle the functional
+ * makeReference is held to below, and its only remaining use.
+ */
+ChaosReference
+cycleReference(const Program &prog, unsigned width)
+{
+    System sys(SystemConfig::make(ExecMode::ScalarBaseline, width), prog);
+    sys.run();
+    ChaosReference ref;
+    ref.snapshot = snapshotSystem(sys, prog);
+    ref.instsRetired = sys.core().instsRetired();
+    for (const auto &[target, stamps] : sys.core().callLog())
+        ref.regions.push_back(target);
+    return ref;
+}
+
+/**
+ * makeReference (the functional tier) must be bit-identical to the
+ * cycle-core reference across the suite, for the builds at every
+ * width the chaos class and the oracles run: this is what licenses
+ * every scalar reference to ride on the functional tier.
  */
 TEST(FastLockstep, FunctionalReferenceMatchesCycleReference)
 {
     for (const auto &wl : makeSuite()) {
-        const auto build = wl->build(EmitOptions::Mode::Scalarized, 8);
-        const ChaosReference cyc = makeReference(build.prog, 8);
-        const ChaosReference fun =
-            makeFunctionalReference(build.prog, 8);
-        EXPECT_EQ(fun.instsRetired, cyc.instsRetired) << wl->name();
-        EXPECT_EQ(fun.regions, cyc.regions) << wl->name();
-        const bool same = fun.snapshot == cyc.snapshot;
-        EXPECT_TRUE(same) << wl->name() << ": "
-                          << (same ? std::string()
-                                   : fun.snapshot.diff(cyc.snapshot)
-                                         .front());
+        for (unsigned width : {4u, 8u, 16u}) {
+            const auto build =
+                wl->build(EmitOptions::Mode::Scalarized, width);
+            const ChaosReference cyc = cycleReference(build.prog, width);
+            const ChaosReference fun = makeReference(build.prog, width);
+            EXPECT_EQ(fun.instsRetired, cyc.instsRetired)
+                << wl->name() << " w" << width;
+            EXPECT_EQ(fun.regions, cyc.regions)
+                << wl->name() << " w" << width;
+            const bool same = fun.snapshot == cyc.snapshot;
+            EXPECT_TRUE(same) << wl->name() << " w" << width << ": "
+                              << (same ? std::string()
+                                       : fun.snapshot.diff(cyc.snapshot)
+                                             .front());
+        }
+    }
+}
+
+// --- Random strides ---------------------------------------------------
+//
+// step() stops after every op, so the per-retire runs above never take
+// a multi-op block or stop inside one. These cases advance the
+// functional tier by runUntil(retired() + s), s random in [1, 64], and
+// compare at each boundary (docs/FAST.md lists the block-loop
+// mutations each case catches). They run as their own ctest case,
+// fast_lockstep_strided_test.
+
+/** Stride seed of the strided cases; LIQUID_LOCKSTEP_SEED overrides. */
+std::uint64_t
+strideSeed()
+{
+    return envNumber("LIQUID_LOCKSTEP_SEED", std::uint64_t{2028});
+}
+
+LockstepOptions
+strided(std::uint64_t salt)
+{
+    LockstepOptions opts;
+    opts.strideSeed = strideSeed() * 1000 + salt + 1;
+    return opts;
+}
+
+/** The suite, scalar and native builds, advanced by random strides. */
+TEST(FastLockstepStrided, Suite)
+{
+    std::uint64_t salt = 0;
+    for (const auto &wl : makeSuite()) {
+        const auto scalar = wl->build(EmitOptions::Mode::Scalarized, 8);
+        const LockstepResult rs = runLockstep(
+            scalar.prog, ExecMode::ScalarBaseline, 0, strided(salt++));
+        EXPECT_TRUE(rs.equal) << wl->name() << ": " << firstDivergence(rs);
+        const auto native = wl->build(EmitOptions::Mode::Native, 8);
+        const LockstepResult rn = runLockstep(
+            native.prog, ExecMode::NativeSimd, 8, strided(salt++));
+        EXPECT_TRUE(rn.equal) << wl->name() << ": " << firstDivergence(rn);
+    }
+}
+
+/** KernelCorpus kernels, both modes, advanced by random strides. */
+TEST(FastLockstepStrided, CorpusKernels)
+{
+    const unsigned kernels =
+        envNumber("LIQUID_LOCKSTEP_KERNELS", 200u) / 4;
+    KernelCorpus corpus(29);
+    unsigned checked = 0;
+    for (unsigned i = 0; i < kernels; ++i) {
+        const GeneratedKernel &g = corpus.next();
+        Rng scalarData(0x5eed0000ull + i);
+        const auto scalarProg =
+            corpus.build(scalarData, EmitOptions::Mode::Scalarized, 8);
+        Rng nativeData(0x5eed0000ull + i);
+        const auto nativeProg =
+            corpus.build(nativeData, EmitOptions::Mode::Native, 8);
+        if (!scalarProg || !nativeProg)
+            continue;
+        ++checked;
+        const LockstepResult rs = runLockstep(
+            *scalarProg, ExecMode::ScalarBaseline, 0, strided(2 * i));
+        EXPECT_TRUE(rs.equal)
+            << g.kernel.name() << " (scalar): " << firstDivergence(rs);
+        const LockstepResult rn = runLockstep(
+            *nativeProg, ExecMode::NativeSimd, 8, strided(2 * i + 1));
+        EXPECT_TRUE(rn.equal)
+            << g.kernel.name() << " (native): " << firstDivergence(rn);
+    }
+    EXPECT_GE(checked, kernels * 9 / 10) << corpus.skipSummary();
+}
+
+/**
+ * Random fault schedules over the whole run: their events land inside
+ * blocks, so the functional tier must cut a block at each event's
+ * retire and fire it there, as the cycle core does.
+ */
+TEST(FastLockstepStrided, FaultSchedules)
+{
+    Rng rng(strideSeed());
+    std::uint64_t salt = 0;
+    for (const auto &wl : makeSuite()) {
+        const auto scalar = wl->build(EmitOptions::Mode::Scalarized, 8);
+        const auto native = wl->build(EmitOptions::Mode::Native, 8);
+        const ChaosReference ref = makeReference(scalar.prog, 8);
+        for (int trial = 0; trial < 2; ++trial) {
+            LockstepOptions opts = strided(salt++);
+            opts.faults =
+                FaultSchedule::random(rng, ref.instsRetired, ref.regions);
+            const LockstepResult rs = runLockstep(
+                scalar.prog, ExecMode::ScalarBaseline, 0, opts);
+            EXPECT_TRUE(rs.equal) << wl->name() << " "
+                                  << opts.faults.key() << ": "
+                                  << firstDivergence(rs);
+            const LockstepResult rn =
+                runLockstep(native.prog, ExecMode::NativeSimd, 8, opts);
+            EXPECT_TRUE(rn.equal) << wl->name() << " "
+                                  << opts.faults.key() << ": "
+                                  << firstDivergence(rn);
+        }
+    }
+}
+
+/**
+ * An out-of-bounds load at each position but the last of a 13-op
+ * block, after a 40-trip warm-up loop so that strides stop inside the
+ * block too: run() on the functional tier must stop with the cycle
+ * core's FatalError text, retire count (which counts the faulting
+ * load) and pc, and so must every stride that reaches it.
+ */
+TEST(FastLockstepStrided, OutOfBoundsLoadAtEveryBlockPosition)
+{
+    constexpr int blockOps = 12;
+    constexpr std::uint64_t before = 1 + 40 * 3 + 2;  // retires to body
+    for (int at = 0; at < blockOps; ++at) {
+        std::string src = ".words x 1 2 3 4\nmain:\n  mov r9, #0\n"
+                          "warm:\n  add r9, r9, #1\n  cmp r9, #40\n"
+                          "  blt warm\n  mov r9, #1000000\n  b body\n"
+                          "body:\n";
+        for (int k = 0; k < blockOps; ++k) {
+            src += k == at ? "  ldw r2, [x + r9]\n"
+                           : "  add r1, r1, #" + std::to_string(k) + "\n";
+        }
+        src += "  halt\n";
+        const Program prog = assemble(src);
+
+        System sys(SystemConfig::make(ExecMode::ScalarBaseline, 0), prog);
+        std::string cycle_err;
+        try {
+            sys.run();
+        } catch (const FatalError &e) {
+            cycle_err = e.what();
+        }
+        ASSERT_NE(cycle_err, "") << "load at " << at;
+        ASSERT_EQ(sys.core().instsRetired(),
+                  before + static_cast<std::uint64_t>(at) + 1);
+
+        MainMemory mem = MainMemory::forProgram(prog);
+        FastInterp interp(FastConfig{}, prog, mem);
+        std::string fast_err;
+        try {
+            interp.run();
+        } catch (const FatalError &e) {
+            fast_err = e.what();
+        }
+        EXPECT_EQ(fast_err, cycle_err) << "load at " << at;
+        EXPECT_EQ(interp.retired(), sys.core().instsRetired())
+            << "load at " << at;
+        EXPECT_EQ(interp.pc(), sys.core().pc()) << "load at " << at;
+
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            LockstepOptions opts;
+            opts.strideSeed = seed;
+            const LockstepResult r =
+                runLockstep(prog, ExecMode::ScalarBaseline, 0, opts);
+            EXPECT_TRUE(r.equal) << "load at " << at << " seed " << seed
+                                 << ": " << firstDivergence(r);
+        }
     }
 }
 

@@ -163,10 +163,11 @@ TEST(Proof, SymbolicNClosesElementwiseKernelsWidthGenerically)
                 ++widthGeneric;
                 // One symbolic proof covers every committed width.
                 for (const WidthProof &wp : rp.widths) {
-                    if (wp.verdict == ProofVerdict::Proved)
+                    if (wp.verdict == ProofVerdict::Proved) {
                         EXPECT_TRUE(wp.widthGeneric)
                             << wl->name() << " " << rp.entryLabel
                             << " w" << wp.width;
+                    }
                 }
             }
             ++proved;

@@ -318,7 +318,7 @@ choice(std::vector<std::string> names, T &target, Choices<T> choices,
             std::move(expected)};
 }
 
-/** The execution tiers by name (--tier, --reference). */
+/** The execution tiers by name (--tier). */
 inline Choices<fast::ExecTier>
 tierChoices()
 {

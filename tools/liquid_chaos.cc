@@ -22,10 +22,9 @@
  * straight back into `run --schedule`.
  *
  * The scalar reference side runs on the functional execution tier
- * (src/fast/) by default — it produces the identical architectural
- * snapshot at a fraction of the cost, which is what makes large
- * --trials sweeps affordable. --reference cycle restores the cycle
- * core as the ground-truth generator.
+ * (src/fast/): it produces the cycle core's architectural snapshot at
+ * a fraction of the cost, which is what makes large --trials sweeps
+ * affordable.
  *
  * Exit status: 0 when every schedule preserves architectural state;
  * 1 on any oracle mismatch; 2 on usage errors, a bad schedule key and
@@ -41,8 +40,6 @@
 #include "chaos/oracle.hh"
 #include "cli_args.hh"
 #include "common/json.hh"
-#include "fast/reference.hh"
-#include "fast/tier.hh"
 #include "report.hh"
 #include "workloads/workload.hh"
 
@@ -76,20 +73,7 @@ struct Options
     unsigned trials = 8;                 ///< explore: randomized part
     std::uint64_t seed = 1;
     bool json = false;
-    /** Tier computing the scalar ground truth (functional = cheap). */
-    fast::ExecTier reference = fast::ExecTier::Functional;
 };
-
-using RefMaker = ChaosReference (*)(const Program &, unsigned);
-
-/** The reference maker matching --reference. */
-RefMaker
-referenceMaker(const Options &opts)
-{
-    return opts.reference == fast::ExecTier::Functional
-               ? fast::makeFunctionalReference
-               : makeReference;
-}
 
 /** The selected workloads, built Scalarized at the oracle width. */
 std::vector<std::pair<std::string, Workload::Build>>
@@ -153,7 +137,8 @@ emitReport(const Options &opts, const std::string &command,
         json::Value v = json::toolReport(chaosSchema, chaosToolVersion);
         v.set("command", command);
         v.set("width", opts.width);
-        v.set("reference", fast::tierName(opts.reference));
+        // The tier computing the scalar ground truth (makeReference).
+        v.set("reference", "functional");
         v.set("checks", static_cast<std::uint64_t>(records.size()));
         v.set("failures", failures);
         v.set("results", cli::jsonArray(records, recordJson));
@@ -175,8 +160,7 @@ runCurated(const Options &opts, const std::vector<std::string> &keys,
 {
     std::vector<CheckRecord> records;
     for (const auto &[name, build] : buildWorkloads(opts)) {
-        const ChaosReference ref =
-            referenceMaker(opts)(build.prog, opts.width);
+        const ChaosReference ref = makeReference(build.prog, opts.width);
         for (const auto &key : keys) {
             const FaultSchedule sched = FaultSchedule::parse(key);
             CheckRecord rec{name, key,
@@ -203,7 +187,6 @@ runExplore(const Options &opts)
         eopts.window = opts.window;
         eopts.trials = opts.trials;
         eopts.seed = opts.seed;
-        eopts.refMaker = referenceMaker(opts);
         const ExploreSummary summary =
             exploreSchedules(build.prog, opts.width, eopts);
         for (const auto &[kind, count] : summary.kindCoverage)
@@ -274,10 +257,6 @@ main(int argc, char **argv)
                         "8)"),
             cli::number({"--seed"}, "S", opts.seed,
                         "explore: RNG seed (default 1)"),
-            cli::choice({"--reference"}, opts.reference,
-                        cli::tierChoices(),
-                        "scalar ground-truth generator: the timing core "
-                        "or the fast interpreter (default: functional)"),
             cli::flag({"--json"}, opts.json,
                       "machine-readable report on stdout"),
         }};
