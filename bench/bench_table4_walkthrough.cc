@@ -51,5 +51,22 @@ main()
               << "  offset-array vlds collapsed: "
               << sys.translator().stats().get("instsCollapsed") << '\n'
               << "  induction stride rewritten 1 -> 8 in both loops\n";
+
+    // The pass condition: the microcode holds the paper's 3 width-8
+    // butterflies and 2 upper-half lane masks.
+    unsigned vperms = 0;
+    unsigned vmasks = 0;
+    for (const Inst &inst : uc->insts) {
+        vperms += inst.op == Opcode::Vperm &&
+                  inst.permKind == PermKind::SwapHalves &&
+                  inst.permBlock == 8;
+        vmasks += inst.op == Opcode::Vmask && inst.maskBits == 0xF0;
+    }
+    if (vperms != 3 || vmasks != 2) {
+        std::cerr << "bench_table4_walkthrough: counted " << vperms
+                  << " vperm.bfly8 (3 expected) and " << vmasks
+                  << " vmask #0xf0 (2 expected)\n";
+        return 1;
+    }
     return 0;
 }

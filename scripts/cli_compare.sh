@@ -159,7 +159,7 @@ if [ $QUICK = 0 ]; then
     run poly_fuzz liquid-poly --random 500 --seed $SEED --json
 fi
 
-# ---- the bench/ table binaries, which no ctest case runs ----------------
+# ---- the bench/ table binaries, run here with no arguments -------------
 for table in "$NEW"/../bench/bench_*; do
     [ -f "$table" ] && [ -x "$table" ] || continue
     run "$(basename "$table")" "../bench/$(basename "$table")"

@@ -9,13 +9,6 @@ namespace liquid
 namespace
 {
 
-/** The interlock bit of @p reg (0 for an invalid register). */
-std::uint64_t
-regBit(RegId reg)
-{
-    return reg.isValid() ? std::uint64_t{1} << reg.flat() : 0;
-}
-
 /** Builds one op from an instruction that keeps the class rule. */
 struct Decoder
 {
@@ -175,6 +168,48 @@ Decoder::decodeScalar()
 
 } // namespace
 
+InstEffects
+instEffects(const Inst &inst)
+{
+    InstEffects fx;
+    fx.cond = inst.cond;
+    switch (inst.op) {
+      case Opcode::B:
+        fx.control = Control::Branch;
+        return fx;
+      case Opcode::Bl:
+        fx.control = Control::Call;
+        return fx;
+      case Opcode::Ret:
+        fx.control = Control::Return;
+        return fx;
+      case Opcode::Halt:
+        fx.control = Control::Halt;
+        return fx;
+      default:
+        break;
+    }
+
+    // A store's data register, a data-processing op's sources and a
+    // memory op's index; a load's or data-processing op's destination,
+    // but not cmp's, which writes only the flags. A reduction carries
+    // its accumulator in src1 (dst = red(dst, src2)); add() skips the
+    // operands an op leaves invalid, such as mov #imm's src1.
+    const OpInfo &info = inst.info();
+    if (info.isStore)
+        fx.reads.add(inst.src1);
+    if (info.isDataProc) {
+        fx.reads.add(inst.src1);
+        if (!inst.hasImm)
+            fx.reads.add(inst.src2);
+    }
+    if (info.isLoad || info.isStore)
+        fx.reads.add(inst.mem.index);
+    if ((info.isDataProc && !info.setsFlags) || info.isLoad)
+        fx.writes.add(inst.dst);
+    return fx;
+}
+
 DecodedOp
 decodeInst(const Inst &inst)
 {
@@ -187,18 +222,7 @@ decodeInst(const Inst &inst)
     op.op = inst.op;
     op.inst = &inst;
     op.extraLatency = static_cast<std::uint8_t>(info.extraLatency);
-
-    // The load-use interlock's operand set: a store's data register,
-    // a data-processing op's sources and a memory op's index.
-    if (info.isStore)
-        op.reads |= regBit(inst.src1);
-    if (info.isDataProc) {
-        op.reads |= regBit(inst.src1);
-        if (!inst.hasImm)
-            op.reads |= regBit(inst.src2);
-    }
-    if (info.isLoad || info.isStore)
-        op.reads |= regBit(inst.mem.index);
+    op.reads = instEffects(inst).reads.bits();
 
     if (info.isVector)
         d.decodeVector();

@@ -11,6 +11,12 @@
  * entry and adds its block anchors. What an op means is fixed here;
  * what it costs (fetch, cache, interlock and latency charges) is the
  * cycle core's timing policy and lives there alone.
+ *
+ * instEffects() is the one table of what an instruction reads, writes
+ * and where control goes after it. decodeInst builds DecodedOp::reads
+ * from it, the functional tier ends its blocks by it, and the static
+ * passes (verifier/) build their CFGs, liveness and region walks on
+ * it, so a new opcode is classified once.
  */
 
 #ifndef LIQUID_CPU_DECODE_HH
@@ -25,6 +31,57 @@
 
 namespace liquid
 {
+
+/** Where control goes after an instruction retires. */
+enum class Control : std::uint8_t
+{
+    Next,    ///< falls through to pc + 1
+    Branch,  ///< b<cond>: to the target when the condition holds
+    Call,    ///< bl: to the target; its ret resumes at pc + 1
+    Return,  ///< ret: back to the caller's pc + 1
+    Halt,    ///< halt: stops the program
+};
+
+/**
+ * What one instruction does to registers and control. The register
+ * sets are raw: a conditional write is in writes, and the old value it
+ * keeps when the condition fails is not in reads (liveness adds that
+ * use itself). bl and ret have no register effects; whoever follows
+ * the call summarizes the callee's. Memory and the condition flags
+ * are not registers here.
+ */
+struct InstEffects
+{
+    RegSet reads;
+    RegSet writes;
+    Control control = Control::Next;
+    Cond cond = Cond::AL;  ///< a Branch's condition, else the write's
+
+    /** A b<cond> that may fall through. */
+    bool
+    condBranch() const
+    {
+        return control == Control::Branch && cond != Cond::AL;
+    }
+
+    /** pc + 1 may retire next (after a bl, once the callee returns). */
+    bool
+    fallsThrough() const
+    {
+        return control == Control::Next || control == Control::Call ||
+               condBranch();
+    }
+
+    /** Control leaves the function: ret or halt. */
+    bool
+    exitsFn() const
+    {
+        return control == Control::Return || control == Control::Halt;
+    }
+};
+
+/** The registers @p inst reads and writes and its control class. */
+InstEffects instEffects(const Inst &inst);
 
 /** Handler ids. */
 enum OpHandler : std::uint8_t
@@ -108,7 +165,7 @@ struct DecodedOp
     std::int32_t memDisp = 0;
     Addr memBase = 0;                  ///< also the Bl entry address
     /**
-     * Registers the op reads, one bit per RegId::flat() (int, flt, vec,
+     * instEffects().reads, one bit per RegId::flat() (int, flt, vec,
      * vflt): the operands the cycle core's load-use interlock checks.
      */
     std::uint64_t reads = 0;

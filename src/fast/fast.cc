@@ -87,13 +87,13 @@ FastInterp::decodeBlock(int start)
         const Inst &inst = code[i];
         DecodedOp op = decodeInst(inst);
         specialize(op);
-        const bool terminator =
-            inst.op == Opcode::B || inst.op == Opcode::Bl ||
-            inst.op == Opcode::Ret || inst.op == Opcode::Halt;
+        // Every transfer ends a block here, a bl included.
+        const Control control = instEffects(inst).control;
+        const bool terminator = control != Control::Next;
         // Sabotage: a conditional block terminator falls through one
         // instruction too far — the classic block-boundary off-by-one.
-        if (config_.sabotage == Sabotage::OffByOneBlock && terminator &&
-            op.handler == HBranch)
+        if (config_.sabotage == Sabotage::OffByOneBlock &&
+            control == Control::Branch)
             op.pcBump = 2;
         ops_[i] = op;
         blockStart_[i] = start;
@@ -572,19 +572,6 @@ FastInterp::exportRegs(RegFile &out) const
                      vectors_[regsPerClass + i]);
     }
     out.setCmpState(cmp_);
-}
-
-void
-FastInterp::importRegs(const RegFile &in)
-{
-    for (unsigned i = 0; i < regsPerClass; ++i) {
-        scalars_[i] = in.read(RegId(RegClass::Int, i));
-        scalars_[regsPerClass + i] = in.read(RegId(RegClass::Flt, i));
-        vectors_[i] = in.readVec(RegId(RegClass::Vec, i));
-        vectors_[regsPerClass + i] =
-            in.readVec(RegId(RegClass::VFlt, i));
-    }
-    cmp_ = in.cmpState();
 }
 
 StatGroup &

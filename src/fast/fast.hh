@@ -130,8 +130,6 @@ class FastInterp
 
     /** Copy architectural register state out (warmup handoff). */
     void exportRegs(RegFile &out) const;
-    /** Adopt register state (tests; the tier normally starts at reset). */
-    void importRegs(const RegFile &in);
 
     /** Full (uncapped) bl target -> call count map. */
     const std::map<Addr, std::uint64_t> &callCounts() const

@@ -103,16 +103,9 @@ runLockstep(const Program &prog, ExecMode mode, unsigned width,
     };
 
     auto compareMemory = [&](Addr begin) {
-        std::size_t shown = 0;
-        for (Addr a = begin; a + 4 <= cycle_mem.size(); a += 4) {
-            const Word c = cycle_mem.readWord(a);
-            const Word f = fast_mem.readWord(a);
-            if (c == f)
-                continue;
-            diverge("mem[" + hex(a) + "] = " + hex(f) + " vs cycle " +
-                    hex(c));
-            if (++shown >= 4)
-                break;
+        for (const Addr a : cycle_mem.differingWords(fast_mem, begin, 4)) {
+            diverge("mem[" + hex(a) + "] = " + hex(fast_mem.readWord(a)) +
+                    " vs cycle " + hex(cycle_mem.readWord(a)));
         }
     };
 

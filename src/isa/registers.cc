@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <sstream>
 
 namespace liquid
 {
@@ -50,6 +51,31 @@ parseRegName(const std::string &name)
     if (idx >= regsPerClass)
         return RegId::invalid();
     return RegId(cls, idx);
+}
+
+std::vector<RegId>
+RegSet::regs() const
+{
+    std::vector<RegId> out;
+    for (unsigned flat = 0; flat < 64; ++flat) {
+        if (bits_ & (1ull << flat))
+            out.push_back(RegId::fromFlat(flat));
+    }
+    return out;
+}
+
+std::string
+RegSet::str() const
+{
+    if (empty())
+        return "-";
+    std::ostringstream os;
+    bool first = true;
+    for (const RegId reg : regs()) {
+        os << (first ? "" : ", ") << regName(reg);
+        first = false;
+    }
+    return os.str();
 }
 
 } // namespace liquid

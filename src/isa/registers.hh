@@ -12,8 +12,10 @@
 #ifndef LIQUID_ISA_REGISTERS_HH
 #define LIQUID_ISA_REGISTERS_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -124,6 +126,76 @@ std::string regName(RegId reg);
 
 /** Parse a register name; returns invalid() if unrecognized. */
 RegId parseRegName(const std::string &name);
+
+/** A set of architectural registers, keyed by RegId::flat(). */
+class RegSet
+{
+  public:
+    void
+    add(RegId reg)
+    {
+        if (reg.isValid())
+            bits_ |= 1ull << reg.flat();
+    }
+
+    bool
+    contains(RegId reg) const
+    {
+        return reg.isValid() && (bits_ & (1ull << reg.flat()));
+    }
+
+    bool empty() const { return bits_ == 0; }
+    unsigned count() const { return std::popcount(bits_); }
+
+    /** One bit per member, bit RegId::flat(). */
+    std::uint64_t bits() const { return bits_; }
+
+    RegSet &
+    operator|=(const RegSet &o)
+    {
+        bits_ |= o.bits_;
+        return *this;
+    }
+
+    RegSet &
+    operator&=(const RegSet &o)
+    {
+        bits_ &= o.bits_;
+        return *this;
+    }
+
+    /** Set difference: registers in this set but not in @p o. */
+    RegSet
+    minus(const RegSet &o) const
+    {
+        RegSet r;
+        r.bits_ = bits_ & ~o.bits_;
+        return r;
+    }
+
+    bool operator==(const RegSet &o) const { return bits_ == o.bits_; }
+
+    /** Members in flat order. */
+    std::vector<RegId> regs() const;
+
+    /** Members restricted to one register class. */
+    RegSet
+    ofClass(RegClass cls) const
+    {
+        RegSet r;
+        r.bits_ = bits_ & (0xFFFFull << RegId(cls, 0).flat());
+        return r;
+    }
+
+    /** True if any member is a vector-class register (flat 32..63). */
+    bool anyVector() const { return (bits_ >> 32) != 0; }
+
+    /** Comma-separated register names, e.g. "r1, f2"; "-" if empty. */
+    std::string str() const;
+
+  private:
+    std::uint64_t bits_ = 0;
+};
 
 } // namespace liquid
 

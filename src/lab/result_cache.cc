@@ -133,18 +133,24 @@ ResultCache::load(const std::string &hash) const
         return std::nullopt;
     std::ostringstream text;
     text << in.rdbuf();
+    in.close();
     // A torn, hand-edited or misfiled entry is a miss, never an error:
-    // the job simulates again and store() replaces the entry.
+    // the job simulates again and store() writes a fresh entry. The bad
+    // one is moved aside to <hash>.json.bad for inspection; a failed
+    // move is ignored (a concurrent loader may have moved it first).
+    auto discard = [&]() -> std::optional<RunOutcome> {
+        discarded_.fetch_add(1, std::memory_order_relaxed);
+        std::error_code ec;
+        std::filesystem::rename(path(hash), path(hash) + ".bad", ec);
+        return std::nullopt;
+    };
     try {
         const json::Value v = json::parse(text.str());
-        if (v.at("hash").asString() != hash) {
-            discarded_.fetch_add(1, std::memory_order_relaxed);
-            return std::nullopt;
-        }
+        if (v.at("hash").asString() != hash)
+            return discard();
         return JobResult::fromJson(v.at("result")).outcome;
     } catch (const std::exception &) {
-        discarded_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
+        return discard();
     }
 }
 

@@ -44,8 +44,9 @@ class ResultCache
 
     /**
      * Look up a previously stored outcome. An entry that does not
-     * parse, or whose stored hash is not @p hash, is a miss and is
-     * counted in discarded().
+     * parse, or whose stored hash is not @p hash, is a miss: it is
+     * counted in discarded() and renamed to <hash>.json.bad, so the
+     * next store() does not overwrite it.
      */
     std::optional<RunOutcome> load(const std::string &hash) const;
 

@@ -1,6 +1,7 @@
 #include "memory/main_memory.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "asm/program.hh"
 #include "common/logging.hh"
@@ -66,6 +67,40 @@ MainMemory::writeSlow(Addr addr, unsigned size, Word value)
         else
             low_[a] = byte;
     }
+}
+
+std::vector<Addr>
+MainMemory::differingWords(const MainMemory &other, Addr begin,
+                           std::size_t limit) const
+{
+    LIQUID_ASSERT(size_ == other.size_ && begin % 4 == 0,
+                  "memory compare of ", size_, " and ", other.size_,
+                  " bytes from ", begin);
+    // memcmp a block at a time, then a differing block word by word.
+    // Blocks never straddle eagerBase_, which the block size divides.
+    constexpr Addr block = 4096;
+    static_assert(Program::dataBase % block == 0);
+    static const std::uint8_t zeros[block] = {};
+    auto bytes = [&](const MainMemory &m, Addr a) {
+        if (a >= eagerBase_)
+            return m.eager_.data() + (a - eagerBase_);
+        return m.low_.empty() ? zeros : m.low_.data() + a;
+    };
+    std::vector<Addr> out;
+    const auto end = static_cast<Addr>(size_ & ~std::size_t{3});
+    for (Addr a = begin; a < end && out.size() < limit;) {
+        const Addr n = std::min(block - a % block, end - a);
+        const std::uint8_t *p = bytes(*this, a);
+        const std::uint8_t *q = bytes(other, a);
+        if (std::memcmp(p, q, n) != 0) {
+            for (Addr w = 0; w < n && out.size() < limit; w += 4) {
+                if (std::memcmp(p + w, q + w, 4) != 0)
+                    out.push_back(a + w);
+            }
+        }
+        a += n;
+    }
+    return out;
 }
 
 void

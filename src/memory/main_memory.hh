@@ -145,6 +145,16 @@ class MainMemory
 
     std::size_t size() const { return size_; }
 
+    /**
+     * The word addresses in [@p begin, size()) at which this memory and
+     * @p other, of the same size, hold different words, ascending and
+     * at most @p limit of them. @p begin is word aligned. The eager
+     * regions are compared a block at a time; a low region that was
+     * never written compares as zeros.
+     */
+    std::vector<Addr> differingWords(const MainMemory &other, Addr begin,
+                                     std::size_t limit) const;
+
   private:
     /**
      * The bytes of [addr, addr + size) when they lie wholly in the

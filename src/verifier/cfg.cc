@@ -16,33 +16,26 @@ instSuccessors(const Program &prog, int index, bool &falls_off)
 {
     const auto &code = prog.code();
     const Inst &inst = code[index];
-    const int next = index + 1;
-    const bool has_next = next < static_cast<int>(code.size());
+    const InstEffects fx = instEffects(inst);
 
     std::vector<int> succs;
-    switch (inst.op) {
-      case Opcode::Ret:
-      case Opcode::Halt:
-        return succs;
-      case Opcode::B:
-        if (inst.target >= 0 &&
-            inst.target < static_cast<int>(code.size()))
-            succs.push_back(inst.target);
-        if (inst.cond != Cond::AL) {
-            if (has_next)
-                succs.push_back(next);
-            else
-                falls_off = true;
-        }
-        return succs;
-      default:
-        // bl falls through once the callee returns.
-        if (has_next)
-            succs.push_back(next);
+    if (fx.control == Control::Branch && inst.target >= 0 &&
+        inst.target < static_cast<int>(code.size()))
+        succs.push_back(inst.target);
+    if (fx.fallsThrough()) {
+        if (index + 1 < static_cast<int>(code.size()))
+            succs.push_back(index + 1);
         else
             falls_off = true;
-        return succs;
     }
+    return succs;
+}
+
+/** A CFG block ends at a branch, ret or halt (a bl returns inline). */
+bool
+endsBlock(const InstEffects &fx)
+{
+    return fx.control != Control::Next && fx.control != Control::Call;
 }
 
 } // namespace
@@ -65,23 +58,19 @@ RegionCfg::build(const Program &prog, int entry_index)
         work.pop_back();
         if (!reachable.insert(i).second)
             continue;
-        const Inst &inst = code[i];
-        if (inst.op == Opcode::B && inst.cond != Cond::AL)
-            cfg.condBranches_.push_back(i);
-        if (inst.op == Opcode::Bl)
+        const InstEffects fx = instEffects(code[i]);
+        if (fx.control == Control::Call)
             cfg.calls_.push_back(i);
         const auto succs = instSuccessors(prog, i, cfg.fallsOffEnd_);
         for (const int s : succs) {
             work.push_back(s);
             // A branch target starts a block; so does the instruction
             // after any branch.
-            if (inst.op == Opcode::B) {
+            if (fx.control == Control::Branch)
                 leaders.insert(s);
-            }
         }
     }
     cfg.insts_.assign(reachable.begin(), reachable.end());
-    std::sort(cfg.condBranches_.begin(), cfg.condBranches_.end());
     std::sort(cfg.calls_.begin(), cfg.calls_.end());
 
     // Split reachable instructions into blocks at leaders and
@@ -92,14 +81,7 @@ RegionCfg::build(const Program &prog, int entry_index)
         const bool prev_adjacent =
             p > 0 && cfg.insts_[p - 1] == i - 1;
         const bool prev_flows =
-            prev_adjacent &&
-            [&] {
-                const Inst &prev = code[i - 1];
-                return !(prev.op == Opcode::Ret ||
-                         prev.op == Opcode::Halt ||
-                         (prev.op == Opcode::B &&
-                          prev.cond == Cond::AL));
-            }();
+            prev_adjacent && instEffects(code[i - 1]).fallsThrough();
         const bool starts =
             cfg.blocks_.empty() || leaders.count(i) || !prev_flows ||
             !prev_adjacent;
@@ -113,9 +95,7 @@ RegionCfg::build(const Program &prog, int entry_index)
         }
         // A branch (or region exit) ends its block; the *next*
         // reachable instruction starts a new one even if not a leader.
-        const Inst &inst = code[i];
-        if (inst.op == Opcode::B || inst.op == Opcode::Ret ||
-            inst.op == Opcode::Halt)
+        if (endsBlock(instEffects(code[i])))
             leaders.insert(i + 1);
     }
 
@@ -138,6 +118,7 @@ RegionCfg::build(const Program &prog, int entry_index)
         for (const int s : bb.succs)
             cfg.blocks_[static_cast<std::size_t>(s)].preds.push_back(
                 static_cast<int>(b));
+        bb.exits = bb.succs.empty() || instEffects(code[bb.last]).exitsFn();
     }
 
     // Back edges via iterative DFS (edge to a block on the stack).

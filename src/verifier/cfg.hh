@@ -6,10 +6,12 @@
  * The region is everything reachable from the hinted bl target by
  * following fallthrough edges and branch targets, terminated by ret or
  * halt. A bl inside the region is kept as a fallthrough edge (the call
- * returns) but recorded so the rule checkers can flag it. Natural
- * loops are found from DFS back edges; the translator only accepts
- * single-block do-while loops, so the CFG's loop set is what the
- * dataflow pass walks and what the diagnostics describe.
+ * returns) but recorded so the rule checkers can flag it. Which of
+ * these an instruction is comes from the shared decoder's control
+ * class (instEffects, cpu/decode.hh). Natural loops are found from DFS
+ * back edges; the translator only accepts single-block do-while loops,
+ * so the CFG's loop set is what the dataflow pass walks and what the
+ * diagnostics describe.
  */
 
 #ifndef LIQUID_VERIFIER_CFG_HH
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "asm/program.hh"
+#include "cpu/decode.hh"
 
 namespace liquid
 {
@@ -29,6 +32,8 @@ struct BasicBlock
     int last = -1;
     std::vector<int> succs;   ///< successor block ids
     std::vector<int> preds;   ///< predecessor block ids
+    /** The function ends here: a ret or halt, or no successor. */
+    bool exits = false;
 };
 
 /** A natural loop, identified by its back edge. */
@@ -58,9 +63,6 @@ class RegionCfg
     /** Block containing instruction @p index; -1 if unreachable. */
     int blockOf(int index) const;
 
-    /** Indices of conditional branches (B with cond != AL). */
-    const std::vector<int> &condBranches() const { return condBranches_; }
-
     /** Indices of bl instructions inside the region. */
     const std::vector<int> &calls() const { return calls_; }
 
@@ -72,7 +74,6 @@ class RegionCfg
     std::vector<int> insts_;
     std::vector<BasicBlock> blocks_;
     std::vector<CfgLoop> loops_;
-    std::vector<int> condBranches_;
     std::vector<int> calls_;
     bool fallsOffEnd_ = false;
 };

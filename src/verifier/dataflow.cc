@@ -64,17 +64,7 @@ AbsMachine::condHolds(Cond cond) const
         return Taken::Yes;
     if (!flagsKnown_)
         return Taken::Unknown;
-    bool holds = false;
-    switch (cond) {
-      case Cond::AL: holds = true; break;
-      case Cond::EQ: holds = cmpState_ == 0; break;
-      case Cond::NE: holds = cmpState_ != 0; break;
-      case Cond::LT: holds = cmpState_ < 0; break;
-      case Cond::LE: holds = cmpState_ <= 0; break;
-      case Cond::GT: holds = cmpState_ > 0; break;
-      case Cond::GE: holds = cmpState_ >= 0; break;
-    }
-    return holds ? Taken::Yes : Taken::No;
+    return liquid::condHolds(cond, cmpState_) ? Taken::Yes : Taken::No;
 }
 
 AbsRetire

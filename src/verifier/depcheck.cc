@@ -77,15 +77,17 @@ walkRegion(const Program &prog, int entry_index,
                            DepReason::LeavesText};
 
         const Inst &inst = code[pc];
-        if (inst.op == Opcode::Ret || inst.op == Opcode::Halt)
+        const InstEffects fx = instEffects(inst);
+        if (fx.exitsFn())
             break;
-        if (inst.op == Opcode::Bl)
+        if (fx.control == Control::Call)
             throw WalkStop{"call inside the region", pc,
                            DepReason::NestedCall};
 
         Taken taken = Taken::No;
         const AbsRetire ri = machine.step(inst, pc, taken);
-        if (inst.op == Opcode::B && taken == Taken::Unknown)
+        const bool branch = fx.control == Control::Branch;
+        if (branch && taken == Taken::Unknown)
             throw WalkStop{"branch depends on runtime data", pc,
                            DepReason::RuntimeBranch};
 
@@ -111,7 +113,7 @@ walkRegion(const Program &prog, int entry_index,
             }
         }
 
-        if (inst.op == Opcode::B && ri.branchTaken) {
+        if (branch && ri.branchTaken) {
             const int loop = loopOf(loops, pc);
             if (loop >= 0 && loops[static_cast<std::size_t>(loop)].last == pc)
                 ++iterOf[static_cast<std::size_t>(loop)];

@@ -1,118 +1,19 @@
 #include "verifier/liveness.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "verifier/fixpoint.hh"
 
 namespace liquid
 {
 
-unsigned
-RegSet::count() const
-{
-    unsigned n = 0;
-    for (std::uint64_t b = bits_; b; b &= b - 1)
-        ++n;
-    return n;
-}
-
-std::vector<RegId>
-RegSet::regs() const
-{
-    std::vector<RegId> out;
-    for (unsigned flat = 0; flat < 64; ++flat) {
-        if (bits_ & (1ull << flat))
-            out.push_back(RegId::fromFlat(flat));
-    }
-    return out;
-}
-
 RegSet
-RegSet::ofClass(RegClass cls) const
+liveUses(const InstEffects &fx)
 {
-    RegSet out;
-    for (const RegId reg : regs()) {
-        if (reg.cls() == cls)
-            out.add(reg);
-    }
-    return out;
-}
-
-bool
-RegSet::anyVector() const
-{
-    for (const RegId reg : regs()) {
-        if (reg.isVector())
-            return true;
-    }
-    return false;
-}
-
-std::string
-RegSet::str() const
-{
-    if (empty())
-        return "-";
-    std::ostringstream os;
-    bool first = true;
-    for (const RegId reg : regs()) {
-        os << (first ? "" : ", ") << regName(reg);
-        first = false;
-    }
-    return os.str();
-}
-
-InstEffects
-instEffects(const Inst &inst)
-{
-    InstEffects fx;
-    const OpInfo &info = inst.info();
-
-    switch (inst.op) {
-      case Opcode::Nop:
-      case Opcode::Halt:
-      case Opcode::B:
-      case Opcode::Bl:
-      case Opcode::Ret:
-        return fx;
-
-      case Opcode::Cmp:
-        fx.uses.add(inst.src1);
-        if (!inst.hasImm)
-            fx.uses.add(inst.src2);
-        return fx;
-
-      case Opcode::Mov:
-        if (!inst.hasImm)
-            fx.uses.add(inst.src1);
-        fx.defs.add(inst.dst);
-        break;
-
-      default:
-        if (info.isLoad) {
-            fx.uses.add(inst.mem.index);
-            fx.defs.add(inst.dst);
-        } else if (info.isStore) {
-            fx.uses.add(inst.src1);
-            fx.uses.add(inst.mem.index);
-        } else {
-            // Data processing, vperm/vmask, reductions. Reductions
-            // carry dst through src1 (dst = red(dst, src2)), so the
-            // uniform src1/src2 read covers them.
-            fx.uses.add(inst.src1);
-            if (!inst.hasImm)
-                fx.uses.add(inst.src2);
-            fx.defs.add(inst.dst);
-        }
-        break;
-    }
-
-    // A conditional write merges with the old value on the not-taken
-    // path, so the destination is also an input.
-    if (inst.cond != Cond::AL)
-        fx.uses |= fx.defs;
-    return fx;
+    RegSet uses = fx.reads;
+    if (fx.cond != Cond::AL)
+        uses |= fx.writes;
+    return uses;
 }
 
 namespace
@@ -123,7 +24,8 @@ void
 transferInst(const Inst &inst, const std::map<int, FnSummary> &callees,
              RegSet &live)
 {
-    if (inst.op == Opcode::Bl) {
+    const InstEffects fx = instEffects(inst);
+    if (fx.control == Control::Call) {
         auto it = callees.find(inst.target);
         if (it != callees.end()) {
             live = live.minus(it->second.mayDef);
@@ -131,9 +33,8 @@ transferInst(const Inst &inst, const std::map<int, FnSummary> &callees,
         }
         return;
     }
-    const InstEffects fx = instEffects(inst);
-    live = live.minus(fx.defs);
-    live |= fx.uses;
+    live = live.minus(fx.writes);
+    live |= liveUses(fx);
 }
 
 /** Backward liveness as a fixpoint.hh problem (lattice: RegSet). */
@@ -147,20 +48,8 @@ struct LivenessProblem
     const std::map<int, FnSummary> &callees;
     const RegSet &exitLive;
 
-    bool
-    blockExits(std::size_t b) const
-    {
-        const BasicBlock &bb = cfg.blocks()[b];
-        const Inst &last =
-            prog.code()[static_cast<std::size_t>(bb.last)];
-        if (last.op == Opcode::Ret || last.op == Opcode::Halt)
-            return true;
-        // A block with no successors whose path leaves the text.
-        return bb.succs.empty();
-    }
-
     State initial(std::size_t) const { return {}; }
-    bool isBoundary(std::size_t b) const { return blockExits(b); }
+    bool isBoundary(std::size_t b) const { return cfg.blocks()[b].exits; }
     State boundary(std::size_t) const { return exitLive; }
     bool pinBoundary() const { return false; }
     State noEdges(std::size_t) const { return {}; }
@@ -244,13 +133,14 @@ Liveness::run(const Program &prog, const RegionCfg &cfg,
     // mayDef: every reachable def plus callee effects.
     for (const int i : cfg.instructions()) {
         const Inst &inst = code[static_cast<std::size_t>(i)];
-        if (inst.op == Opcode::Bl) {
+        const InstEffects fx = instEffects(inst);
+        if (fx.control == Control::Call) {
             auto it = callees.find(inst.target);
             if (it != callees.end())
                 lv.mayDef_ |= it->second.mayDef;
             continue;
         }
-        lv.mayDef_ |= instEffects(inst).defs;
+        lv.mayDef_ |= fx.writes;
     }
 
     // Per-block fixpoint: liveOut(b) = U liveIn(succ), region exits
@@ -346,7 +236,8 @@ solveProgramLiveness(const Program &prog)
     // (its liveness after each bl is what a region's results must
     // satisfy).
     for (const Inst &inst : code) {
-        if (inst.op != Opcode::Bl || inst.target < 0 ||
+        if (instEffects(inst).control != Control::Call ||
+            inst.target < 0 ||
             inst.target >= static_cast<int>(code.size()))
             continue;
         ProgramLiveness::FnFacts &fi = pl.fns[inst.target];

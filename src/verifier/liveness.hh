@@ -2,7 +2,8 @@
  * @file
  * Register-liveness dataflow over a RegionCfg plus the CFG facts the
  * whole-binary scanner's region-boundary contract needs (dominators,
- * reducibility, per-instruction use/def effects).
+ * reducibility). Each instruction's reads, writes and control class
+ * come from the shared decoder's instEffects (cpu/decode.hh).
  *
  * The analysis is a classic backward may-liveness fixpoint over the
  * region's basic blocks. Registers are tracked by their flat number
@@ -31,92 +32,18 @@
 #include <vector>
 
 #include "asm/program.hh"
+#include "cpu/decode.hh"
 #include "verifier/cfg.hh"
 
 namespace liquid
 {
 
-/** A set of architectural registers, keyed by RegId::flat(). */
-class RegSet
-{
-  public:
-    void
-    add(RegId reg)
-    {
-        if (reg.isValid())
-            bits_ |= 1ull << reg.flat();
-    }
-
-    void remove(RegId reg)
-    {
-        if (reg.isValid())
-            bits_ &= ~(1ull << reg.flat());
-    }
-
-    bool
-    contains(RegId reg) const
-    {
-        return reg.isValid() && (bits_ & (1ull << reg.flat()));
-    }
-
-    bool empty() const { return bits_ == 0; }
-    unsigned count() const;
-
-    RegSet &
-    operator|=(const RegSet &o)
-    {
-        bits_ |= o.bits_;
-        return *this;
-    }
-
-    RegSet &
-    operator&=(const RegSet &o)
-    {
-        bits_ &= o.bits_;
-        return *this;
-    }
-
-    /** Set difference: registers in this set but not in @p o. */
-    RegSet
-    minus(const RegSet &o) const
-    {
-        RegSet r;
-        r.bits_ = bits_ & ~o.bits_;
-        return r;
-    }
-
-    bool operator==(const RegSet &o) const { return bits_ == o.bits_; }
-
-    /** Members in flat order. */
-    std::vector<RegId> regs() const;
-
-    /** Members restricted to one register class. */
-    RegSet ofClass(RegClass cls) const;
-
-    /** True if any member is a vector-class register. */
-    bool anyVector() const;
-
-    /** Comma-separated register names, e.g. "r1, f2"; "-" if empty. */
-    std::string str() const;
-
-  private:
-    std::uint64_t bits_ = 0;
-};
-
-/** What one instruction reads and writes (registers only). */
-struct InstEffects
-{
-    RegSet uses;
-    RegSet defs;
-};
-
 /**
- * Use/def effects of @p inst. Conditional register writes (cond !=
- * AL on a dst-writing opcode) also *use* the destination: the old
- * value survives when the condition fails. Bl and Ret report no
- * effects — interprocedural flow is the caller's job (FnSummary).
+ * The registers @p fx's instruction uses for liveness: what it reads,
+ * plus the destination of a conditional write, whose old value
+ * survives when the condition fails.
  */
-InstEffects instEffects(const Inst &inst);
+RegSet liveUses(const InstEffects &fx);
 
 /**
  * Liveness summary of a callee, used to transfer bl sites: a call

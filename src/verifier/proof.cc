@@ -586,6 +586,14 @@ struct ScalarShape
     RegId iv;
 };
 
+/** True when control may leave @p in for another pc: b, bl or ret. */
+bool
+jumps(const Inst &in)
+{
+    const Control c = instEffects(in).control;
+    return c != Control::Next && c != Control::Halt;
+}
+
 ScalarShape
 scalarShapeOf(const Program &prog, int entry_index)
 {
@@ -611,28 +619,27 @@ scalarShapeOf(const Program &prog, int entry_index)
     // Preamble: straight-line register setup only.
     for (int i = entry_index; i < first; ++i) {
         const Inst &in = code[static_cast<std::size_t>(i)];
-        if (in.isBranch() || in.op == Opcode::Ret ||
-            in.op == Opcode::Bl || in.isMem()) {
+        if (jumps(in) || in.isMem()) {
             s.why = "preamble is not straight-line register setup";
             return s;
         }
     }
     // Body: straight-line except the trailing conditional backedge.
     for (int i = first; i < last; ++i) {
-        if (code[static_cast<std::size_t>(i)].isBranch()) {
+        if (jumps(code[static_cast<std::size_t>(i)])) {
             s.why = "loop body has inner control flow";
             return s;
         }
     }
     const Inst &back = code[static_cast<std::size_t>(last)];
-    if (back.op != Opcode::B || back.cond == Cond::AL ||
-        back.target != first) {
+    if (!instEffects(back).condBranch() || back.target != first) {
         s.why = "loop is not closed by a conditional backedge";
         return s;
     }
     // Epilogue: nothing but the ret.
     if (last + 1 >= static_cast<int>(code.size()) ||
-        code[static_cast<std::size_t>(last + 1)].op != Opcode::Ret) {
+        instEffects(code[static_cast<std::size_t>(last + 1)]).control !=
+            Control::Return) {
         s.why = "region has a non-trivial epilogue";
         return s;
     }
@@ -645,16 +652,14 @@ scalarShapeOf(const Program &prog, int entry_index)
     for (int i = first; i <= last; ++i) {
         const Inst &in = code[static_cast<std::size_t>(i)];
         const InstEffects fx = instEffects(in);
-        for (const RegId d : fx.defs.regs())
+        for (const RegId d : fx.writes.regs())
             ++defCount[d.flat()];
         if (in.op == Opcode::Add && in.hasImm && in.imm == 1 &&
             in.dst.isValid() && in.dst == in.src1 && in.dst.isScalar())
             stepped.push_back(in.dst);
         if (in.op == Opcode::Cmp) {
-            if (in.src1.isValid())
-                compared.insert(in.src1.flat());
-            if (!in.hasImm && in.src2.isValid())
-                compared.insert(in.src2.flat());
+            for (const RegId use : fx.reads.regs())
+                compared.insert(use.flat());
         }
     }
     for (const RegId r : stepped) {
@@ -692,9 +697,9 @@ ucodeShapeOf(const UcodeEntry &e)
     int branch = -1;
     for (std::size_t j = 0; j < e.insts.size(); ++j) {
         const Inst &in = e.insts[j];
-        if (!in.isBranch())
+        if (!jumps(in))
             continue;
-        if (in.op != Opcode::B || branch >= 0) {
+        if (instEffects(in).control != Control::Branch || branch >= 0) {
             s.why = "microcode has more than one branch";
             return s;
         }

@@ -65,6 +65,16 @@ boundStr(std::int64_t v)
     return std::to_string(v);
 }
 
+/**
+ * True when @p inst is a scalar op that writes a register (its dst):
+ * the value its retire reports is the one InstFacts::val bounds.
+ */
+bool
+valueTracked(const Inst &inst)
+{
+    return !inst.isVector() && !instEffects(inst).writes.empty();
+}
+
 } // namespace
 
 // ---- Interval --------------------------------------------------------------
@@ -1138,7 +1148,7 @@ struct RangeProblem
         if (bb.last < 0)
             return;
         const Inst &term = prog.code()[bb.last];
-        if (term.op != Opcode::B || term.cond == Cond::AL)
+        if (!instEffects(term).condBranch())
             return;
         const int takenB = cfg.blockOf(term.target);
         const int fallB =
@@ -1173,19 +1183,6 @@ struct RangeProblem
     }
 };
 
-/** True when the terminator of @p b ends the function. */
-bool
-blockExitsFn(const Program &prog, const RegionCfg &cfg, std::size_t b)
-{
-    const BasicBlock &bb = cfg.blocks()[b];
-    if (bb.last >= 0) {
-        const Opcode op = prog.code()[bb.last].op;
-        if (op == Opcode::Ret || op == Opcode::Halt)
-            return true;
-    }
-    return bb.succs.empty();
-}
-
 /** Per-iteration step of @p ivFlat inside [first, last]; 0 if messy. */
 std::int64_t
 loopStep(const Program &prog, int first, int last, unsigned ivFlat,
@@ -1195,8 +1192,7 @@ loopStep(const Program &prog, int first, int last, unsigned ivFlat,
     int found = -1;
     for (int i = first; i <= last; ++i) {
         const Inst &inst = prog.code()[i];
-        const InstEffects fx = instEffects(inst);
-        if (!fx.defs.contains(RegId::fromFlat(ivFlat)))
+        if (!instEffects(inst).writes.contains(RegId::fromFlat(ivFlat)))
             continue;
         const bool isStep =
             (inst.op == Opcode::Add || inst.op == Opcode::Sub) &&
@@ -1340,7 +1336,7 @@ solveProgramRanges(const Program &prog, const RangeSolveOptions &opt)
 
             RangeState exit = RangeState::bottom();
             for (std::size_t b = 0; b < cfg.blocks().size(); ++b) {
-                if (blockExitsFn(prog, cfg, b))
+                if (cfg.blocks()[b].exits)
                     exit.joinWith(sol.out[b], prog, opt.sabotage);
             }
             clearCmp(exit);
@@ -1414,7 +1410,7 @@ solveProgramRanges(const Program &prog, const RangeSolveOptions &opt)
             if (!latchOut.reachable || latchOut.cmpLhsFlat < 0)
                 continue;
             const Inst &back = prog.code()[loop.backedgeIndex];
-            if (back.op != Opcode::B || back.cond == Cond::AL)
+            if (!instEffects(back).condBranch())
                 continue;
             const unsigned ivFlat =
                 static_cast<unsigned>(latchOut.cmpLhsFlat);
@@ -1467,12 +1463,7 @@ solveProgramRanges(const Program &prog, const RangeSolveOptions &opt)
                 stepInst(st, prog, inst,
                          CalleeEnv{&exitStates, &pl.summaries},
                          opt.sabotage);
-                const bool tracked =
-                    inst.op == Opcode::Mov ||
-                    (inst.info().isDataProc && !inst.info().isVector) ||
-                    (inst.info().isLoad && !inst.info().isVector);
-                if (tracked && inst.dst.isValid() &&
-                    inst.dst.isScalar()) {
+                if (valueTracked(inst)) {
                     const RangeVal v = st.regAt(inst.dst);
                     f.val = f.hasVal ? f.val.join(v) : v;
                     f.hasVal = true;
@@ -1641,12 +1632,7 @@ RangeObserver::onRetire(const RetireInfo &info, Cycles now)
         return;
 
     const OpInfo &op = inst.info();
-    const bool valueTracked =
-        (inst.op == Opcode::Mov || (op.isDataProc && !op.isVector) ||
-         (op.isLoad && !op.isVector)) &&
-        inst.dst.isValid() && inst.dst.isScalar();
-
-    if (valueTracked && f->hasVal) {
+    if (valueTracked(inst) && f->hasVal) {
         ++checked_;
         const std::int64_t v =
             static_cast<std::int64_t>(static_cast<SWord>(info.value));

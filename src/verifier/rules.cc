@@ -3,6 +3,7 @@
 #include <set>
 #include <sstream>
 
+#include "cpu/decode.hh"
 #include "verifier/dataflow.hh"
 
 namespace liquid
@@ -51,13 +52,14 @@ analyzeRegion(const Program &prog, int entry_index,
                 break;
             }
             const Inst &inst = code[pc];
+            const Control control = instEffects(inst).control;
             visited.insert(pc);
 
             // A bl retired inside the region (Translator::onCall).
-            if (inst.op == Opcode::Bl)
+            if (control == Control::Call)
                 throw RuleAbort{AbortReason::NestedCall, pc};
 
-            if (inst.op == Opcode::Ret) {
+            if (control == Control::Return) {
                 const RuleCommit c = automaton.commit(pc);
                 out.verdict = Severity::Ok;
                 out.ucodeInsts = static_cast<unsigned>(c.insts.size());
@@ -70,7 +72,7 @@ analyzeRegion(const Program &prog, int entry_index,
 
             Taken taken = Taken::No;
             const AbsRetire ri = machine.step(inst, pc, taken);
-            if (inst.op == Opcode::B && taken == Taken::Unknown) {
+            if (control == Control::Branch && taken == Taken::Unknown) {
                 std::ostringstream os;
                 os << "branch depends on runtime data";
                 if (machine.lastCmpIndex() >= 0) {
@@ -82,7 +84,7 @@ analyzeRegion(const Program &prog, int entry_index,
             }
             automaton.observe(ri);
 
-            if (inst.op == Opcode::B && ri.branchTaken)
+            if (control == Control::Branch && ri.branchTaken)
                 pc = inst.target;
             else
                 ++pc;

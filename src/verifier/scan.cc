@@ -56,17 +56,15 @@ findLoopIvs(const Program &prog, const std::vector<int> &body)
     for (const int i : body) {
         const Inst &inst = code[static_cast<std::size_t>(i)];
         const InstEffects fx = instEffects(inst);
-        for (const RegId def : fx.defs.regs())
+        for (const RegId def : fx.writes.regs())
             ++defCount[def.flat()];
         if ((inst.op == Opcode::Add || inst.op == Opcode::Sub) &&
             inst.hasImm && inst.dst.isValid() &&
             inst.dst == inst.src1)
             stepped.insert(inst.dst.flat());
         if (inst.op == Opcode::Cmp) {
-            if (inst.src1.isValid())
-                compared.insert(inst.src1.flat());
-            if (!inst.hasImm && inst.src2.isValid())
-                compared.insert(inst.src2.flat());
+            for (const RegId use : fx.reads.regs())
+                compared.insert(use.flat());
         }
     }
     RegSet ivs;

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "cpu/decode.hh"
 #include "cpu/exec.hh"
 #include "isa/perm.hh"
 
@@ -1253,12 +1254,13 @@ SymMachine::run(const std::vector<Inst> &code, int first, int last,
             break;
         }
         const Inst &inst = code[static_cast<std::size_t>(pc)];
-        if (!follow_branches && inst.op == Opcode::B) {
+        const Control control = instEffects(inst).control;
+        if (!follow_branches && control == Control::Branch) {
             ++pc; // the caller proved this is the loop's own backedge
             continue;
         }
         int next = pc + 1;
-        if (inst.op == Opcode::Ret) {
+        if (control == Control::Return) {
             if (in_ucode) {
                 fail(res, pc, "ret inside microcode");
                 break;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "asm/assembler.hh"
 #include "common/bitfield.hh"
@@ -410,6 +411,48 @@ TEST(MainMemory, WordStraddlingDataBase)
     EXPECT_EQ(mem.readWord(Program::dataBase - 2), 0xBBAA7766u);
     EXPECT_EQ(mem.readWord(Program::dataBase), 0x4433BBAAu);
     EXPECT_EQ(mem.readElem(Program::dataBase - 1, 2, false), 0xAA77u);
+}
+
+// differingWords compares the images a block at a time; it must find
+// the same words a word-by-word readWord scan finds.
+
+TEST(MainMemory, DifferingWordsInOnlyOneLowRegion)
+{
+    MainMemory a(Program::dataBase + 256);
+    MainMemory b(Program::dataBase + 256);
+    EXPECT_TRUE(a.differingWords(b, 0, 4).empty());
+
+    // Only one memory is ever written below dataBase; the other's low
+    // region stays unallocated and compares as zeros, both ways round.
+    a.writeByte(0x1235, 0x7F);
+    a.writeWord(0x40, 0);  // a write that keeps the bytes zero
+    EXPECT_EQ(a.differingWords(b, 0, 4), std::vector<Addr>{0x1234});
+    EXPECT_EQ(b.differingWords(a, 0, 4), std::vector<Addr>{0x1234});
+    // Starting at dataBase skips the low region.
+    EXPECT_TRUE(a.differingWords(b, Program::dataBase, 4).empty());
+
+    // Equal low bytes once both are written.
+    b.writeByte(0x1235, 0x7F);
+    EXPECT_TRUE(a.differingWords(b, 0, 4).empty());
+}
+
+TEST(MainMemory, DifferingWordsAscendingAndCapped)
+{
+    MainMemory a(Program::dataBase + 0x3000);
+    MainMemory b(Program::dataBase + 0x3000);
+    const Addr last = static_cast<Addr>(a.size()) - 4;
+    const std::vector<Addr> written{0x10, Program::dataBase - 4,
+                                    Program::dataBase,
+                                    Program::dataBase + 0x1ffc, last};
+    for (const Addr w : written)
+        b.writeWord(w, 0x01000000u);
+    EXPECT_EQ(a.differingWords(b, 0, 8), written);
+    // The report keeps the first few only.
+    EXPECT_EQ(a.differingWords(b, 0, 2),
+              (std::vector<Addr>{0x10, Program::dataBase - 4}));
+    EXPECT_EQ(a.differingWords(b, Program::dataBase, 8),
+              (std::vector<Addr>{Program::dataBase,
+                                 Program::dataBase + 0x1ffc, last}));
 }
 
 TEST(MainMemory, PastSizeIsStillFatal)

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -209,29 +211,48 @@ TEST(LabRunner, DamagedCacheEntryIsACountedMiss)
     ASSERT_TRUE(std::filesystem::exists(entry));
     const auto size = std::filesystem::file_size(entry);
 
-    // A torn write: the entry stops halfway through.
+    auto bytes = [](const std::filesystem::path &p) {
+        std::ifstream in(p, std::ios::binary);
+        std::ostringstream os;
+        os << in.rdbuf();
+        return os.str();
+    };
+
+    // A torn write: the entry stops halfway through. It is a counted
+    // miss, moved aside to <hash>.json.bad with its bytes intact.
     std::filesystem::resize_file(entry, size / 2);
+    const std::string torn = bytes(entry);
     EXPECT_FALSE(cache.load(hash).has_value());
     EXPECT_EQ(cache.discarded(), 1u);
+    const std::filesystem::path bad = dir.path / (hash + ".json.bad");
+    EXPECT_FALSE(std::filesystem::exists(entry));
+    ASSERT_TRUE(std::filesystem::exists(bad));
+    EXPECT_EQ(bytes(bad), torn);
 
-    // The runner simulates again and rewrites the entry.
+    // The runner simulates again and writes a fresh entry, leaving the
+    // quarantined one alone.
     RunnerStats again;
     EXPECT_EQ(Runner(1).run(jobs, &cache, &again).writeString(), fresh);
     EXPECT_EQ(again.simulations, 1u);
     EXPECT_EQ(again.cacheHits, 0u);
-    EXPECT_EQ(cache.discarded(), 2u);
+    EXPECT_EQ(cache.discarded(), 1u);
     EXPECT_EQ(std::filesystem::file_size(entry), size);
+    EXPECT_EQ(bytes(bad), torn);
     EXPECT_TRUE(cache.load(hash).has_value());
 
     // A well-formed entry filed under the wrong hash is a miss too.
     const std::string other(hash.size(), '0');
     std::filesystem::copy_file(entry, dir.path / (other + ".json"));
     EXPECT_FALSE(cache.load(other).has_value());
-    EXPECT_EQ(cache.discarded(), 3u);
+    EXPECT_EQ(cache.discarded(), 2u);
+    EXPECT_EQ(bytes(dir.path / (other + ".json.bad")), bytes(entry));
+    EXPECT_FALSE(std::filesystem::exists(dir.path / (other + ".json")));
 
     // No writer leaves a temp file behind.
-    for (const auto &f : std::filesystem::directory_iterator(dir.path))
-        EXPECT_EQ(f.path().extension(), ".json") << f.path();
+    for (const auto &f : std::filesystem::directory_iterator(dir.path)) {
+        const std::string ext = f.path().extension().string();
+        EXPECT_TRUE(ext == ".json" || ext == ".bad") << f.path();
+    }
 }
 
 TEST(LabRunner, CacheKeySeparatesConfigurations)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Liveness-dataflow tests: per-instruction use/def effects, live-in /
+ * Liveness-dataflow tests: the conditional-write use rule, live-in /
  * live-out sets on hand-built CFG shapes (straight line, diamond,
  * nested loop), interprocedural callee summaries, dominators, and
  * irreducible-edge rejection.
@@ -57,46 +57,19 @@ TEST(RegSetOps, BasicAlgebra)
     EXPECT_EQ(setOf({R(1)}).str(), "r1");
 }
 
-TEST(InstEffectsRules, UsesAndDefs)
+TEST(LiveUses, ConditionalWriteAlsoUsesItsDestination)
 {
-    // add r1, r2, r3: uses r2 r3, defs r1.
-    const InstEffects add =
-        instEffects(Inst::dp(Opcode::Add, R(1), R(2), R(3)));
-    EXPECT_EQ(add.uses, setOf({R(2), R(3)}));
-    EXPECT_EQ(add.defs, setOf({R(1)}));
-
-    // cmp writes only flags.
-    const InstEffects cmp = instEffects(Inst::cmpReg(R(1), R(2)));
-    EXPECT_EQ(cmp.uses, setOf({R(1), R(2)}));
-    EXPECT_TRUE(cmp.defs.empty());
-
-    // mov r1, #5 has no register inputs.
-    const InstEffects movi = instEffects(Inst::movImm(R(1), 5));
-    EXPECT_TRUE(movi.uses.empty());
-    EXPECT_EQ(movi.defs, setOf({R(1)}));
-
     // A conditional mov merges with the old value: dst is also a use.
     const InstEffects cmov =
         instEffects(Inst::movReg(R(1), R(2), Cond::EQ));
-    EXPECT_EQ(cmov.uses, setOf({R(1), R(2)}));
-    EXPECT_EQ(cmov.defs, setOf({R(1)}));
+    EXPECT_EQ(liveUses(cmov), setOf({R(1), R(2)}));
+    EXPECT_EQ(cmov.writes, setOf({R(1)}));
 
-    // Stores read data and index; loads read the index, write dst.
-    MemRef m;
-    m.base = 0x100000;
-    m.index = R(0);
-    const InstEffects st =
-        instEffects(Inst::store(Opcode::Stw, R(3), m));
-    EXPECT_EQ(st.uses, setOf({R(3), R(0)}));
-    EXPECT_TRUE(st.defs.empty());
-    const InstEffects ld = instEffects(Inst::load(Opcode::Ldw, R(3), m));
-    EXPECT_EQ(ld.uses, setOf({R(0)}));
-    EXPECT_EQ(ld.defs, setOf({R(3)}));
-
-    // Branches and ret have no register effects (calls are summarized).
-    EXPECT_TRUE(instEffects(Inst::ret()).uses.empty());
-    EXPECT_TRUE(instEffects(Inst::branch(Cond::LT, 0)).uses.empty());
-    EXPECT_TRUE(instEffects(Inst::call(0, false)).defs.empty());
+    // An unconditional write uses only what it reads.
+    EXPECT_EQ(liveUses(instEffects(Inst::movReg(R(1), R(2)))),
+              setOf({R(2)}));
+    // A conditional branch writes nothing, so it uses nothing.
+    EXPECT_TRUE(liveUses(instEffects(Inst::branch(Cond::LT, 0))).empty());
 }
 
 TEST(LivenessDataflow, StraightLine)
