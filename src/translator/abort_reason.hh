@@ -134,6 +134,31 @@ abortIsWidthDependent(AbortReason reason)
 }
 
 /**
+ * The width-binding cascade that the translator, the offline
+ * translator, the verifier and the prover all walk. A region binds at
+ * the accelerator's @p width, capped by its compiled maximum
+ * vectorizable width @p hint (bl.simd<N>, paper Section 3.1; 0 = no
+ * cap). Below 2 the region is never captured.
+ */
+inline unsigned
+bindWidth(unsigned width, unsigned hint)
+{
+    return hint != 0 && hint < width ? hint : width;
+}
+
+/**
+ * The cascade's next binding after an attempt at @p bind ended with
+ * @p reason: half the width when the abort is width-class and the half
+ * is still at least 2, otherwise 0 (the cascade ends).
+ */
+inline unsigned
+fallbackWidth(unsigned bind, AbortReason reason)
+{
+    const unsigned half = bind / 2;
+    return abortIsWidthDependent(reason) && half >= 2 ? half : 0;
+}
+
+/**
  * Can this loaded value live in the translator's per-lane value state?
  * The paper stores only small values ("numbers that are too big to
  * represent simply abort"): permutation offsets, small constants, and

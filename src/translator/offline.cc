@@ -59,25 +59,31 @@ translateOffline(const Program &prog, int entry_index, unsigned width,
     return result;
 }
 
+OfflineResult
+translateWithFallback(const Program &prog, int entry_index, unsigned width,
+                      unsigned width_hint)
+{
+    OfflineResult result;
+    for (unsigned bind = bindWidth(width, width_hint); bind >= 2;
+         bind = fallbackWidth(bind, result.reason)) {
+        result = translateOffline(prog, entry_index, bind, width_hint);
+        if (result.ok)
+            break;
+    }
+    return result;
+}
+
 unsigned
 pretranslateProgram(const Program &prog, unsigned width,
                     UcodeCache &cache)
 {
     unsigned installed = 0;
     for (const HintedCall &call : prog.hintedCalls()) {
-        // Width fallback, as in the dynamic translator: bind as wide
-        // as the region allows.
-        unsigned bind = width;
-        if (call.widthHint != 0)
-            bind = std::min(bind, call.widthHint);
-        for (; bind >= 2; bind /= 2) {
-            OfflineResult r = translateOffline(prog, call.target, bind,
-                                               call.widthHint);
-            if (r.ok) {
-                cache.insert(std::move(r.entry));
-                ++installed;
-                break;
-            }
+        OfflineResult r =
+            translateWithFallback(prog, call.target, width, call.widthHint);
+        if (r.ok) {
+            cache.insert(std::move(r.entry));
+            ++installed;
         }
     }
     return installed;

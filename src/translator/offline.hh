@@ -55,11 +55,22 @@ OfflineResult translateOffline(const Program &prog, int entry_index,
                                unsigned width, unsigned width_hint = 0);
 
 /**
- * Scan @p prog for hinted calls and translate every distinct region,
+ * Walk the width-binding cascade for the region at @p entry_index as
+ * the dynamic translator's width fallback does: bind at
+ * bindWidth(@p width, @p width_hint), then retry at fallbackWidth()
+ * after each abort. Returns the first commit (its entry.simdWidth is
+ * the bound width) or the abort that ended the cascade; a bound width
+ * below 2 makes no attempt (ok false, reason None).
+ */
+OfflineResult translateWithFallback(const Program &prog, int entry_index,
+                                    unsigned width,
+                                    unsigned width_hint = 0);
+
+/**
+ * Scan @p prog for hinted calls and translate every distinct region
+ * along the width-binding cascade (translateWithFallback()),
  * installing successful translations (ready immediately) into
- * @p cache. Regions that cannot bind at the full width are retried at
- * successively halved widths, mirroring the dynamic translator's
- * width fallback. Returns the number of regions installed.
+ * @p cache. Returns the number of regions installed.
  */
 unsigned pretranslateProgram(const Program &prog, unsigned width,
                              UcodeCache &cache);

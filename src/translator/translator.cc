@@ -49,9 +49,11 @@ Translator::abort(AbortReason reason)
         // Width-dependent failures can succeed at a narrower binding:
         // the trip count may divide a smaller width, and a shuffle or
         // lane pattern that is not W-periodic may be W/2-periodic.
-        if (config_.widthFallback && abortIsWidthDependent(reason) &&
-            rules_.width() > 2) {
-            retryWidth_[regionEntry_] = rules_.width() / 2;
+        const unsigned half = config_.widthFallback
+                                  ? fallbackWidth(rules_.width(), reason)
+                                  : 0;
+        if (half != 0) {
+            retryWidth_[regionEntry_] = half;
             stats_.inc(ctr_.widthFallbacks);
         } else if (config_.blacklistOnAbort) {
             blacklist_.insert(regionEntry_);
@@ -82,12 +84,10 @@ Translator::onCall(Addr callee_entry, bool hinted, unsigned width_hint,
     // Bind at the accelerator width, capped by the compiled maximum
     // vectorizable width (data is only aligned that far — paper
     // Section 3.1) and by any previous width fallback.
-    unsigned width = config_.simdWidth;
-    if (width_hint != 0)
-        width = std::min(width, width_hint);
-    auto retry = retryWidth_.find(callee_entry);
-    if (retry != retryWidth_.end())
-        width = std::min(width, retry->second);
+    const auto retry = retryWidth_.find(callee_entry);
+    const unsigned width =
+        bindWidth(bindWidth(config_.simdWidth, width_hint),
+                  retry == retryWidth_.end() ? 0 : retry->second);
     if (width < 2)
         return;
     rules_.begin(width);

@@ -251,15 +251,6 @@ PolyWidthOutcome
 PolyRegion::instantiate(unsigned n, unsigned sabotage) const
 {
     PolyWidthOutcome out;
-    if (n < 2) {
-        // Mirrors verifyRegion's bind-below-2 refusal.
-        out.verdict = Severity::Warn;
-        out.instIndex = entryIndex;
-        out.note = "effective width below 2: the translator never "
-                   "captures this region";
-        return out;
-    }
-
     auto fail = [&](AbortReason reason, int index) {
         out.verdict = Severity::Error;
         out.reason = reason;

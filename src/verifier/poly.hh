@@ -150,9 +150,9 @@ class PolyRegion
     std::uint64_t pairsExamined = 0;
 
     /**
-     * Replay the recorded checks at concrete width @p n, with the
-     * seeded bugs in @p sabotage (bitwise-or of PolySabotage) applied
-     * to the evaluator. sabotage == 0 is the honest semantics.
+     * Replay the recorded checks at concrete width @p n (at least 2),
+     * with the seeded bugs in @p sabotage (bitwise-or of PolySabotage)
+     * applied to the evaluator. sabotage == 0 is the honest semantics.
      */
     PolyWidthOutcome instantiate(unsigned n, unsigned sabotage = 0) const;
 

@@ -542,33 +542,23 @@ proveAtWidth(const Program &prog, int entry_index, unsigned width_hint,
              const RegSet &demand, unsigned width,
              const ProofOptions &opts)
 {
+    // Prove the microcode the dynamic translator's binding cascade
+    // commits.
+    const OfflineResult off =
+        translateWithFallback(prog, entry_index, width, width_hint);
     WidthProof wp;
-    wp.width = width;
-
-    // The dynamic translator's binding cascade: start at
-    // min(width, hint) and halve while the abort is width-dependent.
-    unsigned start = width;
-    if (width_hint != 0)
-        start = std::min(start, width_hint);
-    AbortReason last = AbortReason::None;
-    for (unsigned bind = start; bind >= 2; bind /= 2) {
-        OfflineResult off =
-            translateOffline(prog, entry_index, bind, width_hint);
-        if (off.ok) {
-            wp = proveTranslation(prog, entry_index, off.entry,
-                                  off.regionInsts, demand, opts);
-            wp.width = width;
-            return wp;
-        }
-        last = off.reason;
-        if (!abortIsWidthDependent(off.reason))
-            break;
+    if (off.ok) {
+        wp = proveTranslation(prog, entry_index, off.entry,
+                              off.regionInsts, demand, opts);
+    } else {
+        wp.verdict = ProofVerdict::NoTranslation;
+        wp.summary = std::string("no translation commits (") +
+                     (off.reason == AbortReason::None
+                          ? "unknown"
+                          : abortReasonName(off.reason)) +
+                     ")";
     }
-    wp.verdict = ProofVerdict::NoTranslation;
-    wp.summary = std::string("no translation commits (") +
-                 (last == AbortReason::None ? "unknown"
-                                            : abortReasonName(last)) +
-                 ")";
+    wp.width = width;
     return wp;
 }
 
@@ -812,8 +802,7 @@ trySymbolicN(const Program &prog, int entry_index, unsigned width_hint,
     // the induction-variable step immediate.
     std::map<unsigned, UcodeEntry> entries;  // bind width -> entry
     for (const unsigned w : opts.widths) {
-        const unsigned bind =
-            width_hint ? std::min(w, width_hint) : w;
+        const unsigned bind = bindWidth(w, width_hint);
         if (entries.count(bind))
             continue;
         OfflineResult off =
@@ -1030,7 +1019,7 @@ trySymbolicN(const Program &prog, int entry_index, unsigned width_hint,
     for (const unsigned w : opts.widths) {
         WidthProof wp;
         wp.width = w;
-        wp.boundWidth = width_hint ? std::min(w, width_hint) : w;
+        wp.boundWidth = bindWidth(w, width_hint);
         wp.verdict = ProofVerdict::Proved;
         wp.widthGeneric = true;
         wp.obligations = d.obligations;

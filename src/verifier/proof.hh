@@ -197,9 +197,9 @@ WidthProof proveTranslation(const Program &prog, int entry_index,
 
 /**
  * Prove one region at every requested width: runs the offline
- * translator's width-fallback cascade (from min(width, hint), halving
- * on width-dependent aborts — exactly the microcode the hardware
- * commits), then proveTranslation on the committed entry. Refutations
+ * translator's width-binding cascade (translateWithFallback() —
+ * exactly the microcode the hardware commits), then proveTranslation
+ * on the committed entry. Refutations
  * are replayed through the chaos oracle when opts.replay is set.
  */
 RegionProof proveRegion(const Program &prog, int entry_index,

@@ -57,13 +57,13 @@ class EntryFacts;
 
 /**
  * Statically analyze the region entered at @p entry_index, bound at
- * @p capture_width lanes (the caller applies the width hint and any
- * fallback halving, mirroring Translator::onCall). @p facts supplies
- * proven region-entry values from the whole-program range analysis;
- * null reproduces the facts-free walk. A non-null @p poly switches the
- * walk into the width-polymorphic recording mode described on
- * WidthCheckSink; capture_width then only scales emitted IV strides
- * and must not affect the outcome.
+ * @p capture_width lanes (the caller walks the width-binding cascade,
+ * bindWidth() and fallbackWidth(), as Translator::onCall does).
+ * @p facts supplies proven region-entry values from the whole-program
+ * range analysis; null reproduces the facts-free walk. A non-null
+ * @p poly switches the walk into the width-polymorphic recording mode
+ * described on WidthCheckSink; capture_width then only scales emitted
+ * IV strides and must not affect the outcome.
  */
 StaticOutcome analyzeRegion(const Program &prog, int entry_index,
                             const TranslatorConfig &config,

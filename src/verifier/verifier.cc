@@ -45,30 +45,6 @@ addCoverageDiags(const RegionCfg &cfg, const StaticOutcome &outcome,
     report.diags.push_back(std::move(d));
 }
 
-/**
- * Run the translation-validation prover against the microcode the
- * offline translator commits at @p bind. nullopt when translation
- * itself aborts (there is nothing to prove against). Replay is off:
- * the static verifier reports the counterexample assignment but does
- * not spin up a simulator pair.
- */
-std::optional<WidthProof>
-proveBindWidth(const Program &prog, int entry_index, unsigned bind,
-               unsigned width_hint, const ProgramRanges *ranges)
-{
-    const OfflineResult off =
-        translateOffline(prog, entry_index, bind, width_hint);
-    if (!off.ok)
-        return std::nullopt;
-    ProofOptions popts;
-    popts.replay = false;
-    popts.ranges = ranges;
-    return proveTranslation(prog, entry_index, off.entry, off.regionInsts,
-                            solveProgramLiveness(prog).demandAt(
-                                entry_index),
-                            popts);
-}
-
 } // namespace
 
 /** The per-width verification cascade; poly attachment happens in the
@@ -95,10 +71,7 @@ verifyRegionImpl(const Program &prog, int entry_index,
         report.diags.push_back(std::move(d));
     }
 
-    // Mirror of Translator::onCall width binding.
-    unsigned bind = opts.config.simdWidth;
-    if (width_hint != 0)
-        bind = std::min(bind, width_hint);
+    unsigned bind = bindWidth(opts.config.simdWidth, width_hint);
     if (bind < 2) {
         report.verdict = Severity::Warn;
         Diagnostic d;
@@ -179,6 +152,27 @@ verifyRegionImpl(const Program &prog, int entry_index,
         return report.dep;
     };
 
+    // The translation-validation prover, run against the microcode the
+    // offline translator commits at a width; nullopt when translation
+    // itself aborts (there is nothing to prove against). Its live-out
+    // contract comes from whole-program liveness, solved lazily, at
+    // most once. Replay is off: the static verifier reports the
+    // counterexample assignment but does not spin up a simulator pair.
+    std::optional<RegSet> demand;
+    auto proveAt = [&](unsigned width) -> std::optional<WidthProof> {
+        const OfflineResult off =
+            translateOffline(prog, entry_index, width, width_hint);
+        if (!off.ok)
+            return std::nullopt;
+        if (!demand)
+            demand = solveProgramLiveness(prog).demandAt(entry_index);
+        ProofOptions popts;
+        popts.replay = false;
+        popts.ranges = opts.ranges;
+        return proveTranslation(prog, entry_index, off.entry,
+                                off.regionInsts, *demand, popts);
+    };
+
     // The headline verdict is the first non-Ok outcome on the fallback
     // cascade (what a translateOffline() call at full width reports) —
     // unless a narrower width later proves Ok, which overrides it: the
@@ -207,12 +201,107 @@ verifyRegionImpl(const Program &prog, int entry_index,
         report.diags.push_back(std::move(d));
     };
 
-    for (; bind >= 2; bind /= 2) {
+    // The translation commits at `bind`, or commits microcode that
+    // silently miscompiles. Either is the region's fate: the cascade
+    // stops here, whatever an earlier width headlined.
+    auto settle = [&](Severity sev, AbortReason reason,
+                      const StaticOutcome &outcome) {
+        headline_set = true;
+        report.verdict = sev;
+        report.reason = reason;
+        report.predictedWidth = bind;
+        report.predictedUcode = outcome.ucodeInsts;
+        report.predictedCvecs = outcome.cvecs;
+    };
+    auto commit = [&](const StaticOutcome &outcome, std::string message) {
+        settle(Severity::Ok, AbortReason::None, outcome);
+        RegionCostInputs ci;
+        ci.scalarInsts = outcome.analyzedInsts;
+        ci.ucodeInsts = outcome.ucodeInsts;
+        ci.ucodeLoopInsts = outcome.ucodeLoopInsts;
+        ci.loopIters = outcome.loopIters;
+        ci.width = bind;
+        refineCost(ci);
+        const RegionCostEstimate cost = estimateRegionCost(ci);
+        report.predictedScalarCycles = cost.scalarCycles;
+        report.predictedSimdCycles = cost.simdCycles;
+        report.predictedSpeedup = cost.speedup;
+
+        Diagnostic d;
+        d.severity = Severity::Ok;
+        d.instIndex = entry_index;
+        d.message = std::move(message);
+        report.diags.push_back(std::move(d));
+        attachRangeEvidence();
+        addCoverageDiags(cfg, outcome, report);
+    };
+    auto miscompile = [&](const StaticOutcome &outcome, int inst_index,
+                          std::string message) {
+        settle(Severity::Error, AbortReason::MemoryDependence, outcome);
+        report.depMiscompile = true;
+        Diagnostic d;
+        d.severity = Severity::Error;
+        d.reason = AbortReason::MemoryDependence;
+        d.instIndex = inst_index;
+        d.message = std::move(message);
+        report.diags.push_back(std::move(d));
+    };
+
+    // What ended the last width. A Warn leaves its width open, and the
+    // cascade walks on as after a width-class abort: a narrower width
+    // may still certify.
+    AbortReason ended = AbortReason::None;
+    const AbortReason openWidth = AbortReason::LanesIncomplete;
+    for (; bind != 0;
+         bind = opts.widthFallback ? fallbackWidth(bind, ended) : 0) {
         const StaticOutcome outcome = analyzeRegion(
             prog, entry_index, opts.config, bind, facts);
         report.analyzedInsts = outcome.analyzedInsts;
         noteFacts(outcome.factsUsed);
 
+        if (outcome.verdict == Severity::Error) {
+            headline(Severity::Error, outcome.reason);
+            Diagnostic d;
+            d.severity = Severity::Error;
+            d.reason = outcome.reason;
+            d.instIndex = outcome.reasonIndex;
+            std::ostringstream os;
+            os << "translation aborts at width " << bind << ": "
+               << abortReasonName(outcome.reason) << " ("
+               << reasonClassName(abortReasonClass(outcome.reason))
+               << " check: " << abortReasonDescription(outcome.reason)
+               << ")";
+            d.message = os.str();
+            report.diags.push_back(std::move(d));
+
+            if (outcome.reason == AbortReason::MemoryDependence) {
+                // The runtime interval test is conservative: note when
+                // the distance analysis proves the overlap harmless.
+                // The verdict stays Error — the hardware will still
+                // abort.
+                const DepcheckResult &dep = depResult();
+                if (dep.resolved &&
+                    dep.verdictAt(bind).kind == WidthVerdict::Kind::Safe) {
+                    Diagnostic note;
+                    note.severity = Severity::Ok;
+                    note.instIndex = outcome.reasonIndex;
+                    std::ostringstream ns;
+                    ns << "conservative abort: depcheck proves the "
+                       << "overlapping streams safe at width " << bind
+                       << " (" << dep.proofSummary(bind)
+                       << "), but the translator's interval test cannot";
+                    note.message = ns.str();
+                    report.diags.push_back(std::move(note));
+                }
+            }
+            ended = outcome.reason;
+            continue;
+        }
+
+        // The mirror cannot predict this width's outcome, or (below)
+        // depcheck cannot resolve it and nothing proved it.
+        int warnIndex = outcome.reasonIndex;
+        std::string warn = outcome.warnCondition;
         if (outcome.verdict == Severity::Ok) {
             const DepcheckResult &dep = depResult();
             const WidthVerdict &wv = dep.verdictAt(bind);
@@ -220,20 +309,7 @@ verifyRegionImpl(const Program &prog, int entry_index,
             if (wv.kind == WidthVerdict::Kind::Unsafe) {
                 // The translator's runtime dependence check misses
                 // this pair: it commits at this width and the vector
-                // groups execute the pair in the wrong order. The
-                // cascade dynamically stops here, so this is the
-                // region's fate regardless of any earlier headline.
-                headline_set = true;
-                report.verdict = Severity::Error;
-                report.reason = AbortReason::MemoryDependence;
-                report.depMiscompile = true;
-                report.predictedWidth = bind;
-                report.predictedUcode = outcome.ucodeInsts;
-                report.predictedCvecs = outcome.cvecs;
-                Diagnostic d;
-                d.severity = Severity::Error;
-                d.reason = AbortReason::MemoryDependence;
-                d.instIndex = wv.pair.storeIndex;
+                // groups execute the pair in the wrong order.
                 std::ostringstream os;
                 os << "silent miscompile at width " << bind
                    << ": the store at inst " << wv.pair.storeIndex
@@ -246,222 +322,67 @@ verifyRegionImpl(const Program &prog, int entry_index,
                    << " with textual order opposite iteration order; "
                    << "the dynamic dependence check cannot see this "
                    << "pair, so translation commits anyway";
-                d.message = os.str();
-                report.diags.push_back(std::move(d));
+                miscompile(outcome, wv.pair.storeIndex, os.str());
                 return report;
             }
 
-            if (wv.kind == WidthVerdict::Kind::Unknown) {
-                // The static dependence analysis is out of its depth;
-                // the translation-validation prover (when enabled) can
-                // still settle the width by checking the microcode the
-                // translator would actually commit.
-                if (opts.prove) {
-                    const std::optional<WidthProof> po = proveBindWidth(
-                        prog, entry_index, bind, width_hint,
-                        opts.ranges);
-                    if (po) {
-                        const WidthProof &wp = *po;
-                        report.proofVerdict =
-                            proofVerdictName(wp.verdict);
-                        report.proofSummary = wp.summary;
-
-                        if (wp.verdict == ProofVerdict::Proved) {
-                            headline_set = true;
-                            report.verdict = Severity::Ok;
-                            report.reason = AbortReason::None;
-                            report.predictedWidth = bind;
-                            report.predictedUcode = outcome.ucodeInsts;
-                            report.predictedCvecs = outcome.cvecs;
-
-                            RegionCostInputs ci;
-                            ci.scalarInsts = outcome.analyzedInsts;
-                            ci.ucodeInsts = outcome.ucodeInsts;
-                            ci.ucodeLoopInsts = outcome.ucodeLoopInsts;
-                            ci.loopIters = outcome.loopIters;
-                            ci.width = bind;
-                            refineCost(ci);
-                            const RegionCostEstimate cost =
-                                estimateRegionCost(ci);
-                            report.predictedScalarCycles =
-                                cost.scalarCycles;
-                            report.predictedSimdCycles =
-                                cost.simdCycles;
-                            report.predictedSpeedup = cost.speedup;
-
-                            Diagnostic d;
-                            d.severity = Severity::Ok;
-                            d.instIndex = entry_index;
-                            d.message =
-                                "depcheck could not resolve width " +
-                                std::to_string(bind) +
-                                ", but the translation proof closes "
-                                "it: " + wp.summary;
-                            report.diags.push_back(std::move(d));
-                            attachRangeEvidence();
-                            addCoverageDiags(cfg, outcome, report);
-                            return report;
-                        }
-
-                        if (wp.verdict == ProofVerdict::Refuted) {
-                            headline_set = true;
-                            report.verdict = Severity::Error;
-                            report.reason =
-                                AbortReason::MemoryDependence;
-                            report.depMiscompile = true;
-                            report.predictedWidth = bind;
-                            report.predictedUcode = outcome.ucodeInsts;
-                            report.predictedCvecs = outcome.cvecs;
-                            Diagnostic d;
-                            d.severity = Severity::Error;
-                            d.reason = AbortReason::MemoryDependence;
-                            d.instIndex = entry_index;
-                            d.message =
-                                "silent miscompile at width " +
-                                std::to_string(bind) +
-                                ", proven by translation validation: " +
-                                wp.summary;
-                            report.diags.push_back(std::move(d));
-                            return report;
-                        }
-                        // Unknown: fall through to the Warn below.
-                    }
-                }
-
-                headline(Severity::Warn, AbortReason::None);
+            // Depcheck Safe proves SIMD at this width preserves scalar
+            // memory semantics; Unknown means it is out of its depth.
+            // The prover (when enabled) checks the microcode end to
+            // end: a refutation holds a concrete counterexample and
+            // wins over either, and a proof settles an Unknown width.
+            const bool safe = wv.kind == WidthVerdict::Kind::Safe;
+            const std::optional<WidthProof> proof =
+                opts.prove ? proveAt(bind) : std::nullopt;
+            if (proof) {
+                report.proofVerdict = proofVerdictName(proof->verdict);
+                report.proofSummary = proof->summary;
+            }
+            const auto proven = [&](ProofVerdict v) {
+                return proof && proof->verdict == v;
+            };
+            if (proven(ProofVerdict::Refuted)) {
+                const std::string w = std::to_string(bind);
+                miscompile(outcome, entry_index,
+                           safe ? "depcheck passed width " + w +
+                                      " but translation validation "
+                                      "refutes it: " + proof->summary
+                                : "silent miscompile at width " + w +
+                                      ", proven by translation "
+                                      "validation: " + proof->summary);
+                return report;
+            }
+            if (safe || proven(ProofVerdict::Proved)) {
                 std::ostringstream os;
-                os << "memoryDependence";
-                if (dep.resolved) {
-                    // Budget exhaustion is genuinely per-width.
-                    os << " at width " << bind << ": " << wv.why;
-                } else {
-                    os << ": " << dep.unresolvedWhy;
-                }
-                warnOnce(dep.unresolvedIndex, os.str());
-                if (!opts.widthFallback)
-                    return report;
-                continue;
-            }
-
-            // Depcheck proves SIMD at this width preserves scalar
-            // memory semantics: the commit is safe. The prover (when
-            // enabled) double-checks the committed microcode end to
-            // end; a refutation means depcheck and the prover
-            // disagree, and the prover holds a concrete
-            // counterexample, so it wins.
-            if (opts.prove) {
-                const std::optional<WidthProof> po = proveBindWidth(
-                    prog, entry_index, bind, width_hint, opts.ranges);
-                if (po) {
-                    report.proofVerdict = proofVerdictName(po->verdict);
-                    report.proofSummary = po->summary;
-                    if (po->verdict == ProofVerdict::Refuted) {
-                        headline_set = true;
-                        report.verdict = Severity::Error;
-                        report.reason = AbortReason::MemoryDependence;
-                        report.depMiscompile = true;
-                        report.predictedWidth = bind;
-                        report.predictedUcode = outcome.ucodeInsts;
-                        report.predictedCvecs = outcome.cvecs;
-                        Diagnostic d;
-                        d.severity = Severity::Error;
-                        d.reason = AbortReason::MemoryDependence;
-                        d.instIndex = entry_index;
-                        d.message =
-                            "depcheck passed width " +
-                            std::to_string(bind) +
-                            " but translation validation refutes "
-                            "it: " + po->summary;
-                        report.diags.push_back(std::move(d));
-                        return report;
-                    }
-                }
-            }
-
-            headline_set = true;
-            report.verdict = Severity::Ok;
-            report.reason = AbortReason::None;
-            report.predictedWidth = bind;
-            report.predictedUcode = outcome.ucodeInsts;
-            report.predictedCvecs = outcome.cvecs;
-
-            RegionCostInputs ci;
-            ci.scalarInsts = outcome.analyzedInsts;
-            ci.ucodeInsts = outcome.ucodeInsts;
-            ci.ucodeLoopInsts = outcome.ucodeLoopInsts;
-            ci.loopIters = outcome.loopIters;
-            ci.width = bind;
-            refineCost(ci);
-            const RegionCostEstimate cost = estimateRegionCost(ci);
-            report.predictedScalarCycles = cost.scalarCycles;
-            report.predictedSimdCycles = cost.simdCycles;
-            report.predictedSpeedup = cost.speedup;
-
-            Diagnostic d;
-            d.severity = Severity::Ok;
-            d.instIndex = entry_index;
-            std::ostringstream os;
-            os << "translation commits at width " << bind << " ("
-               << outcome.ucodeInsts << " microcode insts, "
-               << outcome.loopsVerified << " verified loop(s))";
-            d.message = os.str();
-            report.diags.push_back(std::move(d));
-            attachRangeEvidence();
-            addCoverageDiags(cfg, outcome, report);
-            return report;
-        }
-
-        if (outcome.verdict == Severity::Warn) {
-            headline(Severity::Warn, AbortReason::None);
-            // The mirror cannot predict this width's outcome, but a
-            // narrower width may still be certifiable; keep walking so
-            // a later-width Ok can claim the region.
-            warnOnce(outcome.reasonIndex, outcome.warnCondition);
-            if (!opts.widthFallback)
+                if (safe)
+                    os << "translation commits at width " << bind << " ("
+                       << outcome.ucodeInsts << " microcode insts, "
+                       << outcome.loopsVerified << " verified loop(s))";
+                else
+                    os << "depcheck could not resolve width " << bind
+                       << ", but the translation proof closes it: "
+                       << proof->summary;
+                commit(outcome, os.str());
                 return report;
-            continue;
-        }
-
-        // Error at this width.
-        headline(Severity::Error, outcome.reason);
-        Diagnostic d;
-        d.severity = Severity::Error;
-        d.reason = outcome.reason;
-        d.instIndex = outcome.reasonIndex;
-        std::ostringstream os;
-        os << "translation aborts at width " << bind << ": "
-           << abortReasonName(outcome.reason) << " ("
-           << reasonClassName(abortReasonClass(outcome.reason))
-           << " check: " << abortReasonDescription(outcome.reason)
-           << ")";
-        d.message = os.str();
-        report.diags.push_back(std::move(d));
-
-        if (outcome.reason == AbortReason::MemoryDependence) {
-            // The runtime interval test is conservative: note when the
-            // distance analysis proves the overlap harmless. The
-            // verdict stays Error — the hardware will still abort.
-            const DepcheckResult &dep = depResult();
-            if (dep.resolved &&
-                dep.verdictAt(bind).kind == WidthVerdict::Kind::Safe) {
-                Diagnostic note;
-                note.severity = Severity::Ok;
-                note.instIndex = outcome.reasonIndex;
-                std::ostringstream ns;
-                ns << "conservative abort: depcheck proves the "
-                   << "overlapping streams safe at width " << bind
-                   << " (" << dep.proofSummary(bind)
-                   << "), but the translator's interval test cannot";
-                note.message = ns.str();
-                report.diags.push_back(std::move(note));
             }
+
+            std::ostringstream os;
+            os << "memoryDependence";
+            if (dep.resolved) {
+                // Budget exhaustion is genuinely per-width.
+                os << " at width " << bind << ": " << wv.why;
+            } else {
+                os << ": " << dep.unresolvedWhy;
+            }
+            warnIndex = dep.unresolvedIndex;
+            warn = os.str();
         }
 
-        if (!opts.widthFallback ||
-            !abortIsWidthDependent(outcome.reason)) {
-            attachRangeEvidence();
+        headline(Severity::Warn, AbortReason::None);
+        warnOnce(warnIndex, std::move(warn));
+        if (!opts.widthFallback)
             return report;
-        }
+        ended = openWidth;
     }
     attachRangeEvidence();
     return report;

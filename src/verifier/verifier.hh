@@ -31,7 +31,7 @@ struct VerifyOptions
     TranslatorConfig config;
     /**
      * Mirror the translator's width fallback: when an attempt fails
-     * with a width-dependent reason, retry at half width before
+     * with a width-dependent reason, retry at fallbackWidth() before
      * concluding. Disable to predict a single translateOffline() call.
      */
     bool widthFallback = true;

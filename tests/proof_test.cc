@@ -10,7 +10,8 @@
  *    NoTranslation, miscompile-class modes and microcode mutations as
  *    Refuted with a chaos-replay-confirmed counterexample;
  *  - a depcheck-Unknown verdict that the prover closes must upgrade
- *    the static verifier's Warn to Ok (and carry the proof).
+ *    the static verifier's Warn to Ok (and carry the proof), and one
+ *    it refutes must become a proven silent-miscompile Error.
  */
 
 #include <string>
@@ -244,6 +245,57 @@ TEST(Proof, ProverUpgradesDepcheckUnknownWarnToOk)
     EXPECT_FALSE(proven.proofSummary.empty());
     EXPECT_EQ(proven.predictedWidth, 8u);
     EXPECT_GT(proven.predictedSpeedup, 0.0);
+}
+
+TEST(Proof, ProverRefutesDepcheckUnknownAsMiscompile)
+{
+    // The same starved budget on a copy kernel the scalarizer sabotages
+    // with a second store at arr[i+1]: a carried output dependence the
+    // translator's runtime check never sees, so translation commits.
+    // Depcheck cannot tell, and the prover's counterexample makes it a
+    // proven silent miscompile.
+    vir::Kernel k("ov_copy", 16);
+    k.store("ov_out", k.load("ov_in"));
+
+    Program prog;
+    std::vector<Word> init(16 + 16);
+    for (unsigned i = 0; i < init.size(); ++i)
+        init[i] = 10 + i;
+    prog.allocWords("ov_in", init);
+    prog.allocData("ov_out", (16 + 16) * 4);
+    EmitOptions eopts;
+    eopts.mode = EmitOptions::Mode::Scalarized;
+    eopts.sabotage = EmitOptions::Sabotage::OverlapStoreStore;
+    eopts.sabotageDistance = 1;
+    emitKernel(prog, k, eopts);
+    prog.defineLabel("main");
+    prog.addInst(Inst::call(-1, true, "ov_copy", 8));
+    prog.addInst(Inst::halt());
+    prog.resolveBranches();
+
+    ASSERT_EQ(prog.hintedCalls().size(), 1u);
+    const int entry = prog.hintedCalls()[0].target;
+
+    VerifyOptions opts;
+    opts.config.simdWidth = 8;
+    opts.dep.pairBudget = 0;  // every width: Unknown
+    EXPECT_EQ(verifyRegion(prog, entry, opts, 8).verdict, Severity::Warn);
+
+    opts.prove = true;
+    const RegionReport r = verifyRegion(prog, entry, opts, 8);
+    EXPECT_EQ(r.verdict, Severity::Error);
+    EXPECT_EQ(r.reason, AbortReason::MemoryDependence);
+    EXPECT_TRUE(r.depMiscompile);
+    EXPECT_EQ(r.proofVerdict, "refuted");
+    EXPECT_EQ(r.predictedWidth, 8u);
+    bool named = false;
+    for (const Diagnostic &d : r.diags) {
+        named = named ||
+                (d.severity == Severity::Error &&
+                 d.message.find("proven by translation validation") !=
+                     std::string::npos);
+    }
+    EXPECT_TRUE(named);
 }
 
 TEST(Proof, VerdictOrdering)
